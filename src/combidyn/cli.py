@@ -6,15 +6,11 @@ Three subcommands:
 * run: full pipeline on a field CSV; prints a summary, optionally writes the
   JSON report, DOT flow graph, and arrow segments.
 * verify: re-check a previously written report against its input file.
-
-Thread count for cost evaluation comes from COMBIDYN_THREADS (default 1);
-everything else is a flag.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import datagen
@@ -67,17 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("COMBIDYN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"COMBIDYN_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"COMBIDYN_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _cmd_gen(args) -> int:
     overrides = {}
     if args.n is not None:
@@ -101,7 +86,6 @@ def _cmd_run(args) -> int:
         landmarks=args.landmarks,
         relation=args.relation,
         snap=args.snap,
-        threads=_threads_from_env(),
     )
     analysis = run_pipeline(config, args.input)
 

@@ -11,8 +11,7 @@ pair of cells as long as alpha < 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,38 +61,41 @@ class CostModel:
         return self.pair_costs[(lower, upper)]
 
 
-def _pair_cost(complex, vectors, lo, up) -> float:
-    v = vectors[lo]
-    if float(np.linalg.norm(v)) < ZERO_TOL:
-        return 2.0
-    return cosine_distance(v, displacement(complex, (lo, up)))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row-wise dot products. Batched matmul reproduces np.dot on each row bit
+    # for bit; einsum and (a * b).sum(axis=1) can differ in the last place.
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def build_cost_model(
-    complex: CellComplex, vectors: VectorAssignment, alpha: float, threads: int = 1
-) -> CostModel:
-    """Cost of every admissible pair, plus the shared diagonal cost alpha."""
+def build_cost_model(complex: CellComplex, vectors: VectorAssignment, alpha: float) -> CostModel:
+    """Cost of every admissible pair, plus the shared diagonal cost alpha.
+
+    Each pair costs exactly `cosine_distance(vectors[lo], displacement(...))`,
+    or 2.0 when the lower cell's vector is shorter than ZERO_TOL.
+    """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
     for c in complex.cells:
         if c.id not in vectors:
             raise ValueError(f"no vector for cell {c.id}")
     pairs = [p.as_tuple() for p in complex.admissible_pairs()]
-    if threads > 1 and len(pairs) > 256:
-        chunks = np.array_split(np.arange(len(pairs)), threads)
-        costs = [0.0] * len(pairs)
-
-        def work(ids):
-            return [(int(i), _pair_cost(complex, vectors, *pairs[int(i)])) for i in ids]
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(work, chunks):
-                for i, c in part:
-                    costs[i] = c
-        pair_costs = dict(zip(pairs, costs))
-    else:
-        pair_costs = {pq: _pair_cost(complex, vectors, *pq) for pq in pairs}
-    return CostModel(alpha=float(alpha), pair_costs=pair_costs, n_cells=len(complex))
+    if not pairs:
+        return CostModel(alpha=float(alpha), pair_costs={}, n_cells=len(complex))
+    lo, up = np.array(pairs, dtype=np.intp).T
+    cells = range(len(complex))
+    bary = np.array([complex.barycenter(c) for c in cells])
+    u = np.array([vectors[c] for c in cells], dtype=float)[lo]
+    w = bary[up] - bary[lo]
+    nu = np.sqrt(_dots(u, u))
+    nw = np.sqrt(_dots(w, w))
+    live = nu >= ZERO_TOL
+    if (nw[live] == 0.0).any():
+        raise ValueError("cosine distance undefined for zero vectors")
+    costs = np.full(len(pairs), 2.0)
+    costs[live] = np.minimum(2.0, np.maximum(0.0, 1.0 - _dots(u, w)[live] / (nu[live] * nw[live])))
+    return CostModel(
+        alpha=float(alpha), pair_costs=dict(zip(pairs, costs.tolist())), n_cells=len(complex)
+    )
 
 
 def critical_angle(alpha: float) -> float:

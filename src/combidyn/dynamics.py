@@ -8,7 +8,12 @@ that relation; critical cells are exactly the singletons with a self-loop.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .complexes import CellComplex
 from .solver import Matching, verify_matching
@@ -34,12 +39,9 @@ class FlowGraph:
         return len(self.succ)
 
 
-def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
-    report = verify_matching(complex, matching)
-    if not report.ok:
-        first = report.violations[0]
-        raise ValueError(f"matching is not valid: {first.kind}: {first.detail}")
-
+def _flow_successors(complex: CellComplex, matching: Matching) -> list[tuple[int, ...]]:
+    """Successors of every cell, indexed by cell id. The matching is taken as
+    given; `multiflow` is the checked entry point."""
     inverse = {up: lo for lo, up in matching.matched.items()}
     succ: list[tuple[int, ...]] = []
     for cell in complex.cells:
@@ -51,11 +53,43 @@ def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
         else:
             skip = inverse[c]
             succ.append(tuple(f for f in complex.codim1_faces(c) if f != skip))
+    return succ
+
+
+def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
+    report = verify_matching(complex, matching)
+    if not report.ok:
+        first = report.violations[0]
+        raise ValueError(f"matching is not valid: {first.kind}: {first.detail}")
     return FlowGraph(
-        succ=succ,
+        succ=_flow_successors(complex, matching),
         dims=tuple(cell.dim for cell in complex.cells),
         critical=matching.critical,
     )
+
+
+def _sccs(succ: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strongly connected components of an indexed adjacency list, numbered
+    in the order of their smallest node.
+
+    Returns (labels, order, bounds): the component of every node, the nodes
+    sorted by (component, node), and offsets into that order, so component k
+    is order[bounds[k]:bounds[k + 1]].
+    """
+    n = len(succ)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum([len(s) for s in succ], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=indptr[-1])
+    graph = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    n_comp, raw = connected_components(graph, directed=True, connection="strong")
+    # first[k] is the smallest node of scipy's component k
+    _, first = np.unique(raw, return_index=True)
+    rank = np.empty(n_comp, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(n_comp)
+    labels = rank[raw]
+    bounds = np.zeros(n_comp + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=n_comp), out=bounds[1:])
+    return labels, np.argsort(labels, kind="stable"), bounds
 
 
 @dataclass
@@ -83,25 +117,22 @@ class CycleReport:
 
 
 def strongly_connected_components(flow: FlowGraph) -> CycleReport:
-    """Tarjan over the flow, reported deterministically: components are
-    numbered by their smallest cell id. Only recurrent components (more than
-    one cell, or a critical self-loop) get an SccInfo entry; `scc_id` on the
-    flow graph is filled for every cell."""
-    n = len(flow.succ)
-    comps = _tarjan(flow.succ)
-    comps.sort(key=min)
-    scc_id = [0] * n
-    for cid, comp in enumerate(comps):
-        for c in comp:
-            scc_id[c] = cid
-    flow.scc_id = scc_id
+    """SCCs of the flow, reported deterministically: components are numbered
+    by their smallest cell id. Only recurrent components (more than one cell,
+    or a critical self-loop) get an SccInfo entry; `scc_id` on the flow graph
+    is filled for every cell."""
+    labels, order, bounds = _sccs(flow.succ)
+    flow.scc_id = labels.tolist()
+    sizes = np.diff(bounds)
+    recurrent = sizes > 1
+    critical = labels[np.fromiter(flow.critical, dtype=np.intp, count=len(flow.critical))]
+    recurrent[critical] = True
 
     infos: list[SccInfo] = []
-    for cid, comp in enumerate(comps):
+    for cid in np.flatnonzero(recurrent).tolist():
+        comp = tuple(order[bounds[cid] : bounds[cid + 1]].tolist())
         members = set(comp)
         singleton_critical = len(comp) == 1 and comp[0] in flow.critical
-        if len(comp) == 1 and not singleton_critical:
-            continue
         inside_out = tuple(
             c for c in comp if sum(1 for s in flow.succ[c] if s in members) > 1
         )
@@ -123,7 +154,7 @@ def strongly_connected_components(flow: FlowGraph) -> CycleReport:
                 is_critical_singleton=singleton_critical,
             )
         )
-    return CycleReport(sccs=infos, n_components=len(comps))
+    return CycleReport(sccs=infos, n_components=len(sizes))
 
 
 def classify_recurrence(flow: FlowGraph, matching: Matching) -> CycleReport:
@@ -145,55 +176,3 @@ def classify_recurrence(flow: FlowGraph, matching: Matching) -> CycleReport:
     report.critical_census = census
     return report
 
-
-def _tarjan(succ: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Iterative Tarjan on an indexed adjacency list; components come out as
-    sorted tuples."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, ei = work.pop()
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            edges = succ[node]
-            advanced = False
-            while ei < len(edges):
-                w = edges[ei]
-                ei += 1
-                if index[w] == -1:
-                    work.append((node, ei))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    if index[w] < low[node]:
-                        low[node] = index[w]
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-        # fallthrough: all nodes reachable from root are classified
-    return out

@@ -13,8 +13,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .complexes import CellComplex
 from .costs import CostModel, build_cost_model
+from .dynamics import _flow_successors, _sccs
 from .solver import (
     Matching,
     MatchingProblem,
@@ -49,21 +52,6 @@ class CycleConstraint:
         return len(self.arc_set) - 1
 
 
-def _restricted_successors(complex: CellComplex, matching: Matching) -> dict[int, list[int]]:
-    """Flow arrows among non-critical cells only. Critical cells absorb every
-    path that reaches them, so recurrence lives entirely in this subgraph."""
-    inverse = {up: lo for lo, up in matching.matched.items()}
-    noncritical = (set(matching.matched) | set(inverse)) - matching.critical
-    succ: dict[int, list[int]] = {}
-    for c in noncritical:
-        if c in matching.matched:
-            succ[c] = [matching.matched[c]]
-        else:
-            skip = inverse[c]
-            succ[c] = sorted(f for f in complex.codim1_faces(c) if f != skip and f in noncritical)
-    return succ
-
-
 def is_gradient(
     complex: CellComplex, matching: Matching
 ) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
@@ -73,16 +61,19 @@ def is_gradient(
     where the witness is the matched (lower, upper) arrow set of a shortest
     recurrent cycle. Ties break toward smaller cell ids.
     """
-    succ = _restricted_successors(complex, matching)
-    sccs = _tarjan_sccs(succ)
-    cyclic = [scc for scc in sccs if len(scc) > 1]
+    succ = _flow_successors(complex, matching)
+    # A critical cell is never on a cycle of the flow (classify_recurrence
+    # checks this), so every multi-cell component holds matched cells only.
+    _, order, bounds = _sccs(succ)
+    cyclic = np.flatnonzero(np.diff(bounds) > 1).tolist()
     if not cyclic:
         return True, None
 
     best: tuple[int, tuple[int, ...]] | None = None
-    for scc in sorted(cyclic, key=min):
+    for cid in cyclic:
+        scc = order[bounds[cid] : bounds[cid + 1]].tolist()
         members = set(scc)
-        for start in sorted(scc):
+        for start in scc:
             path = _shortest_cycle_through(succ, members, start)
             if path is not None and (best is None or (len(path), path) < best):
                 best = (len(path), path)
@@ -98,7 +89,7 @@ def is_gradient(
 
 
 def _shortest_cycle_through(
-    succ: dict[int, list[int]], members: set[int], start: int
+    succ: list[tuple[int, ...]], members: set[int], start: int
 ) -> tuple[int, ...] | None:
     """BFS within one strongly connected piece; first return to `start` is a
     shortest cycle through it."""
@@ -108,7 +99,7 @@ def _shortest_cycle_through(
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for v in succ.get(u, ()):
+            for v in succ[u]:
                 if v not in members:
                     continue
                 if v == start:
@@ -123,55 +114,6 @@ def _shortest_cycle_through(
                     nxt.append(v)
         frontier = nxt
     return None
-
-
-def _tarjan_sccs(succ: dict[int, list[int]]) -> list[tuple[int, ...]]:
-    """Iterative Tarjan over an adjacency dict; returns components as sorted
-    tuples in no particular global order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    out: list[tuple[int, ...]] = []
-    counter = 0
-    for root in sorted(succ):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, ei = work.pop()
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            edges = succ.get(node, ())
-            advanced = False
-            while ei < len(edges):
-                w = edges[ei]
-                ei += 1
-                if w not in index:
-                    work.append((node, ei))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return out
 
 
 def all_critical_threshold(cost_model: CostModel) -> float:

@@ -304,6 +304,12 @@ class VerificationReport:
         return {v.kind for v in self.violations}
 
 
+def _admissible(complex: CellComplex, lower: int, upper: int) -> bool:
+    """(lower, upper) is a face-coface pair one dimension apart; ids outside
+    the complex never are."""
+    return 0 <= upper < len(complex) and lower in complex.codim1_faces(upper)
+
+
 def verify_matching(complex: CellComplex, matching, critical=None) -> VerificationReport:
     """Check the partial-matching axioms: each matched pair admissible, the map
     single-valued and injective, no cell both source and target, every cell
@@ -319,13 +325,12 @@ def verify_matching(complex: CellComplex, matching, critical=None) -> Verificati
         pairs = [tuple(p) for p in matching]
         critical = set(critical or ())
 
-    admissible = {p.as_tuple() for p in complex.admissible_pairs()}
     violations: list[Violation] = []
 
     lowers: dict[int, int] = {}
     uppers: dict[int, int] = {}
     for lo, up in pairs:
-        if (lo, up) not in admissible:
+        if not _admissible(complex, lo, up):
             violations.append(
                 Violation("non_admissible", (lo, up), f"({lo}, {up}) is not a codim-1 face pair")
             )
@@ -386,13 +391,12 @@ def repair(complex: CellComplex, cost_model: CostModel, assignment) -> Matching:
     if bad:
         raise ValueError(f"assignment does not cover cell {bad[0]} exactly once")
 
-    admissible = {p.as_tuple() for p in complex.admissible_pairs()}
     matched = {}
     critical = set()
     for i, j in entries:
         if i == j:
             critical.add(i)
-        elif (i, j) in admissible:
+        elif _admissible(complex, i, j):
             matched[i] = j
         else:
             critical.add(i)

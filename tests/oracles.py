@@ -108,3 +108,22 @@ def selection_of_matching(problem, matching) -> tuple[int, ...]:
     sel = [index[pq] for pq in matching.pairs()]
     sel += [problem.n_pairs + c for c in sorted(matching.critical)]
     return tuple(sorted(sel))
+
+
+def sccs_by_reachability(succ):
+    """Strongly connected components of an indexed adjacency list by
+    definition: u and v share a component when each reaches the other.
+    Returns sorted member tuples, ordered by smallest member."""
+    n = len(succ)
+    reach = []
+    for u in range(n):
+        seen = {u}
+        stack = [u]
+        while stack:
+            for v in succ[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach.append(seen)
+    comps = {tuple(v for v in range(n) if v in reach[u] and u in reach[v]) for u in range(n)}
+    return sorted(comps)

@@ -81,19 +81,6 @@ class TestRun:
         assert rc == 1
         assert "side" in capsys.readouterr().err
 
-    def test_threads_env(self, toy_csv, monkeypatch, capsys):
-        monkeypatch.setenv("COMBIDYN_THREADS", "4")
-        assert main(["run", str(toy_csv)]) == 0
-        capsys.readouterr()
-
-        monkeypatch.setenv("COMBIDYN_THREADS", "zero")
-        rc = main(["run", str(toy_csv)])
-        assert rc == 1
-        assert "COMBIDYN_THREADS" in capsys.readouterr().err
-
-        monkeypatch.setenv("COMBIDYN_THREADS", "0")
-        assert main(["run", str(toy_csv)]) == 1
-
 
 class TestVerify:
     def test_pass_and_fail(self, toy_csv, tmp_path, capsys):

@@ -6,11 +6,17 @@ from hypothesis import given, strategies as st
 
 from combidyn import (
     CostModel,
+    assign_vertex_average,
+    barycentric_subdivision,
     build_cost_model,
     cosine_distance,
     critical_angle,
+    cubical_grid,
+    delaunay_2d,
     displacement,
+    simplicial_complex,
 )
+from combidyn.vectors import ZERO_TOL
 
 nonzero_vec = st.tuples(
     st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False)
@@ -97,16 +103,37 @@ class TestCostModel:
         with pytest.raises(ValueError):
             build_cost_model(K, {0: np.ones(2)}, alpha=0.5)
 
-    def test_threaded_evaluation_is_identical(self):
+    @pytest.mark.parametrize("kind", ["delaunay", "subdivided", "cubical2d", "cubical3d"])
+    def test_equals_per_pair_cosine_distance(self, kind):
         rng = np.random.default_rng(9)
-        pts = rng.uniform(-3, 3, size=(40, 2))
-        from combidyn import assign_vertex_average, delaunay_2d
+        if kind == "cubical3d":
+            pts = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(3)], float)
+            K = cubical_grid(pts * 0.7, 0.7)
+        elif kind == "cubical2d":
+            pts = np.array([(i, j) for i in range(5) for j in range(4)], float)
+            K = cubical_grid(pts * 1.3, 1.3)
+        else:
+            K = delaunay_2d(rng.uniform(-3, 3, size=(40, 2)))
+        data = rng.normal(size=(len(K.vertices), K.point_dim))
+        data *= rng.choice([1e-9, 1.0, 1e7], size=(len(data), 1))
+        data[rng.random(len(data)) < 0.2] = 0.0
+        vectors = assign_vertex_average(K, data)
+        if kind == "subdivided":
+            K, vectors = barycentric_subdivision(K, vectors)
+        model = build_cost_model(K, vectors, alpha=0.8)
+        assert any(cost == 2.0 for cost in model.pair_costs.values())
+        for lo, up in (p.as_tuple() for p in K.admissible_pairs()):
+            v = vectors[lo]
+            if np.linalg.norm(v) < ZERO_TOL:
+                expected = 2.0
+            else:
+                expected = cosine_distance(v, displacement(K, (lo, up)))
+            assert model.pair_cost(lo, up) == expected
 
-        K = delaunay_2d(pts)
-        vectors = assign_vertex_average(K, rng.normal(size=(40, 2)))
-        one = build_cost_model(K, vectors, alpha=0.8, threads=1)
-        four = build_cost_model(K, vectors, alpha=0.8, threads=4)
-        assert one.pair_costs == four.pair_costs
+    def test_zero_displacement_rejected(self):
+        K = simplicial_complex(np.zeros((2, 2)), [(0, 1)])
+        with pytest.raises(ValueError, match="zero vectors"):
+            build_cost_model(K, {c.id: np.ones(2) for c in K.cells}, alpha=0.5)
 
 
 class TestCriticalAngle:

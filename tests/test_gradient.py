@@ -15,9 +15,10 @@ from combidyn import (
     solve_exact,
     solve_gradient_constrained,
 )
-from combidyn.gradient import _tarjan_sccs
+from combidyn.dynamics import _sccs
 
 from conftest import problem_for
+from oracles import sccs_by_reachability
 
 
 class TestIsGradient:
@@ -148,15 +149,41 @@ class TestCycleConstraint:
 
 
 class TestTarjan:
+    """The flow's SCC routine: scipy's strong components (Pearce's variant of
+    Tarjan's algorithm), renumbered by smallest node."""
+
+    @staticmethod
+    def partition(succ):
+        _, order, bounds = _sccs(succ)
+        return [tuple(order[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:])]
+
     def test_two_cycle_and_isolated(self):
-        sccs = _tarjan_sccs({0: [1], 1: [0], 2: []})
-        assert sorted(sccs, key=min) == [(0, 1), (2,)]
+        assert self.partition([(1,), (0,), ()]) == [(0, 1), (2,)]
 
     def test_nested(self):
-        succ = {0: [1], 1: [2], 2: [0, 3], 3: [4], 4: [3]}
-        sccs = sorted(_tarjan_sccs(succ), key=min)
-        assert sccs == [(0, 1, 2), (3, 4)]
+        succ = [(1,), (2,), (0, 3), (4,), (3,)]
+        assert self.partition(succ) == [(0, 1, 2), (3, 4)]
 
     def test_chain_is_singletons(self):
-        sccs = _tarjan_sccs({0: [1], 1: [2], 2: []})
-        assert sorted(sccs, key=min) == [(0,), (1,), (2,)]
+        assert self.partition([(1,), (2,), ()]) == [(0,), (1,), (2,)]
+
+    def test_empty_graph(self):
+        labels, order, bounds = _sccs([])
+        assert len(labels) == len(order) == 0
+        assert bounds.tolist() == [0]
+
+    def test_matches_reachability_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            density = rng.uniform(0.0, 0.4)
+            succ = [
+                tuple(int(v) for v in np.flatnonzero(rng.random(n) < density))
+                for _ in range(n)
+            ]
+            labels, order, bounds = _sccs(succ)
+            expected = sccs_by_reachability(succ)
+            assert self.partition(succ) == expected
+            # components are numbered by smallest member
+            for cid, comp in enumerate(expected):
+                assert all(labels[c] == cid for c in comp)

@@ -176,10 +176,6 @@ class TestConfigValidation:
         back = PipelineConfig.from_echo(config.echo())
         assert back == config
 
-    def test_echo_hides_threads(self):
-        echo = PipelineConfig(threads=8).echo()
-        assert "threads" not in echo
-
 
 class TestRunPipeline:
     def test_toy(self, toy_csv):
@@ -359,3 +355,29 @@ class TestVerifyReport:
         report = self.run_and_export(toy_csv, tmp_path)
         ok, _ = verify_report(report, grad_toy_csv)
         assert not ok
+
+    @staticmethod
+    def lattice_round_trip(tmp_path, side, n, vectors, alpha):
+        pts = np.array([(i * side, j * side) for i in range(n) for j in range(n)])
+        field = tmp_path / "lattice.csv"
+        write_field_csv(field, FieldSample(pts, np.broadcast_to(vectors, pts.shape)))
+        analysis = run_pipeline(
+            PipelineConfig(complex_kind="cubical", side=side, alpha=alpha), field
+        )
+        report = tmp_path / "lattice.json"
+        export_report(analysis, report)
+        return analysis, verify_report(report, field)
+
+    def test_side_beyond_nine_digits_passes(self, tmp_path):
+        # rebuilding at a 9-digit side moves critical barycenters across a
+        # rounding boundary
+        vectors = np.array([(1.0, 0.3 * i) for i in range(25)])
+        analysis, (ok, lines) = self.lattice_round_trip(tmp_path, 0.123456789012, 5, vectors, 0.05)
+        assert ok, lines
+        assert analysis.document["config_echo"]["side"] == 0.123456789012
+
+    def test_large_objective_passes(self, tmp_path):
+        # 2209 critical cells: the 9-digit total is 4.4e-6 off the exact sum
+        analysis, (ok, lines) = self.lattice_round_trip(tmp_path, 0.5, 24, (1e-13, 0.0), 0.66666664)
+        assert analysis.document["objective"]["total"] == 1472.66661
+        assert ok, lines

@@ -177,6 +177,17 @@ class TestVerify:
         report = verify_matching(K, [(0, 3), (1, 5), (2, 4)], critical={6, 99})
         assert "unknown_cell" in report.kinds()
 
+    def test_out_of_range_pair_ids(self, toy):
+        _, K, _ = toy
+        # -1 must not wrap around to the last cell, the triangle whose face 5 is
+        report = verify_matching(K, [(0, 3), (2, 4), (5, -1), (1, 7)], critical={6})
+        assert [(v.kind, v.cells) for v in report.violations] == [
+            ("non_admissible", (5, -1)),
+            ("non_admissible", (1, 7)),
+            ("unknown_cell", (-1,)),
+            ("unknown_cell", (7,)),
+        ]
+
 
 class TestRepair:
     def test_inadmissible_pair_becomes_critical(self, toy):
