@@ -57,11 +57,11 @@ def main():
     _, m15 = show_solution(K, vectors, 0.15)
     show_solution(K, vectors, 0.14)
 
-    alpha_eff, swept = alpha_sweep(K, vectors)
+    model15 = build_cost_model(K, vectors, alpha=0.15)
+    alpha_eff, swept = alpha_sweep(K, model15)
     print(f"  sweep: first gradient alpha on the default grid = {alpha_eff}, "
           f"objective {swept.objective:.6f}")
 
-    model15 = build_cost_model(K, vectors, alpha=0.15)
     constrained, rounds = solve_gradient_constrained(build_problem(model15, K), K)
     print(f"  constrained at 0.15: objective {constrained.objective:.6f} "
           f"after {len(rounds)} excluded cycle(s)")

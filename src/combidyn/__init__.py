@@ -75,7 +75,6 @@ from .solver import (
     objective_decomposition,
     repair,
     solve_branch_and_bound,
-    solve_bipartite,
     solve_exact,
     verify_matching,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "simplicial_complex",
     "snap_to_lattice",
     "solve_branch_and_bound",
-    "solve_bipartite",
     "solve_exact",
     "solve_gradient_constrained",
     "strongly_connected_components",

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .complexes import CellComplex
-from .costs import CostModel, build_cost_model
+# build_cost_model is unused here but stays a module attribute: perfbench/spans.py
+# traces the layers through this module's globals
+from .costs import CostModel, build_cost_model  # noqa: F401
 from .dynamics import _flow_successors, _sccs
 from .solver import (
     Matching,
@@ -61,42 +63,46 @@ def is_gradient(
     where the witness is the matched (lower, upper) arrow set of a shortest
     recurrent cycle. Ties break toward smaller cell ids.
     """
-    succ = _flow_successors(complex, matching)
-    # A critical cell is never on a cycle of the flow (classify_recurrence
-    # checks this), so every multi-cell component holds matched cells only.
-    _, order, bounds = _sccs(succ)
-    cyclic = np.flatnonzero(np.diff(bounds) > 1).tolist()
-    if not cyclic:
+    cycle = _shortest_cycle(_flow_successors(complex, matching))
+    if cycle is None:
         return True, None
-
-    best: tuple[int, tuple[int, ...]] | None = None
-    for cid in cyclic:
-        scc = order[bounds[cid] : bounds[cid + 1]].tolist()
-        members = set(scc)
-        for start in scc:
-            path = _shortest_cycle_through(succ, members, start)
-            if path is not None and (best is None or (len(path), path) < best):
-                best = (len(path), path)
-    assert best is not None
-    cycle = best[1]
-    arcs = []
-    k = len(cycle)
-    for t in range(k):
-        a, b = cycle[t], cycle[(t + 1) % k]
-        if matching.matched.get(a) == b:
-            arcs.append((a, b))
+    arcs = [(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]) if matching.matched.get(a) == b]
     return False, tuple(sorted(arcs))
 
 
+def _shortest_cycle(succ: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """A shortest cycle inside a multi-node strongly connected component, as
+    its node sequence from its first node; among equal lengths the smaller
+    sequence wins. None when there is no such component.
+
+    Self-loops of single-node components do not count: in the flow those are
+    the critical cells, which are never on a cycle (classify_recurrence checks
+    this), so every multi-cell component holds matched cells only.
+    """
+    _, order, bounds = _sccs(succ)
+    best: tuple[int, tuple[int, ...]] | None = None
+    for cid in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        scc = order[bounds[cid] : bounds[cid + 1]].tolist()
+        members = set(scc)
+        for start in scc:
+            # a longer cycle never wins the (len, path) order
+            limit = best[0] if best is not None else len(scc)
+            path = _shortest_cycle_through(succ, members, start, limit)
+            if path is not None and (best is None or (len(path), path) < best):
+                best = (len(path), path)
+    return None if best is None else best[1]
+
+
 def _shortest_cycle_through(
-    succ: list[tuple[int, ...]], members: set[int], start: int
+    succ: list[tuple[int, ...]], members: set[int], start: int, limit: int
 ) -> tuple[int, ...] | None:
     """BFS within one strongly connected piece; first return to `start` is a
-    shortest cycle through it."""
+    shortest cycle through it. The search stops after cycles of `limit`
+    cells and returns None when none is that short."""
     parent: dict[int, int] = {}
     frontier = [start]
     seen = {start}
-    while frontier:
+    for _ in range(limit):
         nxt: list[int] = []
         for u in frontier:
             for v in succ[u]:
@@ -133,16 +139,16 @@ def all_critical_threshold(cost_model: CostModel) -> float:
 
 def alpha_sweep(
     complex: CellComplex,
-    vectors,
+    cost_model: CostModel,
     alpha_grid: tuple[float, ...] | None = None,
-    backend: str = "auto",
 ) -> tuple[float, Matching]:
     """Walk alpha downward and return the first grid value whose optimal
     matching is gradient, together with that matching.
 
-    Pair costs do not depend on alpha, so they are built once and reused.
-    If no grid value works (possible only off the default grid), fall back to
-    the all-critical matching at its threshold alpha.
+    Pair costs do not depend on alpha, so the sweep re-prices `cost_model`'s
+    pairs at each grid value; its own alpha is not used. If no grid value
+    works (possible only off the default grid), fall back to the all-critical
+    matching at its threshold alpha.
     """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
     if not grid:
@@ -152,19 +158,17 @@ def alpha_sweep(
     if grid[0] > 2.0 or grid[-1] < 0.0:
         raise ValueError("alpha grid must lie within [0, 2]")
 
-    base = build_cost_model(complex, vectors, alpha=grid[0])
     for alpha in grid:
-        model = CostModel(alpha=alpha, pair_costs=base.pair_costs, n_cells=base.n_cells)
-        problem = build_problem(model, complex)
-        matching = solve_exact(problem, backend=backend)
+        problem = build_problem(replace(cost_model, alpha=alpha), complex)
+        matching = solve_exact(problem)
         ok, _ = is_gradient(complex, matching)
         if ok:
             return alpha, matching
 
-    t = all_critical_threshold(base)
+    t = all_critical_threshold(cost_model)
     if not math.isfinite(t):
         raise RuntimeError("sweep failed on a complex with no admissible pairs")
-    model = CostModel(alpha=t, pair_costs=base.pair_costs, n_cells=base.n_cells)
+    model = replace(cost_model, alpha=t)
     every = Matching(matched={}, critical=frozenset(c.id for c in complex.cells), objective=0.0)
     return t, Matching(every.matched, every.critical, evaluate_matching(model, every))
 
@@ -178,8 +182,9 @@ def solve_gradient_constrained(
 
     Lazy loop: solve, test acyclicity, forbid the witness cycle's arrows from
     co-occurring, repeat. Returns the matching and every generated constraint.
-    The first round may use the fast backend; once rows exist, only the
-    branch-and-bound backend understands them.
+    The first round has no rows and goes to the assignment solver
+    `solve_exact`; later rounds go to HiGHS' branch-and-cut
+    (`solve_branch_and_bound`), whose choice among tied optima is its own.
     """
     constraints: list[CycleConstraint] = []
     seen: set[frozenset[int]] = set()

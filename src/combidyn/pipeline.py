@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -286,8 +286,9 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
 
     constraints: tuple[CycleConstraint, ...] = ()
     if config.gradient_mode == "sweep":
-        alpha_eff, matching = alpha_sweep(complex, vectors)
-        cost_model = build_cost_model(complex, vectors, alpha_eff)
+        base = build_cost_model(complex, vectors, config.alpha)
+        alpha_eff, matching = alpha_sweep(complex, base)
+        cost_model = replace(base, alpha=alpha_eff)
         problem = build_problem(cost_model, complex)
     else:
         alpha_eff = config.alpha
@@ -412,8 +413,12 @@ def export_arrows(analysis: Analysis, path) -> None:
 def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     """Re-derive everything checkable from a serialized report: rebuild the
     complex from the echoed config, re-verify the matching axioms, recompute
-    the objective at the reported alpha, and re-run the flow analysis to
-    confirm the critical and SCC sections round-trip."""
+    the objective and its decomposition at the reported alpha and the problem
+    size, and re-run the flow analysis to confirm the critical, SCC and
+    gradient sections round-trip.
+
+    `gradient.constraint_rounds` is not checked: it could only be re-derived
+    by solving again."""
     doc = json.loads(Path(report_path).read_text())
     sample = read_field_csv(input_path)
     config = PipelineConfig.from_echo(doc["config_echo"])
@@ -451,6 +456,22 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
         f"{'PASS' if good else 'FAIL'}"
     )
 
+    n_matched, cosine_sum, n_critical = objective_decomposition(matching, model)
+    reported = doc["objective"]
+    good = (reported.get("matched"), reported.get("cosine_sum"), reported.get("critical")) == (
+        n_matched, _sig9(cosine_sum), n_critical
+    )
+    ok &= good
+    lines.append(
+        f"objective decomposition ({n_matched} matched, {n_critical} critical): "
+        f"{'PASS' if good else 'FAIL'}"
+    )
+
+    size = {"N": len(complex), "m": len(model.pair_costs) + len(complex)}
+    good = doc["problem"] == size
+    ok &= good
+    lines.append(f"problem size (N={size['N']}, m={size['m']}): {'PASS' if good else 'FAIL'}")
+
     flow = multiflow(complex, matching)
     recurrence = classify_recurrence(flow, matching)
     good = _scc_entries(recurrence) == doc["scc"]
@@ -461,5 +482,16 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     good = redone == doc["critical"]
     ok &= good
     lines.append(f"critical census round-trip: {'PASS' if good else 'FAIL'}")
+
+    # is_gradient reads the same flow graph: acyclic iff no multi-cell component
+    section = doc.get("gradient")
+    if config.gradient_mode == "off":
+        good = section is None
+    else:
+        good = section is not None and (section.get("mode"), section.get("is_gradient")) == (
+            config.gradient_mode, not recurrence.multi_cell()
+        )
+    ok &= good
+    lines.append(f"gradient section (mode {config.gradient_mode}): {'PASS' if good else 'FAIL'}")
 
     return bool(ok), lines

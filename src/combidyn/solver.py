@@ -5,26 +5,27 @@ variable per cell, and one constraint per cell: exactly one incident variable
 is selected. Feasible selections are exactly the partial matchings of the
 admissibility graph with the unmatched cells declared critical.
 
-Two interchangeable backends:
+One exact solver per problem class:
 
-* bipartite: cells split by dimension parity always 2-color the admissibility
-  graph, so the program reduces to a square assignment problem with one dummy
-  row/column per cell for the stay-critical option. Polynomial, used by
-  default.
-* branch_and_bound: depth-first search over pair variables in index order,
-  bounding with static per-cell minimum shares. Slower, but it is the only
-  backend that survives extra cycle-elimination rows, and it returns the
-  lexicographically smallest optimal selection.
+* solve_exact, the plain program: cells split by dimension parity always
+  2-color the admissibility graph, so the program reduces to a square
+  assignment problem with one dummy row/column per cell for the stay-critical
+  option. Polynomial.
+* solve_branch_and_bound, the program plus cycle-exclusion rows: a binary
+  integer program solved by HiGHS' branch-and-cut (`scipy.optimize.milp`)
+  with a relative gap of 0. Among equal optima it returns the one HiGHS'
+  deterministic search reaches, which follows no documented order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
+from scipy.sparse import csr_array
 
 from .complexes import CellComplex
 from .costs import CostModel
@@ -34,7 +35,6 @@ __all__ = [
     "Matching",
     "build_problem",
     "solve_exact",
-    "solve_bipartite",
     "solve_branch_and_bound",
     "Violation",
     "VerificationReport",
@@ -138,8 +138,9 @@ def _selection_to_matching(problem: MatchingProblem, selected: list[int]) -> Mat
     return Matching(matched=matched, critical=frozenset(critical), objective=objective)
 
 
-def solve_bipartite(problem: MatchingProblem) -> Matching:
-    """Assignment-problem reduction.
+def solve_exact(problem: MatchingProblem) -> Matching:
+    """Global minimizer of the plain matching program, by assignment-problem
+    reduction. Deterministic.
 
     Rows are even-parity cells plus one dummy per odd cell; columns are odd
     cells plus one dummy per even cell. A cell paired with its own dummy stays
@@ -183,106 +184,41 @@ def solve_bipartite(problem: MatchingProblem) -> Matching:
 def solve_branch_and_bound(
     problem: MatchingProblem, constraints: tuple[frozenset[int], ...] = ()
 ) -> Matching:
-    """Depth-first exact search over pair variables, diagonals completed at the
-    leaves. Among equal optima the first selection in depth-first order wins,
-    which is the lexicographically smallest selected index set.
+    """Exact optimum of the program plus cycle-exclusion rows, by HiGHS'
+    branch-and-cut.
 
     `constraints` are sets of pair-variable indices of which at most |set| - 1
-    may be selected together (cycle elimination rows).
+    may be selected together (cycle elimination rows). The relative gap is 0,
+    so HiGHS stops only at a proven optimum; the default 1e-4 would accept
+    worse answers. No time limit is set, so the result does not depend on the
+    speed of the machine. Among equal optima the choice is HiGHS' own,
+    deterministic but not lexicographic.
     """
-    npair = problem.n_pairs
     n = problem.n_cells
     if n == 0:
         return Matching(matched={}, critical=frozenset(), objective=0.0)
-    costs = problem.costs
-    variables = problem.variables
-
-    cons = [frozenset(c) for c in constraints]
-    for c in cons:
-        if not c or any(v >= npair for v in c):
+    cuts = [sorted(c) for c in constraints]
+    for c in cuts:
+        if not c or c[0] < 0 or c[-1] >= problem.n_pairs:
             raise ValueError("constraints must be non-empty sets of pair variable indices")
-    limits = [len(c) - 1 for c in cons]
-    counts = [0] * len(cons)
-    cons_of_var: dict[int, list[int]] = {}
-    for ci, c in enumerate(cons):
-        for v in c:
-            cons_of_var.setdefault(v, []).append(ci)
 
-    # Static lower bound on covering a cell: half a pair cost (the pair covers
-    # two cells) or its own diagonal, whichever is least.
-    share = [0.0] * n
-    for k in range(n):
-        best = costs[problem.diagonal_var(k)]
-        for v in problem.cell_vars[k]:
-            if v < npair:
-                best = min(best, costs[v] / 2.0)
-        share[k] = best
-
-    covered = [False] * n
-    best_val = math.inf
-    best_sel: list[int] | None = None
-    sel: list[int] = []
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * npair + 1000))
-
-    def descend(k: int, cost_so_far: float, potential: float, diag_tail: float) -> None:
-        nonlocal best_val, best_sel
-        if cost_so_far + potential >= best_val + 1e-12:
-            return
-        if k == npair:
-            value = cost_so_far + diag_tail
-            if value < best_val:
-                best_val = value
-                best_sel = sel.copy()
-            return
-        i, j = variables[k]
-        if not covered[i] and not covered[j]:
-            blocked = any(counts[ci] >= limits[ci] for ci in cons_of_var.get(k, ()))
-            if not blocked:
-                covered[i] = covered[j] = True
-                for ci in cons_of_var.get(k, ()):
-                    counts[ci] += 1
-                sel.append(k)
-                descend(
-                    k + 1,
-                    cost_so_far + costs[k],
-                    potential - share[i] - share[j],
-                    diag_tail - costs[problem.diagonal_var(i)] - costs[problem.diagonal_var(j)],
-                )
-                sel.pop()
-                for ci in cons_of_var.get(k, ()):
-                    counts[ci] -= 1
-                covered[i] = covered[j] = False
-        descend(k + 1, cost_so_far, potential, diag_tail)
-
-    descend(0, 0.0, math.fsum(share), math.fsum(costs[npair:]))
-    assert best_sel is not None
-    selected = best_sel + [problem.diagonal_var(c) for c in range(n) if c not in _covered_cells(problem, best_sel)]
-    return _selection_to_matching(problem, selected)
-
-
-def _covered_cells(problem: MatchingProblem, pair_vars: list[int]) -> set[int]:
-    out: set[int] = set()
-    for v in pair_vars:
-        i, j = problem.variables[v]
-        out.add(i)
-        out.add(j)
-    return out
-
-
-_BACKENDS = {"bipartite": solve_bipartite, "branch_and_bound": solve_branch_and_bound}
-
-
-def solve_exact(problem: MatchingProblem, backend: str = "auto") -> Matching:
-    """Global minimizer of the matching program. Deterministic; `auto` uses the
-    polynomial bipartite backend."""
-    if backend == "auto":
-        backend = "bipartite"
-    try:
-        fn = _BACKENDS[backend]
-    except KeyError:
-        raise ValueError(f"unknown backend {backend!r}; have auto, {sorted(_BACKENDS)}") from None
-    return fn(problem)
+    rows = problem.cell_vars + cuts
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=indptr[-1])
+    A = csr_array((np.ones(len(indices)), indices, indptr), shape=(len(rows), problem.m))
+    lower = np.concatenate([np.ones(n), np.full(len(cuts), -np.inf)])
+    upper = np.concatenate([np.ones(n), [len(c) - 1 for c in cuts]])
+    res = milp(
+        problem.costs,
+        constraints=LinearConstraint(A, lower, upper),
+        integrality=np.ones(problem.m),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0.0},
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS found no optimum: {res.message}")
+    return _selection_to_matching(problem, np.flatnonzero(res.x > 0.5).tolist())
 
 
 @dataclass(frozen=True)

@@ -42,17 +42,14 @@ def enumerate_selections(problem):
             yield tuple(selected), objective
 
 
-def brute_force_optimum(problem):
-    """Exact optimum by full enumeration: (objective, selection), where the
-    selection is the lexicographically smallest among all selections attaining
-    the exact optimal float."""
-    best_obj = math.inf
-    best_sel = None
-    for selected, objective in enumerate_selections(problem):
-        if objective < best_obj or (objective == best_obj and selected < best_sel):
-            best_obj = objective
-            best_sel = selected
-    return best_obj, best_sel
+def brute_force_optimum(problem, cuts=()):
+    """Exact optimal objective by full enumeration. Each cut is a set of pair
+    variables that may not all be selected together."""
+    return min(
+        objective
+        for selected, objective in enumerate_selections(problem)
+        if not any(set(cut) <= set(selected) for cut in cuts)
+    )
 
 
 def circumcircle_has_no_point_inside(points, triangle, others) -> bool:
@@ -101,15 +98,6 @@ def euler_characteristic(counts: dict[int, int]) -> int:
     return sum((-1) ** d * n for d, n in counts.items())
 
 
-def selection_of_matching(problem, matching) -> tuple[int, ...]:
-    """Variable-index selection corresponding to a Matching, for comparing a
-    solver's answer against enumeration."""
-    index = {pq: v for v, pq in enumerate(problem.variables[: problem.n_pairs])}
-    sel = [index[pq] for pq in matching.pairs()]
-    sel += [problem.n_pairs + c for c in sorted(matching.critical)]
-    return tuple(sorted(sel))
-
-
 def sccs_by_reachability(succ):
     """Strongly connected components of an indexed adjacency list by
     definition: u and v share a component when each reaches the other.
@@ -127,3 +115,42 @@ def sccs_by_reachability(succ):
         reach.append(seen)
     comps = {tuple(v for v in range(n) if v in reach[u] and u in reach[v]) for u in range(n)}
     return sorted(comps)
+
+
+def shortest_cycle_by_bfs(succ):
+    """Shortest cycle inside a multi-node strongly connected component by a
+    breadth-first search, run to the end, from every node of every such
+    component; ties toward the smaller node sequence. Returns the sequence
+    from its first node, or None."""
+    best = None
+    for comp in sccs_by_reachability(succ):
+        if len(comp) < 2:
+            continue
+        members = set(comp)
+        for start in comp:
+            parent = {}
+            frontier = [start]
+            seen = {start}
+            path = None
+            while frontier and path is None:
+                nxt = []
+                for u in frontier:
+                    for v in succ[u]:
+                        if v not in members:
+                            continue
+                        if v == start:
+                            path = [u]
+                            while path[-1] != start:
+                                path.append(parent[path[-1]])
+                            path = tuple(reversed(path))
+                            break
+                        if v not in seen:
+                            seen.add(v)
+                            parent[v] = u
+                            nxt.append(v)
+                    if path is not None:
+                        break
+                frontier = nxt
+            if path is not None and (best is None or (len(path), path) < best):
+                best = (len(path), path)
+    return None if best is None else best[1]

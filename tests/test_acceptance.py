@@ -28,6 +28,7 @@ from combidyn import (
     preset_field,
     repair,
     run_pipeline,
+    solve_branch_and_bound,
     solve_exact,
     solve_gradient_constrained,
     verify_matching,
@@ -36,7 +37,7 @@ from combidyn import (
 )
 
 from conftest import problem_for, random_instance, random_simplicial_instance
-from oracles import brute_force_optimum, euler_characteristic, selection_of_matching
+from oracles import brute_force_optimum, euler_characteristic
 
 
 def pipeline_on_preset(tmp_path, preset, **cfg):
@@ -76,12 +77,9 @@ def test_criterion_02_exact_solver_matches_enumeration():
         K, vectors, alpha = random_instance(rng, small=True)
         assert len(K) <= 12
         p = problem_for(K, vectors, alpha)
-        best_obj, best_sel = brute_force_optimum(p)
-        bip = solve_exact(p, backend="bipartite")
-        bnb = solve_exact(p, backend="branch_and_bound")
-        assert bip.objective == best_obj
-        assert bnb.objective == best_obj
-        assert selection_of_matching(p, bnb) == best_sel
+        best_obj = brute_force_optimum(p)
+        assert solve_exact(p).objective == best_obj
+        assert solve_branch_and_bound(p).objective == best_obj
     assert time.monotonic() - t0 < 30.0
 
 
@@ -263,3 +261,27 @@ def test_criterion_09_subdivision_and_refined_critical_point():
     ]
     assert len(central) == 2
     assert any(contains(vids, b) for vids in central)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(complex_kind="cubical", side=10.0, alpha=0.3),
+        dict(complex_kind="cubical", side=10.0, alpha=0.6),
+        dict(complex_kind="delaunay2d", alpha=0.95),
+    ],
+    ids=["cubical-0.3", "cubical-0.6", "delaunay-0.95"],
+)
+def test_criterion_10_constraint_mode_on_predator_prey(tmp_path, cfg):
+    analysis, elapsed, path = pipeline_on_preset(
+        tmp_path, "lotka_volterra", gradient_mode="constraints", **cfg
+    )
+    assert elapsed < 5.0
+
+    assert analysis.recurrence.multi_cell() == []
+    assert analysis.document["gradient"]["is_gradient"] is True
+
+    report = tmp_path / "lv.json"
+    export_report(analysis, report)
+    ok, lines = verify_report(report, path)
+    assert ok, lines

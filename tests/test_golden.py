@@ -2,8 +2,10 @@
 
 Each case writes a preset field, runs the CLI with a JSON report and compares
 the report's SHA-256 with a digest recorded before the flow, SCC and cost
-layers were rewritten. A refactor that keeps behaviour keeps these bytes; a
-change that moves one must say why and re-record it.
+layers were rewritten. The last case was recorded once constrained solves
+ran on HiGHS; the depth-first search before that never finished it. A
+refactor that keeps behaviour keeps these bytes; a change that moves one must
+say why and re-record it.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ GOLDEN = [
      "e2b70be994ce63c2e88c7868bd78226737df3f8ee53926f076ff8b7b8bf9f1c3"),
     ("lorenz_desk", ["--complex", "cubical", "--side", "6", "--snap", "--alpha", "0.9"],
      "7869c03be6ce0924e8f6a5819a8d34c0205d903a247c0de2c89e5395103dd245"),
+    ("lotka_volterra", ["--complex", "cubical", "--side", "10", "--alpha", "0.3", "--gradient", "constraints"],
+     "6cf13ea414a6d2a803174906d8c3bf5c26d046354722fde6baca21d0d0114f6c"),
 ]
 
 

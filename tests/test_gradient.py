@@ -15,10 +15,11 @@ from combidyn import (
     solve_exact,
     solve_gradient_constrained,
 )
-from combidyn.dynamics import _sccs
+from combidyn.dynamics import _flow_successors, _sccs
+from combidyn.gradient import _shortest_cycle
 
-from conftest import problem_for
-from oracles import sccs_by_reachability
+from conftest import problem_for, random_cubical_instance, random_instance
+from oracles import brute_force_optimum, sccs_by_reachability, shortest_cycle_by_bfs
 
 
 class TestIsGradient:
@@ -43,6 +44,39 @@ class TestIsGradient:
         assert m14.matched == {0: 3}
         assert m14.objective == pytest.approx(0.95846, abs=1e-5)
         assert is_gradient(K, m14) == (True, None)
+
+    # Each search stops once it is deeper than the shortest cycle found so
+    # far; the cycle must equal the one searches run to the end pick.
+
+    def test_witness_matches_unbounded_search(self):
+        rng = np.random.default_rng(17)
+        cyclic = 0
+        for trial in range(400):
+            if trial % 4:
+                K, vectors, _ = random_instance(rng)
+            else:
+                K, vectors = random_cubical_instance(rng, max_extent=6)
+            m = solve_exact(problem_for(K, vectors, float(rng.uniform(0.5, 2.0))))
+            cycle = shortest_cycle_by_bfs(_flow_successors(K, m))
+            if cycle is None:
+                assert is_gradient(K, m) == (True, None)
+                continue
+            cyclic += 1
+            arrows = zip(cycle, cycle[1:] + cycle[:1])
+            witness = tuple(sorted((a, b) for a, b in arrows if m.matched.get(a) == b))
+            assert is_gradient(K, m) == (False, witness)
+        assert cyclic >= 50
+
+    def test_shortest_cycle_matches_unbounded_search(self):
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            n = int(rng.integers(1, 15))
+            density = rng.uniform(0.05, 0.35)
+            succ = [
+                tuple(int(v) for v in np.flatnonzero(rng.random(n) < density))
+                for _ in range(n)
+            ]
+            assert _shortest_cycle(succ) == shortest_cycle_by_bfs(succ)
 
 
 class TestThreshold:
@@ -77,13 +111,13 @@ class TestThreshold:
 class TestSweep:
     def test_two_step_grid(self, grad_toy):
         _, K, vectors = grad_toy
-        alpha, m = alpha_sweep(K, vectors, alpha_grid=(0.15, 0.14))
+        alpha, m = alpha_sweep(K, build_cost_model(K, vectors, 0.5), alpha_grid=(0.15, 0.14))
         assert alpha == 0.14
         assert m.matched == {0: 3}
 
     def test_fallback_to_threshold(self, grad_toy):
         _, K, vectors = grad_toy
-        alpha, m = alpha_sweep(K, vectors, alpha_grid=(0.15,))
+        alpha, m = alpha_sweep(K, build_cost_model(K, vectors, 0.5), alpha_grid=(0.15,))
         assert alpha == pytest.approx(0.129232, abs=1e-5)
         assert m.matched == {}
         assert len(m.critical) == 7
@@ -97,14 +131,15 @@ class TestSweep:
 
     def test_grid_validation(self, toy):
         _, K, vectors = toy
+        model = build_cost_model(K, vectors, 0.5)
         with pytest.raises(ValueError, match="empty"):
-            alpha_sweep(K, vectors, alpha_grid=())
+            alpha_sweep(K, model, alpha_grid=())
         with pytest.raises(ValueError, match="descending"):
-            alpha_sweep(K, vectors, alpha_grid=(0.1, 0.2))
+            alpha_sweep(K, model, alpha_grid=(0.1, 0.2))
         with pytest.raises(ValueError, match="within"):
-            alpha_sweep(K, vectors, alpha_grid=(2.5, 1.0))
+            alpha_sweep(K, model, alpha_grid=(2.5, 1.0))
         with pytest.raises(ValueError, match="within"):
-            alpha_sweep(K, vectors, alpha_grid=(1.0, -0.1))
+            alpha_sweep(K, model, alpha_grid=(1.0, -0.1))
 
 
 class TestConstrainedSolve:
@@ -125,10 +160,12 @@ class TestConstrainedSolve:
         _, K, vectors = grad_toy
         p = problem_for(K, vectors, 0.15)
         m, constraints = solve_gradient_constrained(p, K)
-        assert m.matched == {0: 3, 1: 5}
-        assert m.critical == frozenset({2, 4, 6})
-        assert m.objective == pytest.approx(1.00136, abs=1e-5)
+        # {0: 3, 1: 5} and {0: 3, 2: 4} tie exactly; which one comes back is
+        # the MIP solver's choice
         assert len(constraints) == 1
+        assert m.objective == brute_force_optimum(p, [c.arc_set for c in constraints])
+        assert m.objective == pytest.approx(1.00136, abs=1e-5)
+        assert is_gradient(K, m) == (True, None)
 
     def test_gradient_input_needs_no_rounds(self, grad_toy):
         _, K, vectors = grad_toy

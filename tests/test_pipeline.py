@@ -308,7 +308,7 @@ class TestVerifyReport:
         report = self.run_and_export(toy_csv, tmp_path)
         ok, lines = verify_report(report, toy_csv)
         assert ok
-        assert len(lines) == 5
+        assert len(lines) == 8
         assert all(line.endswith("PASS") for line in lines)
 
     def test_sweep_report_passes(self, grad_toy_csv, tmp_path):
@@ -350,6 +350,33 @@ class TestVerifyReport:
         ok, lines = verify_report(report, toy_csv)
         assert not ok
         assert any("recurrence round-trip" in l and l.endswith("FAIL") for l in lines)
+
+    @pytest.mark.parametrize(
+        "mode, line, mutate",
+        [
+            ("off", "problem size", lambda d: d["problem"].__setitem__("m", 999)),
+            ("off", "problem size", lambda d: d["problem"].__setitem__("N", 8)),
+            ("off", "objective decomposition", lambda d: d["objective"].__setitem__("matched", 2)),
+            ("off", "objective decomposition", lambda d: d["objective"].__setitem__("critical", 0)),
+            ("off", "objective decomposition", lambda d: d["objective"].__setitem__("cosine_sum", 2.0)),
+            ("off", "gradient section",
+             lambda d: d.__setitem__("gradient", {"mode": "off", "is_gradient": False, "constraint_rounds": 0})),
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("is_gradient", False)),
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("mode", "sweep")),
+            ("constraints", "gradient section", lambda d: d.pop("gradient")),
+        ],
+        ids=["m", "N", "matched", "critical", "cosine_sum", "section_added",
+             "is_gradient", "mode", "section_dropped"],
+    )
+    def test_tampered_derived_sections(self, toy_csv, tmp_path, mode, line, mutate):
+        report = self.run_and_export(toy_csv, tmp_path, gradient_mode=mode)
+        assert verify_report(report, toy_csv)[0]
+        self.tamper(report, mutate)
+        ok, lines = verify_report(report, toy_csv)
+        assert not ok
+        assert [l for l in lines if l.endswith("FAIL")] == [
+            l for l in lines if l.startswith(line)
+        ]
 
     def test_wrong_input_file(self, toy_csv, grad_toy_csv, tmp_path):
         report = self.run_and_export(toy_csv, tmp_path)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from combidyn import (
 )
 
 from conftest import problem_for, random_instance
-from oracles import brute_force_optimum, selection_of_matching
+from oracles import brute_force_optimum
 
 TOY_ALPHA = 0.75
 TOY_OBJECTIVE = 1.6286796564403576  # 3 * (1 - 1/sqrt(2)) + alpha
@@ -62,8 +63,8 @@ class TestSolve:
     def test_toy_optimum(self, toy):
         _, K, vectors = toy
         p = problem_for(K, vectors, TOY_ALPHA)
-        for backend in ("bipartite", "branch_and_bound", "auto"):
-            m = solve_exact(p, backend=backend)
+        for solve in (solve_exact, solve_branch_and_bound):
+            m = solve(p)
             assert m.matched == {0: 3, 1: 5, 2: 4}
             assert m.critical == frozenset({6})
             assert m.objective == pytest.approx(TOY_OBJECTIVE, abs=1e-12)
@@ -77,25 +78,16 @@ class TestSolve:
         assert m.critical == frozenset({0})
         assert m.objective == pytest.approx(0.3)
 
-    def test_unknown_backend(self, toy):
-        _, K, vectors = toy
-        p = problem_for(K, vectors, 0.5)
-        with pytest.raises(ValueError, match="backend"):
-            solve_exact(p, backend="simplex")
-
     def test_backends_match_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(15):
             K, vectors, alpha = random_instance(rng, small=True)
             p = problem_for(K, vectors, alpha)
-            best_obj, best_sel = brute_force_optimum(p)
-            bip = solve_exact(p, backend="bipartite")
-            bnb = solve_exact(p, backend="branch_and_bound")
+            best_obj = brute_force_optimum(p)
+            bip = solve_exact(p)
+            bnb = solve_branch_and_bound(p)
             assert bip.objective == pytest.approx(best_obj, abs=1e-9)
             assert bnb.objective == pytest.approx(best_obj, abs=1e-9)
-            # depth-first search ties break toward the lexicographically
-            # smallest selection, exactly like the enumeration oracle
-            assert selection_of_matching(p, bnb) == best_sel
             assert verify_matching(K, bip).ok
             assert verify_matching(K, bnb).ok
 
@@ -125,6 +117,34 @@ class TestConstraints:
         assert m.objective == pytest.approx(expected, abs=1e-9)
         assert verify_matching(K, m).ok
 
+    def test_matches_brute_force_with_random_cuts(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            K, vectors, alpha = random_instance(rng, small=True)
+            p = problem_for(K, vectors, alpha)
+            n_cuts = int(rng.integers(0, 4)) if p.n_pairs else 0
+            cuts = tuple(
+                frozenset(rng.choice(p.n_pairs, size=min(int(rng.integers(1, 5)), p.n_pairs), replace=False).tolist())
+                for _ in range(n_cuts)
+            )
+            m = solve_branch_and_bound(p, constraints=cuts)
+            assert m.objective == brute_force_optimum(p, cuts)
+            assert verify_matching(K, m).ok
+            chosen = {p.pair_var(lo, up) for lo, up in m.pairs()}
+            assert all(not cut <= chosen for cut in cuts)
+
+    def test_recursion_limit_untouched(self, toy):
+        _, K, vectors = toy
+        p = problem_for(K, vectors, TOY_ALPHA)
+        # start from the interpreter default, whatever earlier tests left
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            solve_branch_and_bound(p, constraints=(frozenset(range(p.n_pairs)),))
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
+
     def test_constraint_validation(self, toy):
         _, K, vectors = toy
         p = problem_for(K, vectors, 0.5)
@@ -132,6 +152,8 @@ class TestConstraints:
             solve_branch_and_bound(p, constraints=(frozenset(),))
         with pytest.raises(ValueError):
             solve_branch_and_bound(p, constraints=(frozenset({p.n_pairs}),))
+        with pytest.raises(ValueError):
+            solve_branch_and_bound(p, constraints=(frozenset({-1}),))
 
 
 class TestVerify:
