@@ -145,10 +145,12 @@ def alpha_sweep(
     """Walk alpha downward and return the first grid value whose optimal
     matching is gradient, together with that matching.
 
-    Pair costs do not depend on alpha, so the sweep re-prices `cost_model`'s
-    pairs at each grid value; its own alpha is not used. If no grid value
-    works (possible only off the default grid), fall back to the all-critical
-    matching at its threshold alpha.
+    Pair costs do not depend on alpha, so the sweep builds the program once
+    from `cost_model` and re-prices only its diagonals at each grid value;
+    the model's own alpha is not used. If no grid value works (on the default
+    grid only when alpha 0 ties the all-critical matching with a cycle of
+    zero-cost pairs), fall back to the all-critical matching at its threshold
+    alpha.
     """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
     if not grid:
@@ -158,9 +160,10 @@ def alpha_sweep(
     if grid[0] > 2.0 or grid[-1] < 0.0:
         raise ValueError("alpha grid must lie within [0, 2]")
 
+    problem = build_problem(cost_model, complex)
+    pair_costs = problem.costs[: problem.n_pairs]
     for alpha in grid:
-        problem = build_problem(replace(cost_model, alpha=alpha), complex)
-        matching = solve_exact(problem)
+        matching = solve_exact(replace(problem, costs=pair_costs + [alpha] * problem.n_cells))
         ok, _ = is_gradient(complex, matching)
         if ok:
             return alpha, matching
@@ -182,7 +185,7 @@ def solve_gradient_constrained(
 
     Lazy loop: solve, test acyclicity, forbid the witness cycle's arrows from
     co-occurring, repeat. Returns the matching and every generated constraint.
-    The first round has no rows and goes to the assignment solver
+    The first round has no rows and goes to the sparse assignment solver
     `solve_exact`; later rounds go to HiGHS' branch-and-cut
     (`solve_branch_and_bound`), whose choice among tied optima is its own.
     """

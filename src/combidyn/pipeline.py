@@ -29,7 +29,14 @@ from .complexes import CellComplex, VectorAssignment, barycentric_subdivision
 from .costs import CostModel, build_cost_model
 from .datagen import FieldSample
 from .dynamics import CycleReport, FlowGraph, classify_recurrence, multiflow
-from .gradient import CycleConstraint, alpha_sweep, is_gradient, solve_gradient_constrained
+from .gradient import (
+    DEFAULT_ALPHA_GRID,
+    CycleConstraint,
+    all_critical_threshold,
+    alpha_sweep,
+    is_gradient,
+    solve_gradient_constrained,
+)
 from .solver import (
     Matching,
     MatchingProblem,
@@ -412,10 +419,11 @@ def export_arrows(analysis: Analysis, path) -> None:
 
 def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     """Re-derive everything checkable from a serialized report: rebuild the
-    complex from the echoed config, re-verify the matching axioms, recompute
-    the objective and its decomposition at the reported alpha and the problem
-    size, and re-run the flow analysis to confirm the critical, SCC and
-    gradient sections round-trip.
+    complex from the echoed config, re-verify the matching axioms, check the
+    reported alpha (the echoed one, or in sweep mode a default grid value or
+    the all-critical threshold), recompute the objective and its
+    decomposition at that alpha and the problem size, and re-run the flow
+    analysis to confirm the critical, SCC and gradient sections round-trip.
 
     `gradient.constraint_rounds` is not checked: it could only be re-derived
     by solving again."""
@@ -447,7 +455,17 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     if not rep.ok:
         return False, lines
 
-    model = build_cost_model(complex, vectors, float(doc["objective"]["alpha"]))
+    alpha = float(doc["objective"]["alpha"])
+    model = build_cost_model(complex, vectors, alpha)
+    if config.gradient_mode == "sweep":
+        good = alpha in DEFAULT_ALPHA_GRID or alpha == all_critical_threshold(model)
+    else:
+        good = alpha == config.alpha
+    ok &= good
+    lines.append(
+        f"objective alpha ({_fmt9(alpha)}, mode {config.gradient_mode}): {'PASS' if good else 'FAIL'}"
+    )
+
     recomputed = evaluate_matching(model, matching)
     good = _sig9(recomputed) == doc["objective"]["total"]
     ok &= good

@@ -8,9 +8,10 @@ admissibility graph with the unmatched cells declared critical.
 One exact solver per problem class:
 
 * solve_exact, the plain program: cells split by dimension parity always
-  2-color the admissibility graph, so the program reduces to a square
-  assignment problem with one dummy row/column per cell for the stay-critical
-  option. Polynomial.
+  2-color the admissibility graph, so the program reduces to a minimum-weight
+  perfect matching on a sparse bipartite graph with one dummy per cell for the
+  stay-critical option, solved by scipy's LAPJVsp (Jonker & Volgenant 1987).
+  Polynomial; memory linear in the number of pairs and cells.
 * solve_branch_and_bound, the program plus cycle-exclusion rows: a binary
   integer program solved by HiGHS' branch-and-cut (`scipy.optimize.milp`)
   with a relative gap of 0. Among equal optima it returns the one HiGHS'
@@ -24,8 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .complexes import CellComplex
 from .costs import CostModel
@@ -139,46 +141,46 @@ def _selection_to_matching(problem: MatchingProblem, selected: list[int]) -> Mat
 
 
 def solve_exact(problem: MatchingProblem) -> Matching:
-    """Global minimizer of the plain matching program, by assignment-problem
-    reduction. Deterministic.
+    """Global minimizer of the plain matching program, by a sparse
+    minimum-weight perfect matching (LAPJVsp). Deterministic.
 
     Rows are even-parity cells plus one dummy per odd cell; columns are odd
-    cells plus one dummy per even cell. A cell paired with its own dummy stays
-    critical; the dummy-dummy block is free so unused dummies never interfere.
+    cells plus one dummy per even cell. Edges: each admissible pair at its
+    cost, each cell to its own dummy at its diagonal cost (the cell stays
+    critical), and each pair's two dummies to each other at cost 0, so the
+    dummies of a matched pair cover one another.
     """
     n = problem.n_cells
     if n == 0:
         return Matching(matched={}, critical=frozenset(), objective=0.0)
-    evens = [k for k in range(n) if problem.dims[k] % 2 == 0]
-    odds = [k for k in range(n) if problem.dims[k] % 2 == 1]
-    epos = {k: i for i, k in enumerate(evens)}
-    opos = {k: i for i, k in enumerate(odds)}
-    ne, no = len(evens), len(odds)
+    even = np.asarray(problem.dims) % 2 == 0
+    ne = int(even.sum())
+    no = n - ne
+    pos = np.empty(n, dtype=np.intp)  # index of a cell among its own parity
+    pos[even] = np.arange(ne)
+    pos[~even] = np.arange(no)
 
-    M = np.full((ne + no, no + ne), np.inf)
-    M[ne:, no:] = 0.0
-    pair_at: dict[tuple[int, int], int] = {}
-    for v in range(problem.n_pairs):
-        lo, up = problem.variables[v]
-        e, o = (lo, up) if problem.dims[lo] % 2 == 0 else (up, lo)
-        r, c = epos[e], opos[o]
-        M[r, c] = problem.costs[v]
-        pair_at[(r, c)] = v
-    for k in evens:
-        M[epos[k], no + epos[k]] = problem.costs[problem.diagonal_var(k)]
-    for k in odds:
-        M[ne + opos[k], opos[k]] = problem.costs[problem.diagonal_var(k)]
+    ends = itertools.chain.from_iterable(problem.variables[: problem.n_pairs])
+    lo, up = np.fromiter(ends, dtype=np.intp, count=2 * problem.n_pairs).reshape(-1, 2).T
+    lo_even = even[lo]
+    r = pos[np.where(lo_even, lo, up)]
+    c = pos[np.where(lo_even, up, lo)]
+    # edges in variable order (pairs, then diagonals), then the dummy pairs
+    rows = np.concatenate([r, np.where(even, pos, ne + pos), ne + c])
+    cols = np.concatenate([c, np.where(even, no + pos, pos), no + r])
+    weights = np.concatenate([np.asarray(problem.costs, dtype=float), np.zeros(len(r))])
+    # scipy drops explicit zeros; the smallest subnormal is absorbed by any
+    # sum with a normal float, so it keeps the edge without moving a cost
+    weights[weights == 0.0] = np.nextafter(0.0, 1.0)
 
-    rows, cols = linear_sum_assignment(M)
-    selected = []
-    for r, c in zip(rows, cols):
-        if r < ne and c < no:
-            selected.append(pair_at[(r, c)])
-        elif r < ne:
-            selected.append(problem.diagonal_var(evens[r]))
-        elif c < no:
-            selected.append(problem.diagonal_var(odds[c]))
-    return _selection_to_matching(problem, selected)
+    _, col_of_row = min_weight_full_bipartite_matching(
+        csr_array((weights, (rows, cols)), shape=(n, n))
+    )
+    hit = col_of_row[r] == c
+    critical = np.ones(n, dtype=bool)
+    critical[lo[hit]] = critical[up[hit]] = False
+    selected = np.concatenate([np.flatnonzero(hit), problem.n_pairs + np.flatnonzero(critical)])
+    return _selection_to_matching(problem, selected.tolist())
 
 
 def solve_branch_and_bound(

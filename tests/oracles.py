@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def enumerate_selections(problem):
@@ -50,6 +51,44 @@ def brute_force_optimum(problem, cuts=()):
         for selected, objective in enumerate_selections(problem)
         if not any(set(cut) <= set(selected) for cut in cuts)
     )
+
+
+def dense_assignment_selection(problem):
+    """Optimal selection of the plain program (no cut rows) by the dense
+    square assignment reduction: rows are even-parity cells plus one dummy per
+    odd cell, columns odd cells plus one dummy per even cell, missing edges
+    are `inf` and the dummy-dummy block is free. Returns the selected variable
+    indices, sorted. Memory is quadratic in the cell count."""
+    n = problem.n_cells
+    evens = [k for k in range(n) if problem.dims[k] % 2 == 0]
+    odds = [k for k in range(n) if problem.dims[k] % 2 == 1]
+    epos = {k: i for i, k in enumerate(evens)}
+    opos = {k: i for i, k in enumerate(odds)}
+    ne, no = len(evens), len(odds)
+
+    M = np.full((ne + no, no + ne), np.inf)
+    M[ne:, no:] = 0.0
+    pair_at = {}
+    for v in range(problem.n_pairs):
+        lo, up = problem.variables[v]
+        e, o = (lo, up) if problem.dims[lo] % 2 == 0 else (up, lo)
+        r, c = epos[e], opos[o]
+        M[r, c] = problem.costs[v]
+        pair_at[(r, c)] = v
+    for k in evens:
+        M[epos[k], no + epos[k]] = problem.costs[problem.diagonal_var(k)]
+    for k in odds:
+        M[ne + opos[k], opos[k]] = problem.costs[problem.diagonal_var(k)]
+
+    selected = []
+    for r, c in zip(*linear_sum_assignment(M)):
+        if r < ne and c < no:
+            selected.append(pair_at[(r, c)])
+        elif r < ne:
+            selected.append(problem.diagonal_var(evens[r]))
+        elif c < no:
+            selected.append(problem.diagonal_var(odds[c]))
+    return sorted(selected)
 
 
 def circumcircle_has_no_point_inside(points, triangle, others) -> bool:

@@ -1,12 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import combidyn.gradient
 from combidyn import (
     FieldSample,
     ParseError,
     PipelineConfig,
+    all_critical_threshold,
+    evaluate_matching,
     export_arrows,
     export_dot,
     export_report,
@@ -308,7 +312,7 @@ class TestVerifyReport:
         report = self.run_and_export(toy_csv, tmp_path)
         ok, lines = verify_report(report, toy_csv)
         assert ok
-        assert len(lines) == 8
+        assert len(lines) == 9
         assert all(line.endswith("PASS") for line in lines)
 
     def test_sweep_report_passes(self, grad_toy_csv, tmp_path):
@@ -377,6 +381,34 @@ class TestVerifyReport:
         assert [l for l in lines if l.endswith("FAIL")] == [
             l for l in lines if l.startswith(line)
         ]
+
+    @pytest.mark.parametrize("mode, alpha", [("off", 1.5), ("constraints", 1.5), ("sweep", 0.145)])
+    def test_repriced_alpha(self, toy_csv, tmp_path, mode, alpha):
+        # alpha and total re-priced together keep the objective lines passing;
+        # only the alpha check can see it (0.145 is off the sweep grid)
+        analysis = run_pipeline(PipelineConfig(alpha=0.75, gradient_mode=mode), toy_csv)
+        report = tmp_path / "report.json"
+        export_report(analysis, report)
+        total = evaluate_matching(replace(analysis.cost_model, alpha=alpha), analysis.matching)
+        self.tamper(report, lambda d: d["objective"].update(alpha=alpha, total=float(f"{total:.9g}")))
+        ok, lines = verify_report(report, toy_csv)
+        assert not ok
+        assert [l for l in lines if l.endswith("FAIL")] == [
+            l for l in lines if l.startswith("objective alpha")
+        ]
+
+    def test_sweep_threshold_alpha_passes(self, toy_csv, tmp_path, monkeypatch):
+        # a grid on which the toy never turns gradient makes the sweep fall
+        # back to the all-critical threshold, an alpha off the default grid
+        monkeypatch.setattr(combidyn.gradient, "DEFAULT_ALPHA_GRID", (2.0,))
+        analysis = run_pipeline(PipelineConfig(gradient_mode="sweep"), toy_csv)
+        monkeypatch.undo()
+        assert analysis.alpha_effective == all_critical_threshold(analysis.cost_model)
+        assert analysis.alpha_effective not in combidyn.gradient.DEFAULT_ALPHA_GRID
+        report = tmp_path / "report.json"
+        export_report(analysis, report)
+        ok, lines = verify_report(report, toy_csv)
+        assert ok, lines
 
     def test_wrong_input_file(self, toy_csv, grad_toy_csv, tmp_path):
         report = self.run_and_export(toy_csv, tmp_path)

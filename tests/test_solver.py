@@ -1,13 +1,17 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from combidyn import (
+    CostModel,
     Matching,
+    assign_vertex_average,
     build_cost_model,
     build_problem,
+    cubical_grid,
     evaluate_matching,
     objective_decomposition,
     repair,
@@ -17,8 +21,14 @@ from combidyn import (
     verify_matching,
 )
 
-from conftest import problem_for, random_instance
-from oracles import brute_force_optimum
+from combidyn.datagen import MODELS, GridSpec
+from conftest import (
+    problem_for,
+    random_cubical_instance,
+    random_instance,
+    random_simplicial_instance,
+)
+from oracles import brute_force_optimum, dense_assignment_selection
 
 TOY_ALPHA = 0.75
 TOY_OBJECTIVE = 1.6286796564403576  # 3 * (1 - 1/sqrt(2)) + alpha
@@ -98,6 +108,86 @@ class TestSolve:
             model = build_cost_model(K, vectors, alpha)
             m = solve_exact(build_problem(model, K))
             assert m.objective == evaluate_matching(model, m)
+
+
+def selection(problem, matching):
+    """The matching's selected variable indices, sorted."""
+    pairs = [problem.pair_var(lo, up) for lo, up in matching.pairs()]
+    return sorted(pairs + [problem.diagonal_var(c) for c in matching.critical])
+
+
+class TestSparseAssignment:
+    """solve_exact against the dense square assignment reduction
+    (`oracles.dense_assignment_selection`) and against full enumeration."""
+
+    def test_matches_dense_reference(self):
+        # no zero vectors: generic costs have a unique optimum, so both
+        # solvers must return the same selection, not just the same objective
+        rng = np.random.default_rng(53)
+        for _ in range(150):
+            if rng.random() < 0.7:
+                K, vectors = random_simplicial_instance(rng, allow_zero_vectors=False)
+            else:
+                K, vectors = random_cubical_instance(rng)
+            p = problem_for(K, vectors, float(rng.uniform(0.0, 2.0)))
+            m = solve_exact(p)
+            dense = dense_assignment_selection(p)
+            assert selection(p, m) == dense
+            assert m.objective == math.fsum(p.costs[v] for v in dense)
+            assert verify_matching(K, m).ok
+
+    def test_exact_zeros_and_ties(self):
+        # costs and alpha on a quarter grid of [0, 2]: pairs costing exactly
+        # 0 and exactly 2 * alpha, alpha 0, and many tied optima; the sums are
+        # exact, so every optimal selection has the same objective
+        rng = np.random.default_rng(59)
+        grid = np.arange(9) * 0.25
+        seen_zero_cost = seen_zero_alpha = seen_two_alpha = False
+        for _ in range(150):
+            K, _, _ = random_instance(rng, small=True)
+            pairs = [pq.as_tuple() for pq in K.admissible_pairs()]
+            alpha = float(rng.choice(grid))
+            costs = rng.choice(grid, size=len(pairs)).tolist()
+            model = CostModel(alpha=alpha, pair_costs=dict(zip(pairs, costs)), n_cells=len(K))
+            p = build_problem(model, K)
+            m = solve_exact(p)
+            assert verify_matching(K, m).ok
+            assert m.objective == evaluate_matching(model, m)
+            assert m.objective == brute_force_optimum(p)
+            assert m.objective == math.fsum(p.costs[v] for v in dense_assignment_selection(p))
+            seen_zero_cost |= 0.0 in costs
+            seen_zero_alpha |= alpha == 0.0
+            seen_two_alpha |= 2 * alpha in costs
+        assert seen_zero_cost and seen_zero_alpha and seen_two_alpha
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 2.0])
+    def test_no_pairs_single_parity(self, alpha):
+        # isolated vertices: every cell even, no pair, all cells critical
+        K = simplicial_complex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0,), (1,), (2,)])
+        p = problem_for(K, {c: np.array([1.0, 0.0]) for c in range(3)}, alpha)
+        assert p.n_pairs == 0
+        m = solve_exact(p)
+        assert m.matched == {}
+        assert m.critical == frozenset({0, 1, 2})
+        assert m.objective == 3 * alpha
+        assert selection(p, m) == dense_assignment_selection(p)
+
+    def test_large_lattice_memory(self):
+        # 36,481 cells: the dense reduction would need a 10.6 GB matrix
+        side = 0.07
+        points = GridSpec((-95 * side / 2, -95 * side / 2), side, (96, 96)).points()
+        K = cubical_grid(points, side)
+        assert len(K) == 36481
+        vectors = assign_vertex_average(K, MODELS["intro"](points))
+        p = problem_for(K, vectors, 0.9)
+        tracemalloc.start()
+        try:
+            m = solve_exact(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
+        assert verify_matching(K, m).ok
 
 
 class TestConstraints:
