@@ -39,13 +39,12 @@ def main():
     print(f"complex: {counts}, m={analysis.problem.m}")
     print(f"objective: {analysis.matching.objective:.6f} at alpha={args.alpha}")
     for info in analysis.recurrence.multi_cell():
-        radii = [np.linalg.norm(analysis.complex.barycenter(c)) for c in info.cells]
+        radii = [np.linalg.norm(analysis.complex.barycenters[c]) for c in info.cells]
         print(f"  orbit scc {info.id}: {info.size} cells, dims {info.dims_present}, "
               f"mean radius {np.mean(radii):.3f}")
     for c in sorted(analysis.matching.critical):
-        cell = analysis.complex.cell(c)
-        r = np.linalg.norm(analysis.complex.barycenter(c))
-        print(f"  critical cell {c}: dim {cell.dim}, radius {r:.3f}")
+        r = np.linalg.norm(analysis.complex.barycenters[c])
+        print(f"  critical cell {c}: dim {analysis.complex.dims[c]}, radius {r:.3f}")
 
     export_report(analysis, args.out / "report.json")
     export_dot(analysis, args.out / "flow.dot")

@@ -39,7 +39,7 @@ def main():
     print(f"complex: {analysis.complex.counts_by_dim()}, m={analysis.problem.m}")
     print(f"objective: {analysis.matching.objective:.6f} at alpha={args.alpha}")
     for info in analysis.recurrence.multi_cell():
-        center = np.mean([analysis.complex.barycenter(c) for c in info.cells], axis=0)
+        center = np.mean([analysis.complex.barycenters[c] for c in info.cells], axis=0)
         print(f"  scc {info.id}: {info.size} cells, d={info.d}, "
               f"center ({center[0]:.1f}, {center[1]:.1f})")
     ok = verified(analysis, args.out / "report.json", field_csv)

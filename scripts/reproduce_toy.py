@@ -42,9 +42,9 @@ def show_solution(K, vectors, alpha):
 
 def main():
     K, vectors = setup("toy")
-    print(f"toy complex: {len(K)} cells, {len(K.admissible_pairs())} admissible pairs")
+    print(f"toy complex: {len(K)} cells, {len(K.pairs)} admissible pairs")
     model = build_cost_model(K, vectors, alpha=0.75)
-    for (lo, up), c in sorted(model.pair_costs.items()):
+    for (lo, up), c in zip(model.pairs.tolist(), model.pair_costs.tolist()):
         print(f"  c({lo},{up}) = {c:.4f}")
     show_solution(K, vectors, 0.75)
     t = all_critical_threshold(model)

@@ -16,14 +16,7 @@ from .builders import (
     dowker_complex_from_matrix,
     snap_to_lattice,
 )
-from .complexes import (
-    AdmissiblePair,
-    Cell,
-    CellComplex,
-    VectorAssignment,
-    barycentric_subdivision,
-    simplicial_complex,
-)
+from .complexes import CellComplex, barycentric_subdivision, simplicial_complex
 from .costs import CostModel, build_cost_model, cosine_distance, critical_angle, displacement
 from .datagen import (
     FieldSample,
@@ -83,9 +76,7 @@ from .vectors import assign_dowker_average, assign_vertex_average
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissiblePair",
     "Analysis",
-    "Cell",
     "CellComplex",
     "CostModel",
     "CycleConstraint",
@@ -102,7 +93,6 @@ __all__ = [
     "PipelineConfig",
     "PRESETS",
     "SccInfo",
-    "VectorAssignment",
     "VerificationReport",
     "Violation",
     "all_critical_threshold",

@@ -288,9 +288,9 @@ def dowker_complex_from_matrix(
 
     complex = simplicial_complex(Y, sorted(simplices, key=lambda s: (len(s), s)))
     witness_map: dict[int, tuple[int, ...]] = {}
-    for c in complex.cells:
-        mask = rel[list(c.vertex_ids)].all(axis=0)
-        witness_map[c.id] = tuple(np.nonzero(mask)[0].tolist())
+    for c in range(len(complex)):
+        mask = rel[list(complex.vertex_ids(c))].all(axis=0)
+        witness_map[c] = tuple(np.nonzero(mask)[0].tolist())
     return complex, witness_map
 
 

@@ -1,67 +1,25 @@
-"""Cell complexes with an explicit face lattice.
+"""Cell complexes held as arrays.
 
-A complex stores its cells in one dense array sorted by (dim, vertex_ids), with
-codimension-1 face links; every other incidence is derived from those links.
-Simplicial and cubical cells share the same container and differ only in how
-their codim-1 faces are enumerated, so the matching and flow machinery never
-has to care which kind it is working on.
+A complex numbers its cells 0..N-1 in (dim, vertex_ids) order and keeps every
+table the pipeline reads as one numpy array: cell dimensions, per-cell vertex
+ids and codimension-1 faces in CSR form, barycenters, and the admissible
+(face, coface) pairs. Simplicial and cubical cells share the same container
+and differ only in how their codim-1 faces are enumerated, so the matching and
+flow machinery never has to care which kind it is working on.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "Cell",
     "CellComplex",
-    "AdmissiblePair",
-    "VectorAssignment",
+    "pair_rows",
     "simplicial_complex",
     "barycentric_subdivision",
 ]
-
-
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    dim: int
-    vertex_ids: tuple[int, ...]
-    kind: str  # "simplex" or "cube"
-
-
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """A cell and one of its codimension-1 cofaces, by id."""
-
-    lower: int
-    upper: int
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.lower, self.upper)
-
-
-class VectorAssignment:
-    """One vector per cell, all of the same dimension."""
-
-    def __init__(self, vectors: Mapping[int, np.ndarray]):
-        self.vectors = {cid: np.asarray(v, dtype=float) for cid, v in vectors.items()}
-        dims = {v.shape for v in self.vectors.values()}
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
-
-    def __getitem__(self, cell_id: int) -> np.ndarray:
-        return self.vectors[cell_id]
-
-    def __contains__(self, cell_id: int) -> bool:
-        return cell_id in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def _cube_dim(n_corners: int) -> int:
     d = n_corners.bit_length() - 1
@@ -70,25 +28,56 @@ def _cube_dim(n_corners: int) -> int:
     return d
 
 
-def _simplex_codim1_faces(vids: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [vids[:i] + vids[i + 1 :] for i in range(len(vids))]
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """Dense integer code per row of an int matrix, equal iff the rows are
+    equal and ordered like the rows' lexicographic order."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=np.int64)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    code = np.empty(len(rows), dtype=np.int64)
+    code[order] = np.cumsum(new) - 1
+    return code
 
 
-def _cube_codim1_faces(vids: tuple[int, ...], coords: np.ndarray) -> list[tuple[int, ...]]:
-    # Faces of an axis-aligned cube: split the corner set by min/max on each
-    # spanned axis. Corner coordinates come from one shared vertex table, so
-    # exact float comparison is safe here.
-    pts = coords[list(vids)]
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    spanned = [a for a in range(pts.shape[1]) if lo[a] != hi[a]]
-    if len(spanned) != _cube_dim(len(vids)):
-        raise ValueError(f"corners {vids} do not span an axis-aligned cube")
-    faces = []
-    for a in spanned:
-        for side in (lo[a], hi[a]):
-            sub = tuple(v for v, p in zip(vids, pts) if p[a] == side)
-            faces.append(sub)
-    return faces
+def _cube_faces(V: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
+    """Codim-1 faces of axis-aligned cubes with sorted corner rows V: split
+    the corners by min/max on each spanned axis. Corner coordinates come from
+    one shared vertex table, so exact float comparison is safe here. Returns
+    one (n, k/2) array per face slot, in spanned-axis order, low side first."""
+    n, k = V.shape
+    pts = coords[V]
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    spanned = lo != hi
+    bad = spanned.sum(axis=1) != _cube_dim(k)
+    rows = np.arange(n)
+    masks = []
+    # each cube's spanned axes, ascending
+    for a in np.argsort(~spanned, axis=1, kind="stable")[:, : _cube_dim(k)].T:
+        for side in (lo[rows, a], hi[rows, a]):
+            masks.append(pts[rows, :, a] == side[:, None])
+            bad |= masks[-1].sum(axis=1) != k // 2
+    if bad.any():
+        raise ValueError(f"corners {tuple(V[bad][0].tolist())} do not span an axis-aligned cube")
+    return [V[mask].reshape(n, k // 2) for mask in masks]
+
+
+def _find(keys: np.ndarray, wanted) -> np.ndarray:
+    """Index of each wanted value in ascending unique int64 `keys`, or -1
+    where it is absent."""
+    at = np.searchsorted(keys, wanted)
+    padded = np.append(keys, np.iinfo(np.int64).min)
+    return np.where(padded[at] == wanted, at, -1)
+
+
+def pair_rows(pairs: np.ndarray, n_cells: int, queries) -> np.ndarray:
+    """Row in `pairs`, an (m, 2) array sorted by (lower, upper) over cells
+    0..n_cells-1, of each (lower, upper) in `queries`, or -1 where there is no
+    such row. Ids outside the complex are never found."""
+    lower, upper = np.asarray(queries, dtype=np.int64).reshape(-1, 2).T
+    inside = (lower >= 0) & (lower < n_cells) & (upper >= 0) & (upper < n_cells)
+    keys = pairs[:, 0].astype(np.int64) * n_cells + pairs[:, 1]
+    return _find(keys, np.where(inside, lower * n_cells + upper, -1))
 
 
 class CellComplex:
@@ -96,7 +85,19 @@ class CellComplex:
 
     Cells are sorted by (dim, vertex_ids) and ids assigned in that order, so
     every id order is also a dimension order. Construction validates face
-    closure: each codim-1 face of each cell must itself be a cell.
+    closure: each codim-1 face of each cell must itself be a cell. All cells
+    are of one kind, "simplex" or "cube" (an empty complex is simplicial).
+
+    Arrays, all read-only by convention:
+
+    * `vertices`: (n, d) vertex coordinates.
+    * `dims`: (N,) cell dimensions.
+    * `vert_ptr`, `vert_idx`: CSR vertex ids; cell c has the ascending ids
+      `vert_idx[vert_ptr[c]:vert_ptr[c + 1]]`.
+    * `face_ptr`, `face_idx`: CSR codim-1 faces, ascending, in the same form.
+    * `barycenters`: (N, d) mean of each cell's vertices.
+    * `pairs`: (m, 2) admissible (face, coface) pairs one dimension apart,
+      sorted by (lower, upper).
     """
 
     def __init__(self, vertices: np.ndarray, cell_specs: Iterable[tuple[str, tuple[int, ...]]]):
@@ -104,59 +105,68 @@ class CellComplex:
         if self.vertices.ndim != 2:
             raise ValueError("vertices must be an (n, d) array")
 
-        seen: dict[tuple[int, ...], str] = {}
+        kinds: set[str] = set()
+        unique: set[tuple[int, ...]] = set()
         for kind, vids in cell_specs:
             vids = tuple(sorted(set(vids)))
             if not vids:
                 raise ValueError("empty cell")
-            if max(vids) >= len(self.vertices) or min(vids) < 0:
+            if vids[-1] >= len(self.vertices) or vids[0] < 0:
                 raise ValueError(f"cell {vids} references unknown vertex")
-            prev = seen.setdefault(vids, kind)
-            if prev != kind:
-                raise ValueError(f"cell {vids} declared with two kinds")
+            kinds.add(kind)
+            unique.add(vids)
+        if len(kinds) > 1:
+            raise ValueError(f"mixed cell kinds {sorted(kinds)}; a complex holds one kind")
+        self.kind = kinds.pop() if kinds else "simplex"
 
-        def dim_of(vids: tuple[int, ...], kind: str) -> int:
-            return len(vids) - 1 if kind == "simplex" else _cube_dim(len(vids))
+        ordered = sorted(unique, key=lambda v: (len(v), v))
+        sizes = np.array([len(v) for v in ordered], dtype=np.intp)
+        self.vert_ptr = np.zeros(len(ordered) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=self.vert_ptr[1:])
+        self.vert_idx = np.fromiter(
+            (i for v in ordered for i in v), dtype=np.intp, count=int(self.vert_ptr[-1])
+        )
+        if self.kind == "simplex":
+            self.dims = sizes - 1
+        else:
+            corners, inverse = np.unique(sizes, return_inverse=True)
+            self.dims = np.array([_cube_dim(k) for k in corners.tolist()], dtype=np.intp)[inverse]
 
-        ordered = sorted(seen.items(), key=lambda kv: (dim_of(kv[0], kv[1]), kv[0]))
-        self.cells: list[Cell] = [
-            Cell(i, dim_of(vids, kind), vids, kind) for i, (vids, kind) in enumerate(ordered)
-        ]
-        self._id_of: dict[tuple[int, ...], int] = {c.vertex_ids: c.id for c in self.cells}
-
-        self._face_ids: list[tuple[int, ...]] = []
-        for c in self.cells:
-            if c.dim == 0:
-                self._face_ids.append(())
+        # look every codim-1 face up among the cells with its vertex count
+        blocks = {V.shape[1]: (start, V) for start, V in self._blocks()}
+        upper, lower = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for k, (start, V) in blocks.items():
+            if k == 1:
                 continue
-            if c.kind == "simplex":
-                raw = _simplex_codim1_faces(c.vertex_ids)
+            if self.kind == "simplex":
+                slots = [np.delete(V, i, axis=1) for i in range(k)]
             else:
-                raw = _cube_codim1_faces(c.vertex_ids, self.vertices)
-            ids = []
-            for fv in raw:
-                fid = self._id_of.get(fv)
-                if fid is None:
-                    raise ValueError(f"complex not closed under faces: {fv} of {c.vertex_ids} missing")
-                if self.cells[fid].dim != c.dim - 1:
-                    raise ValueError(f"face {fv} of {c.vertex_ids} has wrong dimension")
-                ids.append(fid)
-            self._face_ids.append(tuple(sorted(ids)))
+                slots = _cube_faces(V, self.vertices)
+            queries = np.concatenate(slots)
+            face_start, table = blocks.get(queries.shape[1], (0, queries[:0]))
+            codes = _row_codes(np.concatenate([table, queries]))
+            at = _find(codes[: len(table)], codes[len(table) :])
+            if (at < 0).any():
+                miss = int(np.flatnonzero(at < 0)[0])
+                raise ValueError(
+                    f"complex not closed under faces: {tuple(queries[miss].tolist())} "
+                    f"of {tuple(V[miss % len(V)].tolist())} missing"
+                )
+            upper.append(np.tile(np.arange(start, start + len(V)), len(slots)))
+            lower.append(face_start + at)
 
-        cof: list[list[int]] = [[] for _ in self.cells]
-        for c in self.cells:
-            for fid in self._face_ids[c.id]:
-                cof[fid].append(c.id)
-        self._coface_ids: list[tuple[int, ...]] = [tuple(sorted(x)) for x in cof]
-
-        self._barycenters: np.ndarray | None = None
-        self._faces_cache: dict[int, frozenset[int]] = {}
-        self._cofaces_cache: dict[int, frozenset[int]] = {}
+        upper, lower = np.concatenate(upper), np.concatenate(lower)
+        self.face_idx = lower[np.lexsort((lower, upper))]
+        self.face_ptr = np.zeros(len(ordered) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(upper, minlength=len(ordered)), out=self.face_ptr[1:])
+        by_face = np.lexsort((upper, lower))
+        self.pairs = np.stack([lower[by_face], upper[by_face]], axis=1)
+        self.barycenters = self.cell_means(self.vertices)
 
     # -- basic accessors ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.dims)
 
     @property
     def point_dim(self) -> int:
@@ -164,25 +174,31 @@ class CellComplex:
 
     @property
     def dim(self) -> int:
-        return max((c.dim for c in self.cells), default=-1)
+        return int(self.dims.max()) if len(self.dims) else -1
 
-    def cell(self, cell_id: int) -> Cell:
-        try:
-            return self.cells[cell_id]
-        except IndexError:
-            raise KeyError(f"no cell with id {cell_id}") from None
+    def _check(self, cell_id: int) -> int:
+        if not 0 <= cell_id < len(self):
+            raise KeyError(f"no cell with id {cell_id}")
+        return cell_id
 
-    def cell_by_vertices(self, vids: Iterable[int]) -> Cell:
-        key = tuple(sorted(vids))
-        if key not in self._id_of:
-            raise KeyError(f"no cell with vertices {key}")
-        return self.cells[self._id_of[key]]
+    def vertex_ids(self, cell_id: int) -> tuple[int, ...]:
+        c = self._check(cell_id)
+        return tuple(self.vert_idx[self.vert_ptr[c] : self.vert_ptr[c + 1]].tolist())
+
+    def cell_id(self, vids: Iterable[int]) -> int:
+        """Id of the cell with exactly these vertices."""
+        key = np.array(sorted(vids), dtype=np.intp)
+        sizes = np.diff(self.vert_ptr)
+        ids = np.flatnonzero(sizes == len(key))
+        rows = self.vert_idx[self.vert_ptr[ids][:, None] + np.arange(len(key))]
+        hit = ids[(rows == key).all(axis=1)]
+        if not hit.size:
+            raise KeyError(f"no cell with vertices {tuple(key.tolist())}")
+        return int(hit[0])
 
     def counts_by_dim(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for c in self.cells:
-            out[c.dim] = out.get(c.dim, 0) + 1
-        return out
+        d, n = np.unique(self.dims, return_counts=True)
+        return dict(zip(d.tolist(), n.tolist()))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in self.counts_by_dim().items())
@@ -190,68 +206,45 @@ class CellComplex:
     # -- incidence ----------------------------------------------------------
 
     def codim1_faces(self, cell_id: int) -> tuple[int, ...]:
-        return self._face_ids[self.cell(cell_id).id]
-
-    def codim1_cofaces(self, cell_id: int) -> tuple[int, ...]:
-        return self._coface_ids[self.cell(cell_id).id]
-
-    def faces(self, cell_id: int) -> frozenset[int]:
-        """All proper faces, every codimension."""
-        cached = self._faces_cache.get(cell_id)
-        if cached is None:
-            self.cell(cell_id)
-            acc: set[int] = set()
-            stack = list(self._face_ids[cell_id])
-            while stack:
-                f = stack.pop()
-                if f not in acc:
-                    acc.add(f)
-                    stack.extend(self._face_ids[f])
-            cached = frozenset(acc)
-            self._faces_cache[cell_id] = cached
-        return cached
-
-    def cofaces(self, cell_id: int) -> frozenset[int]:
-        """All proper cofaces, every codimension."""
-        cached = self._cofaces_cache.get(cell_id)
-        if cached is None:
-            self.cell(cell_id)
-            acc: set[int] = set()
-            stack = list(self._coface_ids[cell_id])
-            while stack:
-                f = stack.pop()
-                if f not in acc:
-                    acc.add(f)
-                    stack.extend(self._coface_ids[f])
-            cached = frozenset(acc)
-            self._cofaces_cache[cell_id] = cached
-        return cached
+        c = self._check(cell_id)
+        return tuple(self.face_idx[self.face_ptr[c] : self.face_ptr[c + 1]].tolist())
 
     def closure(self, cell_id: int) -> frozenset[int]:
-        return self.faces(cell_id) | {self.cell(cell_id).id}
+        """The cell and all its faces, every codimension."""
+        acc = {self._check(cell_id)}
+        stack = [cell_id]
+        while stack:
+            c = stack.pop()
+            for f in self.face_idx[self.face_ptr[c] : self.face_ptr[c + 1]].tolist():
+                if f not in acc:
+                    acc.add(f)
+                    stack.append(f)
+        return frozenset(acc)
 
-    def boundary(self, cell_id: int) -> frozenset[int]:
-        return self.faces(cell_id)
-
-    def admissible_pairs(self) -> list[AdmissiblePair]:
-        """All (face, coface) pairs one dimension apart, sorted by (lower, upper)."""
-        pairs = [
-            AdmissiblePair(fid, c.id)
-            for c in self.cells
-            if c.dim >= 1
-            for fid in self._face_ids[c.id]
-        ]
-        pairs.sort(key=lambda p: (p.lower, p.upper))
-        return pairs
+    def pair_index(self, queries) -> np.ndarray:
+        """Row in `pairs` of each (lower, upper) in `queries`, or -1 where it
+        is not an admissible pair of this complex."""
+        return pair_rows(self.pairs, len(self), queries)
 
     # -- geometry -----------------------------------------------------------
 
-    def barycenter(self, cell_id: int) -> np.ndarray:
-        if self._barycenters is None:
-            self._barycenters = np.stack(
-                [self.vertices[list(c.vertex_ids)].mean(axis=0) for c in self.cells]
-            )
-        return self._barycenters[self.cell(cell_id).id]
+    def _blocks(self):
+        """(first id, (n, k) vertex rows) for each block of cells with k
+        vertices; a block is a contiguous id range with sorted rows."""
+        sizes = np.diff(self.vert_ptr)
+        starts = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()
+        for start, stop in zip(starts, starts[1:] + [len(sizes)]):
+            rows = self.vert_idx[self.vert_ptr[start] : self.vert_ptr[stop]]
+            yield start, rows.reshape(stop - start, -1)
+
+    def cell_means(self, table: np.ndarray) -> np.ndarray:
+        """(N, d) mean of a per-vertex table over each cell's vertices, one
+        grouped mean per block of cells with the same vertex count."""
+        table = np.asarray(table, dtype=float)
+        out = np.empty((len(self), table.shape[1]))
+        for start, V in self._blocks():
+            out[start : start + len(V)] = table[V].mean(axis=1)
+        return out
 
 
 def simplicial_complex(vertices: np.ndarray, simplices: Iterable[Iterable[int]]) -> CellComplex:
@@ -269,10 +262,10 @@ def simplicial_complex(vertices: np.ndarray, simplices: Iterable[Iterable[int]])
 
 
 def barycentric_subdivision(
-    complex: CellComplex, vectors: VectorAssignment
-) -> tuple[CellComplex, VectorAssignment]:
+    complex: CellComplex, vectors: np.ndarray
+) -> tuple[CellComplex, np.ndarray]:
     """Subdivide a simplicial complex; each cell's vector passes to the cells
-    carved out of its interior.
+    carved out of its interior. `vectors` is (N, d), one row per cell.
 
     The subdivision is the order complex of the face poset: one vertex per
     original cell, placed at its barycenter, and one simplex per chain of
@@ -280,28 +273,24 @@ def barycentric_subdivision(
     unique original cell whose interior contains the new simplex, so the new
     vector of a chain is the old vector of its carrier.
     """
-    if any(c.kind != "simplex" for c in complex.cells):
+    if complex.kind != "simplex":
         raise ValueError("barycentric subdivision supports simplicial complexes only")
-    for c in complex.cells:
-        if c.id not in vectors:
-            raise ValueError(f"no vector for cell {c.id}")
-
-    new_vertices = np.stack([complex.barycenter(c.id) for c in complex.cells])
+    vectors = np.asarray(vectors, dtype=float)
+    if len(vectors) != len(complex):
+        raise ValueError(f"expected one vector per cell ({len(complex)}), got {len(vectors)}")
 
     # chains_at[c] = all chains of proper faces ending at c, as tuples of cell
     # ids; ids ascend with dimension, so each chain is already sorted and its
     # last entry is the carrier.
-    chains_at: list[list[tuple[int, ...]]] = [[] for _ in complex.cells]
-    for c in complex.cells:  # id order is dimension order
-        own: list[tuple[int, ...]] = [(c.id,)]
-        for fid in complex.faces(c.id):
-            own.extend(ch + (c.id,) for ch in chains_at[fid])
-        chains_at[c.id] = own
+    chains_at: list[list[tuple[int, ...]]] = []
+    for c in range(len(complex)):  # id order is dimension order
+        own: list[tuple[int, ...]] = [(c,)]
+        for f in complex.closure(c) - {c}:
+            own.extend(ch + (c,) for ch in chains_at[f])
+        chains_at.append(own)
 
     all_chains = [ch for per_cell in chains_at for ch in per_cell]
-    subdivided = simplicial_complex(new_vertices, all_chains)
-
-    inherited = VectorAssignment(
-        {c.id: vectors[max(c.vertex_ids)] for c in subdivided.cells}
-    )
-    return subdivided, inherited
+    subdivided = simplicial_complex(complex.barycenters.copy(), all_chains)
+    # a new cell's vertices are old cell ids; its carrier is the largest
+    carrier = subdivided.vert_idx[subdivided.vert_ptr[1:] - 1]
+    return subdivided, vectors[carrier]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import AdmissiblePair, CellComplex, VectorAssignment
+from .complexes import CellComplex, pair_rows
 from .vectors import ZERO_TOL
 
 __all__ = [
@@ -39,16 +39,20 @@ def cosine_distance(u, v) -> float:
     return min(2.0, max(0.0, d))
 
 
-def displacement(complex: CellComplex, pair: AdmissiblePair | tuple[int, int]) -> np.ndarray:
+def displacement(complex: CellComplex, pair: tuple[int, int]) -> np.ndarray:
     """Barycenter of the upper cell minus barycenter of the lower cell."""
-    lo, up = pair.as_tuple() if isinstance(pair, AdmissiblePair) else pair
-    return complex.barycenter(up) - complex.barycenter(lo)
+    lo, up = pair
+    return complex.barycenters[up] - complex.barycenters[lo]
 
 
 @dataclass
 class CostModel:
+    """Pair costs as arrays: `pair_costs[i]` prices `pairs[i]`, the complex's
+    admissible (lower, upper) pairs in (lower, upper) order."""
+
     alpha: float
-    pair_costs: dict[tuple[int, int], float]
+    pairs: np.ndarray  # (m, 2)
+    pair_costs: np.ndarray  # (m,)
     n_cells: int
 
     @property
@@ -57,8 +61,15 @@ class CostModel:
         # always exceeds two diagonals, so dropping such a pair pays.
         return max(2.0 * self.alpha + 1.0, 3.0)
 
+    def costs_of(self, pairs) -> np.ndarray:
+        """Cost of each (lower, upper) in a sequence of pairs, in its order."""
+        rows = pair_rows(self.pairs, self.n_cells, pairs)
+        if (rows < 0).any():
+            raise KeyError(f"not an admissible pair: {list(pairs)[np.flatnonzero(rows < 0)[0]]}")
+        return self.pair_costs[rows]
+
     def pair_cost(self, lower: int, upper: int) -> float:
-        return self.pair_costs[(lower, upper)]
+        return float(self.costs_of([(lower, upper)])[0])
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,35 +78,29 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def build_cost_model(complex: CellComplex, vectors: VectorAssignment, alpha: float) -> CostModel:
+def build_cost_model(complex: CellComplex, vectors: np.ndarray, alpha: float) -> CostModel:
     """Cost of every admissible pair, plus the shared diagonal cost alpha.
 
-    Each pair costs exactly `cosine_distance(vectors[lo], displacement(...))`,
-    or 2.0 when the lower cell's vector is shorter than ZERO_TOL.
+    `vectors` is (N, d), one row per cell. Each pair costs exactly
+    `cosine_distance(vectors[lo], displacement(...))`, or 2.0 when the lower
+    cell's vector is shorter than ZERO_TOL.
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
-    for c in complex.cells:
-        if c.id not in vectors:
-            raise ValueError(f"no vector for cell {c.id}")
-    pairs = [p.as_tuple() for p in complex.admissible_pairs()]
-    if not pairs:
-        return CostModel(alpha=float(alpha), pair_costs={}, n_cells=len(complex))
-    lo, up = np.array(pairs, dtype=np.intp).T
-    cells = range(len(complex))
-    bary = np.array([complex.barycenter(c) for c in cells])
-    u = np.array([vectors[c] for c in cells], dtype=float)[lo]
-    w = bary[up] - bary[lo]
+    vectors = np.asarray(vectors, dtype=float)
+    if len(vectors) < len(complex):
+        raise ValueError(f"no vector for cell {len(vectors)}")
+    lo, up = complex.pairs.T
+    u = vectors[lo]
+    w = complex.barycenters[up] - complex.barycenters[lo]
     nu = np.sqrt(_dots(u, u))
     nw = np.sqrt(_dots(w, w))
     live = nu >= ZERO_TOL
     if (nw[live] == 0.0).any():
         raise ValueError("cosine distance undefined for zero vectors")
-    costs = np.full(len(pairs), 2.0)
+    costs = np.full(len(lo), 2.0)
     costs[live] = np.minimum(2.0, np.maximum(0.0, 1.0 - _dots(u, w)[live] / (nu[live] * nw[live])))
-    return CostModel(
-        alpha=float(alpha), pair_costs=dict(zip(pairs, costs.tolist())), n_cells=len(complex)
-    )
+    return CostModel(alpha=float(alpha), pairs=complex.pairs, pair_costs=costs, n_cells=len(complex))
 
 
 def critical_angle(alpha: float) -> float:

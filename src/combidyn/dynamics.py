@@ -43,16 +43,16 @@ def _flow_successors(complex: CellComplex, matching: Matching) -> list[tuple[int
     """Successors of every cell, indexed by cell id. The matching is taken as
     given; `multiflow` is the checked entry point."""
     inverse = {up: lo for lo, up in matching.matched.items()}
+    ptr, faces = complex.face_ptr.tolist(), complex.face_idx.tolist()
     succ: list[tuple[int, ...]] = []
-    for cell in complex.cells:
-        c = cell.id
+    for c in range(len(complex)):
         if c in matching.critical:
             succ.append(tuple(sorted(complex.closure(c))))
         elif c in matching.matched:
             succ.append((matching.matched[c],))
         else:
             skip = inverse[c]
-            succ.append(tuple(f for f in complex.codim1_faces(c) if f != skip))
+            succ.append(tuple(f for f in faces[ptr[c] : ptr[c + 1]] if f != skip))
     return succ
 
 
@@ -63,7 +63,7 @@ def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
         raise ValueError(f"matching is not valid: {first.kind}: {first.detail}")
     return FlowGraph(
         succ=_flow_successors(complex, matching),
-        dims=tuple(cell.dim for cell in complex.cells),
+        dims=tuple(complex.dims.tolist()),
         critical=matching.critical,
     )
 

@@ -125,9 +125,9 @@ def _shortest_cycle_through(
 def all_critical_threshold(cost_model: CostModel) -> float:
     """Largest alpha at which the everything-critical matching is optimal:
     half the cheapest pair cost. Infinite when no pair exists at all."""
-    if not cost_model.pair_costs:
+    if not len(cost_model.pair_costs):
         return math.inf
-    t = min(cost_model.pair_costs.values()) / 2.0
+    t = float(cost_model.pair_costs.min()) / 2.0
     if t <= 0.0:
         warnings.warn(
             "a pair cost is exactly zero; the all-critical regime is degenerate",
@@ -147,10 +147,11 @@ def alpha_sweep(
 
     Pair costs do not depend on alpha, so the sweep builds the program once
     from `cost_model` and re-prices only its diagonals at each grid value;
-    the model's own alpha is not used. If no grid value works (on the default
-    grid only when alpha 0 ties the all-critical matching with a cycle of
-    zero-cost pairs), fall back to the all-critical matching at its threshold
-    alpha.
+    the model's own alpha is not used. A step that returns the same pairs as
+    the step before is not tested for acyclicity again. If no grid value
+    works (on the default grid only when alpha 0 ties the all-critical
+    matching with a cycle of zero-cost pairs), fall back to the all-critical
+    matching at its threshold alpha.
     """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
     if not grid:
@@ -162,17 +163,23 @@ def alpha_sweep(
 
     problem = build_problem(cost_model, complex)
     pair_costs = problem.costs[: problem.n_pairs]
+    cyclic: dict[int, int] | None = None  # the last matching found not gradient
     for alpha in grid:
-        matching = solve_exact(replace(problem, costs=pair_costs + [alpha] * problem.n_cells))
+        costs = np.concatenate([pair_costs, np.full(problem.n_cells, alpha)])
+        matching = solve_exact(replace(problem, costs=costs))
+        # the same pairs induce the same flow, so only a new matching is tested
+        if matching.matched == cyclic:
+            continue
         ok, _ = is_gradient(complex, matching)
         if ok:
             return alpha, matching
+        cyclic = matching.matched
 
     t = all_critical_threshold(cost_model)
     if not math.isfinite(t):
         raise RuntimeError("sweep failed on a complex with no admissible pairs")
     model = replace(cost_model, alpha=t)
-    every = Matching(matched={}, critical=frozenset(c.id for c in complex.cells), objective=0.0)
+    every = Matching(matched={}, critical=frozenset(range(len(complex))), objective=0.0)
     return t, Matching(every.matched, every.critical, evaluate_matching(model, every))
 
 

@@ -25,7 +25,7 @@ from .builders import (
     dowker_complex_from_matrix,
     snap_to_lattice,
 )
-from .complexes import CellComplex, VectorAssignment, barycentric_subdivision
+from .complexes import CellComplex, barycentric_subdivision
 from .costs import CostModel, build_cost_model
 from .datagen import FieldSample
 from .dynamics import CycleReport, FlowGraph, classify_recurrence, multiflow
@@ -245,7 +245,7 @@ class Analysis:
     config: PipelineConfig
     sample: FieldSample
     complex: CellComplex
-    vectors: VectorAssignment
+    vectors: np.ndarray  # (N, d), one row per cell
     cost_model: CostModel
     problem: MatchingProblem
     matching: Matching
@@ -358,12 +358,11 @@ def build_report_document(analysis: Analysis) -> dict:
 
 
 def _cell_entry(complex: CellComplex, cell_id: int) -> dict:
-    cell = complex.cell(cell_id)
     return {
-        "id": cell.id,
-        "dim": cell.dim,
-        "vertices": list(cell.vertex_ids),
-        "barycenter": [_sig9(x) for x in complex.barycenter(cell.id)],
+        "id": cell_id,
+        "dim": int(complex.dims[cell_id]),
+        "vertices": list(complex.vertex_ids(cell_id)),
+        "barycenter": [_sig9(x) for x in complex.barycenters[cell_id]],
     }
 
 
@@ -389,9 +388,9 @@ def export_dot(analysis: Analysis, path) -> None:
     """Flow graph in DOT form: one node per cell, one edge per flow arrow.
     Critical cells are drawn doubled."""
     lines = ["digraph flow {"]
-    for cell in analysis.complex.cells:
-        shape = "doublecircle" if cell.id in analysis.flow.critical else "circle"
-        lines.append(f'  {cell.id} [label="{cell.id}:d{cell.dim}" shape={shape}];')
+    for c, dim in enumerate(analysis.complex.dims.tolist()):
+        shape = "doublecircle" if c in analysis.flow.critical else "circle"
+        lines.append(f'  {c} [label="{c}:d{dim}" shape={shape}];')
     for c, targets in enumerate(analysis.flow.succ):
         for t in targets:
             lines.append(f"  {c} -> {t};")
@@ -410,8 +409,8 @@ def export_arrows(analysis: Analysis, path) -> None:
     )
     lines = [",".join(header)]
     for lo, up in analysis.matching.pairs():
-        a = analysis.complex.barycenter(lo)
-        b = analysis.complex.barycenter(up)
+        a = analysis.complex.barycenters[lo]
+        b = analysis.complex.barycenters[up]
         row = [str(lo), str(up)] + [_fmt9(x) for x in a] + [_fmt9(x) for x in b]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -426,10 +425,31 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     analysis to confirm the critical, SCC and gradient sections round-trip.
 
     `gradient.constraint_rounds` is not checked: it could only be re-derived
-    by solving again."""
+    by solving again. A report that lacks a key raises ValueError naming the
+    report and the key."""
     doc = json.loads(Path(report_path).read_text())
+
+    def need(node, key, at=""):
+        if not isinstance(node, dict) or key not in node:
+            raise ValueError(f"{report_path}: report has no {at}{key}")
+        return node[key]
+
+    try:
+        config = PipelineConfig.from_echo(need(doc, "config_echo"))
+    except KeyError as exc:
+        raise ValueError(f"{report_path}: report has no config_echo.{exc.args[0]}") from None
+    reported_counts = need(need(doc, "complex"), "counts", "complex.")
+    objective = need(doc, "objective")
+    total, alpha = need(objective, "total", "objective."), need(objective, "alpha", "objective.")
+    pairs = [
+        (need(e, "lower", f"matching[{i}]."), need(e, "upper", f"matching[{i}]."))
+        for i, e in enumerate(need(doc, "matching"))
+    ]
+    critical_entries = need(doc, "critical")
+    critical = [need(e, "id", f"critical[{i}].") for i, e in enumerate(critical_entries)]
+    problem, scc = need(doc, "problem"), need(doc, "scc")
+
     sample = read_field_csv(input_path)
-    config = PipelineConfig.from_echo(doc["config_echo"])
     config.validate(sample.dim)
     complex, vectors = _build_complex(config, sample)
 
@@ -437,25 +457,22 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     ok = True
 
     counts = {str(d): n for d, n in sorted(complex.counts_by_dim().items())}
-    good = counts == doc["complex"]["counts"]
+    good = counts == reported_counts
     ok &= good
     lines.append(f"complex rebuild ({sum(counts.values())} cells): {'PASS' if good else 'FAIL'}")
 
-    matching = Matching(
-        matched={e["lower"]: e["upper"] for e in doc["matching"]},
-        critical=frozenset(e["id"] for e in doc["critical"]),
-        objective=float(doc["objective"]["total"]),
-    )
-    rep = verify_matching(complex, matching)
+    # the raw pair list, so that a pair listed twice is caught
+    rep = verify_matching(complex, pairs, set(critical))
     ok &= rep.ok
     lines.append(
-        f"matching axioms ({len(matching.matched)} pairs, {len(matching.critical)} critical): "
+        f"matching axioms ({len(pairs)} pairs, {len(set(critical))} critical): "
         f"{'PASS' if rep.ok else 'FAIL (' + ', '.join(sorted(rep.kinds())) + ')'}"
     )
     if not rep.ok:
         return False, lines
+    matching = Matching(matched=dict(pairs), critical=frozenset(critical), objective=float(total))
 
-    alpha = float(doc["objective"]["alpha"])
+    alpha = float(alpha)
     model = build_cost_model(complex, vectors, alpha)
     if config.gradient_mode == "sweep":
         good = alpha in DEFAULT_ALPHA_GRID or alpha == all_critical_threshold(model)
@@ -467,16 +484,15 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     )
 
     recomputed = evaluate_matching(model, matching)
-    good = _sig9(recomputed) == doc["objective"]["total"]
+    good = _sig9(recomputed) == total
     ok &= good
     lines.append(
-        f"objective recomputation ({_fmt9(recomputed)} vs {_fmt9(doc['objective']['total'])}): "
+        f"objective recomputation ({_fmt9(recomputed)} vs {_fmt9(total)}): "
         f"{'PASS' if good else 'FAIL'}"
     )
 
     n_matched, cosine_sum, n_critical = objective_decomposition(matching, model)
-    reported = doc["objective"]
-    good = (reported.get("matched"), reported.get("cosine_sum"), reported.get("critical")) == (
+    good = (objective.get("matched"), objective.get("cosine_sum"), objective.get("critical")) == (
         n_matched, _sig9(cosine_sum), n_critical
     )
     ok &= good
@@ -486,18 +502,18 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     )
 
     size = {"N": len(complex), "m": len(model.pair_costs) + len(complex)}
-    good = doc["problem"] == size
+    good = problem == size
     ok &= good
     lines.append(f"problem size (N={size['N']}, m={size['m']}): {'PASS' if good else 'FAIL'}")
 
     flow = multiflow(complex, matching)
     recurrence = classify_recurrence(flow, matching)
-    good = _scc_entries(recurrence) == doc["scc"]
+    good = _scc_entries(recurrence) == scc
     ok &= good
     lines.append(f"recurrence round-trip ({len(recurrence.sccs)} components): {'PASS' if good else 'FAIL'}")
 
     redone = [_cell_entry(complex, c) for c in sorted(matching.critical)]
-    good = redone == doc["critical"]
+    good = redone == critical_entries
     ok &= good
     lines.append(f"critical census round-trip: {'PASS' if good else 'FAIL'}")
 

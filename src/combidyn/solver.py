@@ -20,7 +20,6 @@ One exact solver per problem class:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .complexes import CellComplex
+from .complexes import CellComplex, pair_rows
 from .costs import CostModel
 
 __all__ = [
@@ -50,51 +49,44 @@ __all__ = [
 
 @dataclass
 class MatchingProblem:
-    variables: list[tuple[int, int]]  # admissible pairs first, then (k, k) diagonals
-    costs: list[float]
-    cell_vars: list[list[int]]  # per cell, indices of incident variables
-    dims: list[int]
-    n_pairs: int
+    """Variables are the admissible pairs, rows of `pairs` in (lower, upper)
+    order, then one diagonal (stay critical) per cell; `costs` prices them in
+    that order."""
+
+    pairs: np.ndarray  # (n_pairs, 2)
+    costs: np.ndarray  # (n_pairs + n_cells,)
+    dims: np.ndarray  # (n_cells,)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.pairs)
 
     @property
     def n_cells(self) -> int:
-        return len(self.cell_vars)
+        return len(self.dims)
 
     @property
     def m(self) -> int:
-        return len(self.variables)
+        return len(self.costs)
 
     def diagonal_var(self, cell: int) -> int:
         return self.n_pairs + cell
 
     def pair_var(self, lower: int, upper: int) -> int:
-        # pairs are sorted by (lower, upper); bisect would do, dict is simpler
-        try:
-            return self._pair_index[(lower, upper)]
-        except AttributeError:
-            self._pair_index = {pq: i for i, pq in enumerate(self.variables[: self.n_pairs])}
-            return self._pair_index[(lower, upper)]
+        row = int(pair_rows(self.pairs, self.n_cells, [(lower, upper)])[0])
+        if row < 0:
+            raise KeyError((lower, upper))
+        return row
 
 
 def build_problem(cost_model: CostModel, complex: CellComplex) -> MatchingProblem:
     n = len(complex)
     if cost_model.n_cells != n:
         raise ValueError("cost model and complex disagree on cell count")
-    pairs = sorted(cost_model.pair_costs)
-    variables = pairs + [(k, k) for k in range(n)]
-    costs = [cost_model.pair_costs[pq] for pq in pairs] + [cost_model.alpha] * n
-    cell_vars: list[list[int]] = [[] for _ in range(n)]
-    for i, (lo, up) in enumerate(pairs):
-        cell_vars[lo].append(i)
-        cell_vars[up].append(i)
-    for k in range(n):
-        cell_vars[k].append(len(pairs) + k)
     return MatchingProblem(
-        variables=variables,
-        costs=costs,
-        cell_vars=cell_vars,
-        dims=[c.dim for c in complex.cells],
-        n_pairs=len(pairs),
+        pairs=cost_model.pairs,
+        costs=np.concatenate([cost_model.pair_costs, np.full(n, cost_model.alpha)]),
+        dims=complex.dims,
     )
 
 
@@ -122,22 +114,21 @@ class Matching:
 def evaluate_matching(cost_model: CostModel, matching: Matching) -> float:
     """Canonical objective of a matching: pair costs in (lower, upper) order,
     then alpha per critical cell, summed exactly."""
-    terms = [cost_model.pair_costs[pq] for pq in matching.pairs()]
+    terms = cost_model.costs_of(matching.pairs()).tolist()
     terms += [cost_model.alpha] * len(matching.critical)
     return math.fsum(terms)
 
 
-def _selection_to_matching(problem: MatchingProblem, selected: list[int]) -> Matching:
-    matched = {}
-    critical = set()
-    for v in selected:
-        i, j = problem.variables[v]
-        if i == j:
-            critical.add(i)
-        else:
-            matched[i] = j
-    objective = math.fsum(problem.costs[v] for v in sorted(selected))
-    return Matching(matched=matched, critical=frozenset(critical), objective=objective)
+def _selection_to_matching(problem: MatchingProblem, selected: np.ndarray) -> Matching:
+    """Matching of the ascending selected variable indices; the objective is
+    re-summed from the problem's own costs."""
+    is_pair = selected < problem.n_pairs
+    lo, up = problem.pairs[selected[is_pair]].T
+    return Matching(
+        matched=dict(zip(lo.tolist(), up.tolist())),
+        critical=frozenset((selected[~is_pair] - problem.n_pairs).tolist()),
+        objective=math.fsum(problem.costs[selected].tolist()),
+    )
 
 
 def solve_exact(problem: MatchingProblem) -> Matching:
@@ -160,8 +151,7 @@ def solve_exact(problem: MatchingProblem) -> Matching:
     pos[even] = np.arange(ne)
     pos[~even] = np.arange(no)
 
-    ends = itertools.chain.from_iterable(problem.variables[: problem.n_pairs])
-    lo, up = np.fromiter(ends, dtype=np.intp, count=2 * problem.n_pairs).reshape(-1, 2).T
+    lo, up = problem.pairs.T
     lo_even = even[lo]
     r = pos[np.where(lo_even, lo, up)]
     c = pos[np.where(lo_even, up, lo)]
@@ -180,7 +170,7 @@ def solve_exact(problem: MatchingProblem) -> Matching:
     critical = np.ones(n, dtype=bool)
     critical[lo[hit]] = critical[up[hit]] = False
     selected = np.concatenate([np.flatnonzero(hit), problem.n_pairs + np.flatnonzero(critical)])
-    return _selection_to_matching(problem, selected.tolist())
+    return _selection_to_matching(problem, selected)
 
 
 def solve_branch_and_bound(
@@ -204,11 +194,20 @@ def solve_branch_and_bound(
         if not c or c[0] < 0 or c[-1] >= problem.n_pairs:
             raise ValueError("constraints must be non-empty sets of pair variable indices")
 
-    rows = problem.cell_vars + cuts
-    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=indptr[-1])
-    A = csr_array((np.ones(len(indices)), indices, indptr), shape=(len(rows), problem.m))
+    # row k lists the variables of cell k in ascending order: its pairs, then
+    # its diagonal; the cut rows follow
+    pair_var = np.arange(problem.n_pairs)
+    cell = np.concatenate([problem.pairs[:, 0], problem.pairs[:, 1], np.arange(n)])
+    col = np.concatenate([pair_var, pair_var, problem.n_pairs + np.arange(n)])
+    indices = np.concatenate(
+        [col[np.lexsort((col, cell))], np.array([v for c in cuts for v in c], dtype=np.intp)]
+    )
+    row_len = np.concatenate(
+        [np.bincount(cell, minlength=n), np.array([len(c) for c in cuts], dtype=np.intp)]
+    )
+    indptr = np.zeros(n + len(cuts) + 1, dtype=np.intp)
+    np.cumsum(row_len, out=indptr[1:])
+    A = csr_array((np.ones(len(indices)), indices, indptr), shape=(n + len(cuts), problem.m))
     lower = np.concatenate([np.ones(n), np.full(len(cuts), -np.inf)])
     upper = np.concatenate([np.ones(n), [len(c) - 1 for c in cuts]])
     res = milp(
@@ -220,7 +219,7 @@ def solve_branch_and_bound(
     )
     if res.status != 0:
         raise RuntimeError(f"HiGHS found no optimum: {res.message}")
-    return _selection_to_matching(problem, np.flatnonzero(res.x > 0.5).tolist())
+    return _selection_to_matching(problem, np.flatnonzero(res.x > 0.5))
 
 
 @dataclass(frozen=True)
@@ -242,12 +241,6 @@ class VerificationReport:
         return {v.kind for v in self.violations}
 
 
-def _admissible(complex: CellComplex, lower: int, upper: int) -> bool:
-    """(lower, upper) is a face-coface pair one dimension apart; ids outside
-    the complex never are."""
-    return 0 <= upper < len(complex) and lower in complex.codim1_faces(upper)
-
-
 def verify_matching(complex: CellComplex, matching, critical=None) -> VerificationReport:
     """Check the partial-matching axioms: each matched pair admissible, the map
     single-valued and injective, no cell both source and target, every cell
@@ -264,14 +257,15 @@ def verify_matching(complex: CellComplex, matching, critical=None) -> Verificati
         critical = set(critical or ())
 
     violations: list[Violation] = []
+    for k in np.flatnonzero(complex.pair_index(pairs) < 0).tolist():
+        lo, up = pairs[k]
+        violations.append(
+            Violation("non_admissible", (lo, up), f"({lo}, {up}) is not a codim-1 face pair")
+        )
 
     lowers: dict[int, int] = {}
     uppers: dict[int, int] = {}
     for lo, up in pairs:
-        if not _admissible(complex, lo, up):
-            violations.append(
-                Violation("non_admissible", (lo, up), f"({lo}, {up}) is not a codim-1 face pair")
-            )
         lowers[lo] = lowers.get(lo, 0) + 1
         uppers[up] = uppers.get(up, 0) + 1
     for lo, cnt in sorted(lowers.items()):
@@ -288,7 +282,7 @@ def verify_matching(complex: CellComplex, matching, critical=None) -> Verificati
         violations.append(
             Violation("critical_in_pair", (c,), f"critical cell {c} also appears in a pair")
         )
-    all_ids = {c.id for c in complex.cells}
+    all_ids = set(range(len(complex)))
     for c in sorted(all_ids - set(lowers) - set(uppers) - critical):
         violations.append(Violation("uncovered", (c,), f"cell {c} is neither matched nor critical"))
     for c in sorted((set(lowers) | set(uppers) | critical) - all_ids):
@@ -299,15 +293,10 @@ def verify_matching(complex: CellComplex, matching, critical=None) -> Verificati
 def assignment_objective(cost_model: CostModel, assignment) -> float:
     """Objective of a full (possibly inadmissible) assignment under the square
     formulation: diagonal alpha, admissible pair cost, penalty otherwise."""
-    terms = []
-    for i, j in sorted(assignment):
-        if i == j:
-            terms.append(cost_model.alpha)
-        elif (i, j) in cost_model.pair_costs:
-            terms.append(cost_model.pair_costs[(i, j)])
-        else:
-            terms.append(cost_model.penalty)
-    return math.fsum(terms)
+    ends = np.asarray(sorted(assignment), dtype=np.int64).reshape(-1, 2)
+    rows = pair_rows(cost_model.pairs, cost_model.n_cells, ends)
+    priced = np.append(cost_model.pair_costs, cost_model.penalty)[rows]  # row -1 is the penalty
+    return math.fsum(np.where(ends[:, 0] == ends[:, 1], cost_model.alpha, priced).tolist())
 
 
 def repair(complex: CellComplex, cost_model: CostModel, assignment) -> Matching:
@@ -329,12 +318,13 @@ def repair(complex: CellComplex, cost_model: CostModel, assignment) -> Matching:
     if bad:
         raise ValueError(f"assignment does not cover cell {bad[0]} exactly once")
 
+    admissible = (complex.pair_index(entries) >= 0).tolist()
     matched = {}
     critical = set()
-    for i, j in entries:
+    for (i, j), ok in zip(entries, admissible):
         if i == j:
             critical.add(i)
-        elif _admissible(complex, i, j):
+        elif ok:
             matched[i] = j
         else:
             critical.add(i)
@@ -346,5 +336,5 @@ def repair(complex: CellComplex, cost_model: CostModel, assignment) -> Matching:
 def objective_decomposition(matching: Matching, cost_model: CostModel) -> tuple[int, float, int]:
     """Split the objective into (matched count, sum of pair cosines, critical
     count); matched - cosine_sum + critical * alpha recovers the objective."""
-    cosine_sum = math.fsum(1.0 - cost_model.pair_costs[pq] for pq in matching.pairs())
+    cosine_sum = math.fsum((1.0 - cost_model.costs_of(matching.pairs())).tolist())
     return len(matching.matched), cosine_sum, len(matching.critical)

@@ -1,10 +1,13 @@
-"""Lift per-point vectors to whole-complex vector assignments."""
+"""Lift per-point vectors to whole-complex vector assignments.
+
+An assignment is an (N, d) float array: row c is the vector of cell c.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import CellComplex, VectorAssignment
+from .complexes import CellComplex
 
 __all__ = ["assign_vertex_average", "assign_dowker_average", "ZERO_TOL"]
 
@@ -12,40 +15,28 @@ __all__ = ["assign_vertex_average", "assign_dowker_average", "ZERO_TOL"]
 ZERO_TOL = 1e-12
 
 
-def assign_vertex_average(complex: CellComplex, data_vectors) -> VectorAssignment:
+def assign_vertex_average(complex: CellComplex, data_vectors) -> np.ndarray:
     """V(cell) = mean of the data vectors at the cell's vertices.
 
-    Every vertex of the complex must carry a data vector; data_vectors is an
-    array or mapping indexed by vertex id.
+    `data_vectors` is an array indexed by vertex id; every vertex some cell
+    uses must have a row.
     """
-    n = len(complex.vertices)
-    if isinstance(data_vectors, np.ndarray):
-        table = data_vectors
-        missing = [i for i in range(n) if i >= len(table)]
-    else:
-        missing = [i for i in range(n) if i not in data_vectors]
-        table = None
-    used = {v for c in complex.cells for v in c.vertex_ids}
-    missing = [i for i in missing if i in used]
-    if missing:
-        raise ValueError(f"no data vector for vertex {missing[0]}")
-    if table is None:
-        table = np.array([np.asarray(data_vectors[i], dtype=float) if i in used else
-                          np.zeros(complex.point_dim) for i in range(n)])
-    return VectorAssignment(
-        {c.id: np.asarray(table[list(c.vertex_ids)], dtype=float).mean(axis=0) for c in complex.cells}
-    )
+    table = np.asarray(data_vectors, dtype=float)
+    missing = complex.vert_idx[complex.vert_idx >= len(table)]
+    if missing.size:
+        raise ValueError(f"no data vector for vertex {int(missing.min())}")
+    return complex.cell_means(table)
 
 
 def assign_dowker_average(
     complex: CellComplex, witness_map: dict[int, tuple[int, ...]], data_vectors
-) -> VectorAssignment:
+) -> np.ndarray:
     """V(cell) = mean of the data vectors over the cell's witnesses."""
     table = np.asarray(data_vectors, dtype=float)
-    out = {}
-    for c in complex.cells:
-        w = witness_map.get(c.id)
+    out = np.empty((len(complex), table.shape[1]))
+    for c in range(len(complex)):
+        w = witness_map.get(c)
         if not w:
-            raise ValueError(f"cell {c.id} has an empty witness set")
-        out[c.id] = table[list(w)].mean(axis=0)
-    return VectorAssignment(out)
+            raise ValueError(f"cell {c} has an empty witness set")
+        out[c] = table[list(w)].mean(axis=0)
+    return out

@@ -3,7 +3,6 @@ import pytest
 
 from combidyn import (
     CellComplex,
-    VectorAssignment,
     assign_vertex_average,
     build_cost_model,
     build_problem,
@@ -62,13 +61,13 @@ def random_simplicial_instance(rng: np.random.Generator, allow_zero_vectors=True
     )[:n_vertices]
     vertices = base + rng.normal(scale=0.2, size=base.shape)
     complex = simplicial_complex(vertices, gens)
-    vectors = {}
-    for cell in complex.cells:
+    vectors = np.empty((len(complex), 2))
+    for c in range(len(complex)):
         v = rng.normal(size=2)
         if allow_zero_vectors and rng.random() < 0.05:
             v = np.zeros(2)
-        vectors[cell.id] = v
-    return complex, VectorAssignment(vectors)
+        vectors[c] = v
+    return complex, vectors
 
 
 def random_cubical_instance(rng: np.random.Generator, max_extent: int = 3):

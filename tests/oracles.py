@@ -22,13 +22,15 @@ def enumerate_selections(problem):
     over selected costs in variable-index order, matching the solver's own
     canonical summation."""
     pair_vars = list(range(problem.n_pairs))
+    pairs = problem.pairs.tolist()
+    costs = problem.costs.tolist()
     n = problem.n_cells
     for r in range(len(pair_vars) + 1):
         for combo in itertools.combinations(pair_vars, r):
             used: set[int] = set()
             ok = True
             for v in combo:
-                i, j = problem.variables[v]
+                i, j = pairs[v]
                 if i in used or j in used:
                     ok = False
                     break
@@ -39,7 +41,7 @@ def enumerate_selections(problem):
             selected = list(combo) + [
                 problem.n_pairs + c for c in range(n) if c not in used
             ]
-            objective = math.fsum(problem.costs[v] for v in selected)
+            objective = math.fsum(costs[v] for v in selected)
             yield tuple(selected), objective
 
 
@@ -70,7 +72,7 @@ def dense_assignment_selection(problem):
     M[ne:, no:] = 0.0
     pair_at = {}
     for v in range(problem.n_pairs):
-        lo, up = problem.variables[v]
+        lo, up = problem.pairs[v].tolist()
         e, o = (lo, up) if problem.dims[lo] % 2 == 0 else (up, lo)
         r, c = epos[e], opos[o]
         M[r, c] = problem.costs[v]

@@ -14,6 +14,11 @@ from combidyn import (
 from oracles import circumcircle_has_no_point_inside, dowker_cells_by_subsets
 
 
+def vertex_sets(K, dim=None):
+    """Vertex ids of every cell, or of every cell of one dimension, in id order."""
+    return [K.vertex_ids(c) for c in range(len(K)) if dim is None or K.dims[c] == dim]
+
+
 class TestDelaunay:
     def test_three_points_one_triangle(self):
         pts = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
@@ -32,7 +37,7 @@ class TestDelaunay:
         for _ in range(10):
             pts = rng.uniform(-1, 1, size=(12, 2))
             K = delaunay_2d(pts)
-            triangles = [c.vertex_ids for c in K.cells if c.dim == 2]
+            triangles = vertex_sets(K, 2)
             for tri in triangles:
                 others = [i for i in range(len(pts)) if i not in tri]
                 assert circumcircle_has_no_point_inside(pts, tri, others)
@@ -40,10 +45,10 @@ class TestDelaunay:
     def test_cocircular_square_deterministic(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         first = delaunay_2d(pts)
-        triangles = sorted(c.vertex_ids for c in first.cells if c.dim == 2)
+        triangles = sorted(vertex_sets(first, 2))
         assert len(triangles) == 2
         for _ in range(5):
-            again = sorted(c.vertex_ids for c in delaunay_2d(pts).cells if c.dim == 2)
+            again = sorted(vertex_sets(delaunay_2d(pts), 2))
             assert again == triangles
 
     def test_lattice_grid_counts(self):
@@ -56,7 +61,7 @@ class TestDelaunay:
         pts = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
         K = delaunay_2d(pts)
         assert K.counts_by_dim() == {0: 4, 1: 3}
-        edges = sorted(c.vertex_ids for c in K.cells if c.dim == 1)
+        edges = sorted(vertex_sets(K, 1))
         assert edges == [(0, 2), (1, 2), (1, 3)]  # consecutive along the line
 
     def test_duplicate_points_rejected(self):
@@ -74,7 +79,8 @@ class TestCubicalGrid:
         pts = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
         K = cubical_grid(pts, side=1.0)
         assert K.counts_by_dim() == {0: 4, 1: 4, 2: 1}
-        assert K.cell_by_vertices((0, 1, 2, 3)).kind == "cube"
+        assert K.kind == "cube"
+        assert K.dims[K.cell_id((0, 1, 2, 3))] == 2
 
     def test_two_by_three_patch(self):
         pts = np.array([(i, j) for i in range(2) for j in range(3)], dtype=float)
@@ -144,7 +150,7 @@ class TestDowker:
             landmarks = rng.uniform(-1, 1, size=(5, 2))
             radius = float(rng.uniform(0.4, 1.4))
             K, witness = dowker_complex(DowkerRelation(data, landmarks, radius))
-            got = {c.vertex_ids for c in K.cells}
+            got = set(vertex_sets(K))
             expected = dowker_cells_by_subsets(data, landmarks, radius)
             assert got == expected
 
@@ -152,24 +158,22 @@ class TestDowker:
         data = np.array([(0.0, 0.0), (2.0, 0.0)])
         landmarks = np.array([(0.0, 0.5), (0.0, -0.5), (2.0, 0.5)])
         K, witness = dowker_complex(DowkerRelation(data, landmarks, radius=1.0))
-        pair = K.cell_by_vertices((0, 1))
-        assert witness[pair.id] == (0,)
-        single = K.cell_by_vertices((2,))
-        assert witness[single.id] == (1,)
+        assert witness[K.cell_id((0, 1))] == (0,)
+        assert witness[K.cell_id((2,))] == (1,)
 
     def test_explicit_relation_matrix(self):
         # landmarks as rows, data points as columns
         rel = np.array([[1, 0], [1, 1], [0, 1]], dtype=bool)
         landmarks = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
         K, witness = dowker_complex_from_matrix(landmarks, rel)
-        got = sorted(c.vertex_ids for c in K.cells)
+        got = sorted(vertex_sets(K))
         assert got == [(0,), (0, 1), (1,), (1, 2), (2,)]
 
     def test_unrelated_landmark_absent(self):
         rel = np.array([[1], [0]], dtype=bool)
         landmarks = np.array([(0.0, 0.0), (5.0, 0.0)])
         K, _ = dowker_complex_from_matrix(landmarks, rel)
-        assert [c.vertex_ids for c in K.cells] == [(0,)]
+        assert vertex_sets(K) == [(0,)]
 
     def test_landmark_blowup_guard(self):
         data = np.zeros((1, 2))

@@ -101,3 +101,13 @@ class TestVerify:
         rc = main(["verify", "--report", str(tmp_path / "no.json"), "--input", str(toy_csv)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_report(self, toy_csv, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        main(["run", str(toy_csv), "--alpha", "0.75", "--out", str(report)])
+        doc = json.loads(report.read_text())
+        del doc["matching"][0]["upper"]
+        report.write_text(json.dumps(doc, indent=2) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--report", str(report), "--input", str(toy_csv)]) == 1
+        assert capsys.readouterr().err == f"error: {report}: report has no matching[0].upper\n"

@@ -5,9 +5,9 @@ import pytest
 
 from combidyn import (
     CellComplex,
-    VectorAssignment,
     barycentric_subdivision,
     cubical_grid,
+    delaunay_2d,
     simplicial_complex,
 )
 
@@ -23,64 +23,79 @@ def triangle():
 class TestCellComplex:
     def test_cells_sorted_by_dim_then_vertices(self):
         K = triangle()
-        specs = [(c.dim, c.vertex_ids) for c in K.cells]
+        specs = [(int(K.dims[c]), K.vertex_ids(c)) for c in range(len(K))]
         assert specs == sorted(specs)
-        assert [c.id for c in K.cells] == list(range(7))
+        assert len(K) == 7
 
     def test_face_closure_required(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(ValueError, match="face"):
             CellComplex(pts, [("simplex", (0, 1, 2)), ("simplex", (0,)), ("simplex", (1,)), ("simplex", (2,))])
 
-    def test_faces_cofaces_duality(self):
-        K = triangle()
-        for c in K.cells:
-            for f in K.faces(c.id):
-                assert c.id in K.cofaces(f)
-            for g in K.cofaces(c.id):
-                assert c.id in K.faces(g)
+    def test_mixed_kinds_rejected(self):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="mixed"):
+            CellComplex(pts, [("simplex", (0,)), ("cube", (1,))])
 
-    def test_closure_and_boundary(self):
+    def test_closure(self):
         K = triangle()
-        top = K.cell_by_vertices((0, 1, 2))
-        assert K.closure(top.id) == frozenset(range(7))
-        assert K.boundary(top.id) == frozenset(range(6))
-        v = K.cell_by_vertices((0,))
-        assert K.closure(v.id) == frozenset({v.id})
-        assert K.boundary(v.id) == frozenset()
+        top = K.cell_id((0, 1, 2))
+        assert K.closure(top) == frozenset(range(7))
+        v = K.cell_id((0,))
+        assert K.closure(v) == frozenset({v})
 
     def test_admissible_pairs_triangle(self):
         K = triangle()
-        pairs = [p.as_tuple() for p in K.admissible_pairs()]
+        pairs = [tuple(p) for p in K.pairs.tolist()]
         assert pairs == sorted(pairs)
         # every vertex under two edges, every edge under the triangle
         assert len(pairs) == 9
         for lo, up in pairs:
-            assert K.cell(up).dim == K.cell(lo).dim + 1
+            assert K.dims[up] == K.dims[lo] + 1
             assert lo in K.codim1_faces(up)
 
     def test_single_square_has_12_admissible_pairs(self):
         pts = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
         K = cubical_grid(pts, side=1.0)
         assert K.counts_by_dim() == {0: 4, 1: 4, 2: 1}
-        assert len(K.admissible_pairs()) == 12
+        assert K.pairs.shape == (12, 2)
 
     def test_barycenter(self):
         K = triangle()
-        top = K.cell_by_vertices((0, 1, 2))
-        assert np.allclose(K.barycenter(top.id), (1.0, 1.0 / 3.0))
-        edge = K.cell_by_vertices((0, 2))
-        assert np.allclose(K.barycenter(edge.id), (1.0, 0.0))
+        assert np.allclose(K.barycenters[K.cell_id((0, 1, 2))], (1.0, 1.0 / 3.0))
+        assert np.allclose(K.barycenters[K.cell_id((0, 2))], (1.0, 0.0))
+
+    @pytest.mark.parametrize("kind", ["delaunay", "cubical3d"])
+    def test_arrays_agree_with_per_cell_definitions(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "delaunay":
+            K = delaunay_2d(rng.uniform(-1, 1, size=(40, 2)))
+        else:
+            pts = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(2)], float)
+            K = cubical_grid(pts, side=1.0)
+        faces = {c: K.codim1_faces(c) for c in range(len(K))}
+        expected_pairs = sorted((f, c) for c in range(len(K)) for f in faces[c])
+        assert [tuple(p) for p in K.pairs.tolist()] == expected_pairs
+        for c in range(len(K)):
+            vids = K.vertex_ids(c)
+            assert list(faces[c]) == sorted(faces[c])
+            assert all(set(K.vertex_ids(f)) < set(vids) for f in faces[c])
+            assert K.cell_id(vids) == c
+            # bit-identical to the per-cell mean
+            assert np.array_equal(K.barycenters[c], K.vertices[list(vids)].mean(axis=0))
+        assert np.array_equal(K.pair_index(K.pairs), np.arange(len(K.pairs)))
+        assert K.pair_index(K.pairs[:, ::-1]).max() == -1
+        assert K.pair_index([(-1, 0), (0, len(K)), (len(K), 0)]).tolist() == [-1, -1, -1]
 
     def test_euler_characteristic(self):
         K = triangle()
         assert K.euler_characteristic() == 1
         assert K.euler_characteristic() == euler_characteristic(K.counts_by_dim())
 
-    def test_cell_by_vertices_missing(self):
+    def test_cell_id_missing(self):
         K = triangle()
         with pytest.raises(KeyError):
-            K.cell_by_vertices((0, 3))
+            K.cell_id((0, 3))
 
 
 class TestSimplicialClosure:
@@ -98,57 +113,52 @@ class TestSimplicialClosure:
 class TestSubdivision:
     def test_single_triangle_counts(self):
         K = triangle()
-        vectors = VectorAssignment({c.id: np.array([1.0, 0.0]) for c in K.cells})
-        K2, _ = barycentric_subdivision(K, vectors)
+        K2, _ = barycentric_subdivision(K, np.tile([1.0, 0.0], (len(K), 1)))
         assert K2.counts_by_dim() == {0: 7, 1: 12, 2: 6}
         assert K2.euler_characteristic() == 1
 
     def test_single_edge_counts(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0)])
         K = simplicial_complex(pts, [(0, 1)])
-        vectors = VectorAssignment({c.id: np.array([1.0, 1.0]) for c in K.cells})
-        K2, _ = barycentric_subdivision(K, vectors)
+        K2, _ = barycentric_subdivision(K, np.ones((len(K), 2)))
         assert K2.counts_by_dim() == {0: 3, 1: 2}
 
     def test_vectors_inherited_from_carrier(self):
         K = triangle()
         # tag every original cell with a distinct vector
-        vectors = VectorAssignment(
-            {c.id: np.array([float(c.id), -float(c.id)]) for c in K.cells}
-        )
+        vectors = np.array([(float(c), -float(c)) for c in range(len(K))])
         K2, vec2 = barycentric_subdivision(K, vectors)
-        original = {tuple(vectors[c.id]) for c in K.cells}
-        for c in K2.cells:
-            assert tuple(vec2[c.id]) in original
+        assert vec2.shape == (len(K2), 2)
+        original = {tuple(v) for v in vectors}
+        for c in range(len(K2)):
+            assert tuple(vec2[c]) in original
         # all six new triangles sit inside the original one and inherit its tag
-        top = K.cell_by_vertices((0, 1, 2))
-        for c in K2.cells:
-            if c.dim == 2:
-                assert np.array_equal(vec2[c.id], vectors[top.id])
+        top = K.cell_id((0, 1, 2))
+        for c in range(len(K2)):
+            if K2.dims[c] == 2:
+                assert np.array_equal(vec2[c], vectors[top])
         # new vertices at original barycenters keep the original cell's vector
-        for c in K.cells:
-            new_v = K2.cell_by_vertices((c.id,))
-            assert np.allclose(K2.barycenter(new_v.id), K.barycenter(c.id))
-            assert np.array_equal(vec2[new_v.id], vectors[c.id])
+        for c in range(len(K)):
+            new_v = K2.cell_id((c,))
+            assert np.allclose(K2.barycenters[new_v], K.barycenters[c])
+            assert np.array_equal(vec2[new_v], vectors[c])
 
     def test_boundary_edges_inherit_edge_vectors(self):
         K = triangle()
-        vectors = VectorAssignment(
-            {c.id: np.array([float(c.id) + 1.0, 0.0]) for c in K.cells}
-        )
+        vectors = np.array([(float(c) + 1.0, 0.0) for c in range(len(K))])
         K2, vec2 = barycentric_subdivision(K, vectors)
 
         def cross(u, v):
             return u[0] * v[1] - u[1] * v[0]
 
-        for c in K2.cells:
-            if c.dim != 1:
+        for c in range(len(K2)):
+            if K2.dims[c] != 1:
                 continue
-            a, b = (K2.barycenter(v) for v in c.vertex_ids)
-            for e in K.cells:
-                if e.dim != 1:
+            a, b = (K2.barycenters[v] for v in K2.vertex_ids(c))
+            for e in range(len(K)):
+                if K.dims[e] != 1:
                     continue
-                p, q = (K.barycenter(v) for v in e.vertex_ids)
+                p, q = (K.barycenters[v] for v in K.vertex_ids(e))
                 seg = q - p
                 # does the new edge lie inside the original edge segment?
                 if (
@@ -157,7 +167,7 @@ class TestSubdivision:
                     and min(p[0], q[0]) - 1e-12 <= min(a[0], b[0])
                     and max(a[0], b[0]) <= max(p[0], q[0]) + 1e-12
                 ):
-                    assert np.array_equal(vec2[c.id], vectors[e.id])
+                    assert np.array_equal(vec2[c], vectors[e])
 
     def test_top_cell_multiplication_random(self):
         rng = np.random.default_rng(7)
@@ -171,12 +181,10 @@ class TestSubdivision:
     def test_cubical_rejected(self):
         pts = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
         K = cubical_grid(pts, side=1.0)
-        vectors = VectorAssignment({c.id: np.ones(2) for c in K.cells})
         with pytest.raises(ValueError, match="simplicial"):
-            barycentric_subdivision(K, vectors)
+            barycentric_subdivision(K, np.ones((len(K), 2)))
 
     def test_missing_vector_rejected(self):
         K = triangle()
-        vectors = VectorAssignment({0: np.ones(2)})
         with pytest.raises(ValueError, match="vector"):
-            barycentric_subdivision(K, vectors)
+            barycentric_subdivision(K, np.ones((1, 2)))

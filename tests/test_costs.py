@@ -58,15 +58,13 @@ class TestCosineDistance:
 class TestDisplacement:
     def test_edge_to_triangle(self, toy):
         _, K, _ = toy
-        edge = K.cell_by_vertices((0, 2))
-        top = K.cell_by_vertices((0, 1, 2))
-        assert np.allclose(displacement(K, (edge.id, top.id)), (0.0, 1.0 / 3.0))
+        edge, top = K.cell_id((0, 2)), K.cell_id((0, 1, 2))
+        assert np.allclose(displacement(K, (edge, top)), (0.0, 1.0 / 3.0))
 
     def test_vertex_to_edge(self, toy):
         _, K, _ = toy
-        v = K.cell_by_vertices((0,))
-        e = K.cell_by_vertices((0, 1))
-        assert np.allclose(displacement(K, (v.id, e.id)), (0.5, 0.5))
+        v, e = K.cell_id((0,)), K.cell_id((0, 1))
+        assert np.allclose(displacement(K, (v, e)), (0.5, 0.5))
 
 
 class TestCostModel:
@@ -79,17 +77,20 @@ class TestCostModel:
 
     def test_zero_vector_cell_costs_two(self, toy):
         _, K, _ = toy
-        vectors = {c.id: np.array([1.0, 0.0]) for c in K.cells}
-        v0 = K.cell_by_vertices((0,))
-        vectors[v0.id] = np.zeros(2)
+        vectors = np.tile([1.0, 0.0], (len(K), 1))
+        v0 = K.cell_id((0,))
+        vectors[v0] = 0.0
         model = build_cost_model(K, vectors, alpha=0.5)
-        for up in K.codim1_cofaces(v0.id):
-            assert model.pair_cost(v0.id, up) == 2.0
+        ups = K.pairs[K.pairs[:, 0] == v0, 1].tolist()
+        assert len(ups) == 2
+        for up in ups:
+            assert model.pair_cost(v0, up) == 2.0
 
     def test_penalty(self):
-        assert CostModel(alpha=0.5, pair_costs={}, n_cells=0).penalty == 3.0
-        assert CostModel(alpha=1.0, pair_costs={}, n_cells=0).penalty == 3.0
-        assert CostModel(alpha=1.5, pair_costs={}, n_cells=0).penalty == 4.0
+        none = dict(pairs=np.empty((0, 2), dtype=np.intp), pair_costs=np.empty(0), n_cells=0)
+        assert CostModel(alpha=0.5, **none).penalty == 3.0
+        assert CostModel(alpha=1.0, **none).penalty == 3.0
+        assert CostModel(alpha=1.5, **none).penalty == 4.0
 
     def test_alpha_validation(self, toy):
         _, K, vectors = toy
@@ -101,7 +102,7 @@ class TestCostModel:
     def test_missing_vector_rejected(self, toy):
         _, K, _ = toy
         with pytest.raises(ValueError):
-            build_cost_model(K, {0: np.ones(2)}, alpha=0.5)
+            build_cost_model(K, np.ones((1, 2)), alpha=0.5)
 
     @pytest.mark.parametrize("kind", ["delaunay", "subdivided", "cubical2d", "cubical3d"])
     def test_equals_per_pair_cosine_distance(self, kind):
@@ -121,8 +122,9 @@ class TestCostModel:
         if kind == "subdivided":
             K, vectors = barycentric_subdivision(K, vectors)
         model = build_cost_model(K, vectors, alpha=0.8)
-        assert any(cost == 2.0 for cost in model.pair_costs.values())
-        for lo, up in (p.as_tuple() for p in K.admissible_pairs()):
+        assert (model.pair_costs == 2.0).any()
+        assert model.pairs is K.pairs and model.pair_costs.shape == (len(K.pairs),)
+        for lo, up in K.pairs.tolist():
             v = vectors[lo]
             if np.linalg.norm(v) < ZERO_TOL:
                 expected = 2.0
@@ -133,7 +135,7 @@ class TestCostModel:
     def test_zero_displacement_rejected(self):
         K = simplicial_complex(np.zeros((2, 2)), [(0, 1)])
         with pytest.raises(ValueError, match="zero vectors"):
-            build_cost_model(K, {c.id: np.ones(2) for c in K.cells}, alpha=0.5)
+            build_cost_model(K, np.ones((len(K), 2)), alpha=0.5)
 
 
 class TestCriticalAngle:

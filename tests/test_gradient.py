@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import combidyn.gradient
 from combidyn import (
     CycleConstraint,
     DEFAULT_ALPHA_GRID,
@@ -84,7 +85,7 @@ class TestThreshold:
         _, K, vectors = toy
         model = build_cost_model(K, vectors, alpha=0.5)
         t = all_critical_threshold(model)
-        assert t == min(model.pair_costs.values()) / 2
+        assert t == min(model.pair_costs.tolist()) / 2
         assert t == pytest.approx((1 - 1 / math.sqrt(2)) / 2, abs=1e-12)
         below = solve_exact(problem_for(K, vectors, round(t - 0.01, 6)))
         assert below.matched == {}
@@ -96,12 +97,12 @@ class TestThreshold:
 
     def test_no_pairs(self):
         K = simplicial_complex(np.array([[0.0, 0.0]]), [(0,)])
-        model = build_cost_model(K, {0: np.ones(2)}, alpha=0.5)
+        model = build_cost_model(K, np.ones((1, 2)), alpha=0.5)
         assert all_critical_threshold(model) == math.inf
 
     def test_zero_cost_warns(self):
         K = simplicial_complex(np.array([[0.0, 0.0], [1.0, 0.0]]), [(0, 1)])
-        vectors = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0]), 2: np.array([1.0, 1.0])}
+        vectors = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
         model = build_cost_model(K, vectors, alpha=0.5)
         with pytest.warns(RuntimeWarning, match="zero"):
             t = all_critical_threshold(model)
@@ -122,6 +123,24 @@ class TestSweep:
         assert m.matched == {}
         assert len(m.critical) == 7
         assert m.objective == pytest.approx(7 * alpha, abs=1e-9)
+
+    def test_gradient_tested_once_per_new_matching(self, toy, monkeypatch):
+        _, K, vectors = toy
+        calls = []
+
+        def counting(complex, matching):
+            calls.append(matching.matched)
+            return is_gradient(complex, matching)
+
+        monkeypatch.setattr(combidyn.gradient, "is_gradient", counting)
+        alpha, m = alpha_sweep(K, build_cost_model(K, vectors, 0.5))
+        assert (alpha, m.matched) == (0.14, {})
+        steps = [
+            solve_exact(problem_for(K, vectors, a)).matched for a in DEFAULT_ALPHA_GRID if a >= alpha
+        ]
+        assert len(steps) == 187
+        changed = [s for i, s in enumerate(steps) if i == 0 or s != steps[i - 1]]
+        assert calls == changed == [{0: 3, 1: 5, 2: 4}, {}]
 
     def test_default_grid_shape(self):
         assert DEFAULT_ALPHA_GRID[0] == 2.0

@@ -245,9 +245,9 @@ class TestRunPipeline:
         )
         analysis = run_pipeline(config, field)
         assert analysis.complex.counts_by_dim() == {0: 2, 1: 1}
-        edge = analysis.complex.cell_by_vertices((0, 1))
+        edge = analysis.complex.cell_id((0, 1))
         # the edge's only witness is p1
-        assert np.allclose(analysis.vectors[edge.id], (1.0, 1.0))
+        assert np.allclose(analysis.vectors[edge], (1.0, 1.0))
 
     def test_relation_shape_mismatch(self, tmp_path):
         field = tmp_path / "f.csv"
@@ -301,6 +301,22 @@ class TestExports:
         assert lines[1].startswith("0,3,")
 
 
+# a report key, and how to remove it
+MISSING_KEYS = [
+    ("objective", lambda d: d.pop("objective")),
+    ("objective.total", lambda d: d["objective"].pop("total")),
+    ("objective.alpha", lambda d: d["objective"].pop("alpha")),
+    ("matching[1].upper", lambda d: d["matching"][1].pop("upper")),
+    ("matching[0].lower", lambda d: d["matching"].__setitem__(0, [0, 3])),
+    ("critical[0].id", lambda d: d["critical"][0].pop("id")),
+    ("complex.counts", lambda d: d["complex"].pop("counts")),
+    ("config_echo.alpha", lambda d: d["config_echo"].pop("alpha")),
+    ("config_echo", lambda d: d.pop("config_echo")),
+    ("problem", lambda d: d.pop("problem")),
+    ("scc", lambda d: d.pop("scc")),
+]
+
+
 class TestVerifyReport:
     def run_and_export(self, toy_csv, tmp_path, **kwargs):
         analysis = run_pipeline(PipelineConfig(alpha=0.75, **kwargs), toy_csv)
@@ -340,6 +356,21 @@ class TestVerifyReport:
         ok, lines = verify_report(report, toy_csv)
         assert not ok
         assert any("matching axioms" in l and "FAIL" in l for l in lines)
+
+    def test_pair_listed_twice(self, toy_csv, tmp_path):
+        report = self.run_and_export(toy_csv, tmp_path)
+        self.tamper(report, lambda d: d["matching"].append({"lower": 0, "upper": 3}))
+        ok, lines = verify_report(report, toy_csv)
+        assert not ok
+        assert lines[-1] == "matching axioms (4 pairs, 1 critical): FAIL (two_in, two_out)"
+
+    @pytest.mark.parametrize("key, mutate", MISSING_KEYS, ids=[k for k, _ in MISSING_KEYS])
+    def test_missing_key_names_report_and_key(self, toy_csv, tmp_path, key, mutate):
+        report = self.run_and_export(toy_csv, tmp_path)
+        self.tamper(report, mutate)
+        with pytest.raises(ValueError) as info:
+            verify_report(report, toy_csv)
+        assert str(info.value) == f"{report}: report has no {key}"
 
     def test_tampered_counts(self, toy_csv, tmp_path):
         report = self.run_and_export(toy_csv, tmp_path)

@@ -41,25 +41,26 @@ class TestProblem:
         assert p.n_cells == 7
         assert p.n_pairs == 9
         assert p.m == 16
-        pairs = p.variables[: p.n_pairs]
+        pairs = [tuple(pq) for pq in p.pairs.tolist()]
         assert pairs == sorted(pairs)
         assert all(lo < up for lo, up in pairs)
-        assert p.variables[p.n_pairs :] == [(k, k) for k in range(7)]
+        assert p.costs.shape == (16,)
         for k in range(7):
-            assert p.variables[p.diagonal_var(k)] == (k, k)
+            assert p.diagonal_var(k) == 9 + k
             assert p.costs[p.diagonal_var(k)] == TOY_ALPHA
         for i, (lo, up) in enumerate(pairs):
             assert p.pair_var(lo, up) == i
+        with pytest.raises(KeyError):
+            p.pair_var(3, 0)
 
     def test_cell_incidence(self, toy):
         _, K, vectors = toy
         p = problem_for(K, vectors, 0.5)
-        hits = [0] * p.m
-        for vs in p.cell_vars:
-            for v in vs:
-                hits[v] += 1
-        assert all(h == 2 for h in hits[: p.n_pairs])
-        assert all(h == 1 for h in hits[p.n_pairs :])
+        # each pair variable joins a cell and a codim-1 coface of it
+        assert np.array_equal(p.pairs, K.pairs)
+        assert np.array_equal(p.dims[p.pairs[:, 1]], p.dims[p.pairs[:, 0]] + 1)
+        # every vertex under two edges, every edge between two vertices and under the triangle
+        assert np.bincount(p.pairs.ravel(), minlength=p.n_cells).tolist() == [2, 2, 2, 3, 3, 3, 3]
 
     def test_cell_count_mismatch(self, toy):
         _, K, vectors = toy
@@ -81,8 +82,7 @@ class TestSolve:
 
     def test_single_vertex(self):
         K = simplicial_complex(np.array([[0.0, 0.0]]), [(0,)])
-        vectors = {0: np.array([1.0, 0.0])}
-        p = problem_for(K, vectors, 0.3)
+        p = problem_for(K, np.array([[1.0, 0.0]]), 0.3)
         m = solve_exact(p)
         assert m.matched == {}
         assert m.critical == frozenset({0})
@@ -145,10 +145,9 @@ class TestSparseAssignment:
         seen_zero_cost = seen_zero_alpha = seen_two_alpha = False
         for _ in range(150):
             K, _, _ = random_instance(rng, small=True)
-            pairs = [pq.as_tuple() for pq in K.admissible_pairs()]
             alpha = float(rng.choice(grid))
-            costs = rng.choice(grid, size=len(pairs)).tolist()
-            model = CostModel(alpha=alpha, pair_costs=dict(zip(pairs, costs)), n_cells=len(K))
+            costs = rng.choice(grid, size=len(K.pairs)).tolist()
+            model = CostModel(alpha=alpha, pairs=K.pairs, pair_costs=np.array(costs), n_cells=len(K))
             p = build_problem(model, K)
             m = solve_exact(p)
             assert verify_matching(K, m).ok
@@ -164,7 +163,7 @@ class TestSparseAssignment:
     def test_no_pairs_single_parity(self, alpha):
         # isolated vertices: every cell even, no pair, all cells critical
         K = simplicial_complex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0,), (1,), (2,)])
-        p = problem_for(K, {c: np.array([1.0, 0.0]) for c in range(3)}, alpha)
+        p = problem_for(K, np.tile([1.0, 0.0], (3, 1)), alpha)
         assert p.n_pairs == 0
         m = solve_exact(p)
         assert m.matched == {}
@@ -315,9 +314,8 @@ class TestRepair:
         for _ in range(10):
             K, vectors, alpha = random_instance(rng, small=True)
             model = build_cost_model(K, vectors, alpha)
-            cells = sorted(c.id for c in K.cells)
             # pair cells off arbitrarily, ignoring admissibility
-            perm = list(rng.permutation(cells))
+            perm = list(rng.permutation(range(len(K))))
             assignment = [
                 tuple(sorted((perm[i], perm[i + 1]))) for i in range(0, len(perm) - 1, 2)
             ]
@@ -328,7 +326,7 @@ class TestRepair:
             before = assignment_objective(model, assignment)
             fixed = repair(K, model, assignment)
             n_bad = sum(
-                1 for i, j in assignment if i != j and (i, j) not in model.pair_costs
+                1 for i, j in assignment if i != j and K.pair_index([(i, j)])[0] < 0
             )
             saved = n_bad * (model.penalty - 2 * model.alpha)
             assert fixed.objective == pytest.approx(before - saved, abs=1e-9)
