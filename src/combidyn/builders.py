@@ -12,13 +12,13 @@ points.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .complexes import CellComplex, simplicial_complex
+from .complexes import CellComplex, _find, _row_codes, simplicial_complex
 from .datagen import FieldSample
 
 __all__ = [
@@ -124,8 +124,7 @@ def delaunay_2d(points) -> CellComplex:
         if k not in (0, anchor_b)
     ):
         order = sorted(range(n), key=lambda i: (pts[i][0], pts[i][1]))
-        edges = [(order[i], order[i + 1]) for i in range(n - 1)]
-        return simplicial_complex(pts, edges)
+        return simplicial_complex(pts, np.stack([order[:-1], order[1:]], axis=1))
 
     # Super-triangle comfortably containing everything; its vertices get the
     # indices n, n+1, n+2 and are dropped at the end.
@@ -160,14 +159,20 @@ def delaunay_2d(points) -> CellComplex:
     covered = {v for t in real for v in t}
     if covered != set(range(n)):
         raise AssertionError(f"points {sorted(set(range(n)) - covered)} ended up in no triangle")
-    return simplicial_complex(pts, sorted(real))
+    return simplicial_complex(pts, np.array(real, dtype=np.intp).reshape(-1, 3))
 
 
 def _lattice_indices(points: np.ndarray, side: float, tol_factor: float = 1e-9):
     """Map points onto integer lattice coordinates of pitch `side`, anchored at
-    the per-axis minimum. Raises if any coordinate is off-lattice."""
+    the per-axis minimum. Raises if any coordinate is off-lattice, or, before
+    the cast, if an axis spans more sites than an int64 index holds."""
     origin = points.min(axis=0)
-    idx = np.rint((points - origin) / side).astype(int)
+    scaled = np.rint((points - origin) / side)
+    extent = scaled.max(axis=0)
+    if not (extent < 2**62).all():
+        axis = int(np.argmin(extent < 2**62))
+        raise ValueError(f"axis {axis} spans {extent[axis] + 1:.3g} lattice sites, over 2**62")
+    idx = scaled.astype(np.int64)
     snapped = origin + idx * side
     err = np.abs(points - snapped).max(axis=1)
     bad = np.nonzero(err > tol_factor * side)[0]
@@ -190,34 +195,30 @@ def cubical_grid(points, side: float) -> CellComplex:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
         raise ValueError("cubical_grid expects points in R^2 or R^3")
-    if side <= 0:
-        raise ValueError("side must be positive")
-    origin, idx, snapped = _lattice_indices(pts, side)
-    d = pts.shape[1]
+    if not 0 < side < math.inf:
+        raise ValueError("side must be finite and positive")
+    _, idx, snapped = _lattice_indices(pts, side)
+    n, d = idx.shape
 
-    site_of: dict[tuple[int, ...], int] = {}
-    for i, key in enumerate(tuple(int(k) for k in row) for row in idx):
-        if key in site_of:
-            raise ValueError(f"points {site_of[key]} and {i} snap to the same lattice site {key}")
-        site_of[key] = i
+    # corners[m, i]: first point at site idx[i] + (bit a of m on axis a), or -1;
+    # the cube spanning the axes of mask at site i has the corners m within mask
+    offsets = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+    codes = _row_codes(np.concatenate([idx, (idx + offsets[:, None]).reshape(-1, d)]))
+    order = np.argsort(codes[:n], kind="stable")
+    at = _find(codes[:n][order], codes[n:])
+    corners = np.where(at >= 0, order[at], -1).reshape(2**d, n)
+    repeated = np.flatnonzero(corners[0] != np.arange(n))
+    if len(repeated):
+        j = int(repeated[0])
+        raise ValueError(
+            f"points {corners[0, j]} and {j} snap to the same lattice site {tuple(idx[j].tolist())}"
+        )
 
-    cells: list[tuple[str, tuple[int, ...]]] = []
-    axes = range(d)
-    for key, vid in site_of.items():
-        for k in range(d + 1):
-            for spanned in itertools.combinations(axes, k):
-                corners = []
-                for offs in itertools.product((0, 1), repeat=k):
-                    corner = list(key)
-                    for a, o in zip(spanned, offs):
-                        corner[a] += o
-                    c = site_of.get(tuple(corner))
-                    if c is None:
-                        break
-                    corners.append(c)
-                else:
-                    cells.append(("cube", tuple(corners)))
-    return CellComplex(snapped, cells)
+    cells = []
+    for mask in range(2**d):
+        rows = corners[[m for m in range(2**d) if m & mask == m]].T
+        cells.append(rows[(rows >= 0).all(axis=1)])
+    return CellComplex(snapped, "cube", cells)
 
 
 def snap_to_lattice(sample: FieldSample, side: float) -> FieldSample:
@@ -225,12 +226,12 @@ def snap_to_lattice(sample: FieldSample, side: float) -> FieldSample:
     nearest lattice site of pitch `side` and merge points landing on the same
     site by averaging their vectors. The result satisfies cubical_grid's
     on-lattice requirement."""
-    if side <= 0:
-        raise ValueError("side must be positive")
+    if not 0 < side < math.inf:
+        raise ValueError("side must be finite and positive")
     pts = np.asarray(sample.points, dtype=float)
     vecs = np.asarray(sample.vectors, dtype=float)
-    origin = pts.min(axis=0)
-    idx = np.rint((pts - origin) / side).astype(int)
+    # every point is rounded, so no tolerance applies
+    origin, idx, _ = _lattice_indices(pts, side, tol_factor=math.inf)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(map(tuple, idx)):
         groups.setdefault(key, []).append(i)
@@ -275,18 +276,17 @@ def dowker_complex_from_matrix(
     if rel.ndim != 2 or rel.shape[0] != len(Y):
         raise ValueError("relation must be a (landmarks x data points) boolean matrix")
 
-    simplices: set[tuple[int, ...]] = set()
-    for x in range(rel.shape[1]):
-        related = tuple(np.nonzero(rel[:, x])[0].tolist())
-        if len(related) > _MAX_LANDMARKS_PER_POINT:
-            raise ValueError(
-                f"data point {x} relates to {len(related)} landmarks; "
-                "the subset blow-up would be unreasonable"
-            )
-        for k in range(1, len(related) + 1):
-            simplices.update(itertools.combinations(related, k))
-
-    complex = simplicial_complex(Y, sorted(simplices, key=lambda s: (len(s), s)))
+    counts = rel.sum(axis=0)
+    if counts.max(initial=0) > _MAX_LANDMARKS_PER_POINT:
+        x = int(np.argmax(counts > _MAX_LANDMARKS_PER_POINT))
+        raise ValueError(
+            f"data point {x} relates to {counts[x]} landmarks; "
+            "the subset blow-up would be unreasonable"
+        )
+    if not counts.any():
+        raise ValueError("no data point relates to any landmark; the Dowker complex is empty")
+    # each point's related set; simplicial_complex adds every subset of it
+    complex = simplicial_complex(Y, [np.flatnonzero(col) for col in rel.T])
     witness_map: dict[int, tuple[int, ...]] = {}
     for c in range(len(complex)):
         mask = rel[list(complex.vertex_ids(c))].all(axis=0)

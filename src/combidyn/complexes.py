@@ -40,6 +40,11 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
     return code
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an int matrix, in lexicographic order."""
+    return rows[np.unique(_row_codes(rows), return_index=True)[1]]
+
+
 def _cube_faces(V: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
     """Codim-1 faces of axis-aligned cubes with sorted corner rows V: split
     the corners by min/max on each spanned axis. Corner coordinates come from
@@ -83,10 +88,10 @@ def pair_rows(pairs: np.ndarray, n_cells: int, queries) -> np.ndarray:
 class CellComplex:
     """Finite cell complex, closed under faces, with dense integer cell ids.
 
-    Cells are sorted by (dim, vertex_ids) and ids assigned in that order, so
-    every id order is also a dimension order. Construction validates face
-    closure: each codim-1 face of each cell must itself be a cell. All cells
-    are of one kind, "simplex" or "cube" (an empty complex is simplicial).
+    `kind` is "simplex" or "cube" for the whole complex; `cells` holds (n, k)
+    arrays of vertex ids, one per vertex count k. Rows are sorted, duplicates
+    dropped, and cells numbered in (dim, vertex_ids) order, so every id order is
+    also a dimension order. Each codim-1 face of each cell must itself be a cell.
 
     Arrays, all read-only by convention:
 
@@ -100,32 +105,30 @@ class CellComplex:
       sorted by (lower, upper).
     """
 
-    def __init__(self, vertices: np.ndarray, cell_specs: Iterable[tuple[str, tuple[int, ...]]]):
+    def __init__(self, vertices: np.ndarray, kind: str, cells: Iterable[np.ndarray]):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2:
             raise ValueError("vertices must be an (n, d) array")
+        if kind not in ("simplex", "cube"):
+            raise ValueError(f"unknown cell kind {kind!r}; expected 'simplex' or 'cube'")
+        self.kind = kind
 
-        kinds: set[str] = set()
-        unique: set[tuple[int, ...]] = set()
-        for kind, vids in cell_specs:
-            vids = tuple(sorted(set(vids)))
-            if not vids:
-                raise ValueError("empty cell")
-            if vids[-1] >= len(self.vertices) or vids[0] < 0:
-                raise ValueError(f"cell {vids} references unknown vertex")
-            kinds.add(kind)
-            unique.add(vids)
-        if len(kinds) > 1:
-            raise ValueError(f"mixed cell kinds {sorted(kinds)}; a complex holds one kind")
-        self.kind = kinds.pop() if kinds else "simplex"
+        by_width: dict[int, list[np.ndarray]] = {}
+        for rows in cells:
+            rows = np.asarray(rows, dtype=np.intp)
+            if rows.ndim != 2 or rows.shape[1] == 0:
+                raise ValueError("cells must come as (n, k) arrays of vertex ids, k >= 1")
+            by_width.setdefault(rows.shape[1], []).append(np.sort(rows, axis=1))
+        ordered = [_unique_rows(np.concatenate(by_width[k])) for k in sorted(by_width)]
+        for V in ordered:
+            bad = (V[:, 0] < 0) | (V[:, -1] >= len(self.vertices)) | (V[:, 1:] == V[:, :-1]).any(axis=1)
+            if bad.any():
+                raise ValueError(f"cell {tuple(V[bad][0].tolist())} has a repeated or unknown vertex")
 
-        ordered = sorted(unique, key=lambda v: (len(v), v))
-        sizes = np.array([len(v) for v in ordered], dtype=np.intp)
-        self.vert_ptr = np.zeros(len(ordered) + 1, dtype=np.intp)
+        sizes = np.repeat(np.array(sorted(by_width), dtype=np.intp), [len(V) for V in ordered])
+        self.vert_ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
         np.cumsum(sizes, out=self.vert_ptr[1:])
-        self.vert_idx = np.fromiter(
-            (i for v in ordered for i in v), dtype=np.intp, count=int(self.vert_ptr[-1])
-        )
+        self.vert_idx = np.concatenate([V.ravel() for V in ordered] + [np.empty(0, np.intp)])
         if self.kind == "simplex":
             self.dims = sizes - 1
         else:
@@ -157,8 +160,8 @@ class CellComplex:
 
         upper, lower = np.concatenate(upper), np.concatenate(lower)
         self.face_idx = lower[np.lexsort((lower, upper))]
-        self.face_ptr = np.zeros(len(ordered) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(upper, minlength=len(ordered)), out=self.face_ptr[1:])
+        self.face_ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(upper, minlength=len(sizes)), out=self.face_ptr[1:])
         by_face = np.lexsort((upper, lower))
         self.pairs = np.stack([lower[by_face], upper[by_face]], axis=1)
         self.barycenters = self.cell_means(self.vertices)
@@ -248,17 +251,19 @@ class CellComplex:
 
 
 def simplicial_complex(vertices: np.ndarray, simplices: Iterable[Iterable[int]]) -> CellComplex:
-    """Build a simplicial complex from any generating set, closing under subsets."""
-    closed: set[tuple[int, ...]] = set()
-    stack = [tuple(sorted(set(s))) for s in simplices]
-    while stack:
-        s = stack.pop()
-        if not s or s in closed:
-            continue
-        closed.add(s)
-        if len(s) > 1:
-            stack.extend(s[:i] + s[i + 1 :] for i in range(len(s)))
-    return CellComplex(vertices, [("simplex", s) for s in sorted(closed, key=lambda s: (len(s), s))])
+    """Build a simplicial complex from any generating set, closing under subsets
+    one vertex count at a time, from the widest generators down."""
+    by_width: dict[int, list[list[int]]] = {}
+    for s in simplices:
+        s = sorted(set(s))
+        if s:
+            by_width.setdefault(len(s), []).append(s)
+    blocks = {k: np.array(rows, dtype=np.intp) for k, rows in by_width.items()}
+    for k in range(max(blocks, default=1), 1, -1):
+        V = blocks[k] = _unique_rows(blocks[k])
+        faces = [np.delete(V, i, axis=1) for i in range(k)]
+        blocks[k - 1] = np.concatenate(faces + [blocks.get(k - 1, faces[0][:0])])
+    return CellComplex(vertices, "simplex", blocks.values())
 
 
 def barycentric_subdivision(
@@ -279,18 +284,15 @@ def barycentric_subdivision(
     if len(vectors) != len(complex):
         raise ValueError(f"expected one vector per cell ({len(complex)}), got {len(vectors)}")
 
-    # chains_at[c] = all chains of proper faces ending at c, as tuples of cell
-    # ids; ids ascend with dimension, so each chain is already sorted and its
-    # last entry is the carrier.
-    chains_at: list[list[tuple[int, ...]]] = []
+    # flags_at[c] = the chains that step down from c one dimension at a time
+    # to a vertex; every chain is a subset of one. Ids ascend with dimension,
+    # so each chain is sorted and its last entry is the carrier.
+    flags_at: list[list[tuple[int, ...]]] = []
     for c in range(len(complex)):  # id order is dimension order
-        own: list[tuple[int, ...]] = [(c,)]
-        for f in complex.closure(c) - {c}:
-            own.extend(ch + (c,) for ch in chains_at[f])
-        chains_at.append(own)
-
-    all_chains = [ch for per_cell in chains_at for ch in per_cell]
-    subdivided = simplicial_complex(complex.barycenters.copy(), all_chains)
+        below = [ch + (c,) for f in complex.codim1_faces(c) for ch in flags_at[f]]
+        flags_at.append(below or [(c,)])
+    chains = [ch for per_cell in flags_at for ch in per_cell]
+    subdivided = simplicial_complex(complex.barycenters.copy(), chains)
     # a new cell's vertices are old cell ids; its carrier is the largest
     carrier = subdivided.vert_idx[subdivided.vert_ptr[1:] - 1]
     return subdivided, vectors[carrier]

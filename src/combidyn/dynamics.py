@@ -1,14 +1,13 @@
 """Flow induced by a matching and its recurrent structure.
 
 Every cell gets a successor set: a critical cell maps to its whole closure,
-a matched lower cell to its partner, and a matched upper cell to its other
-proper faces. Recurrence is read off the strongly connected components of
-that relation; critical cells are exactly the singletons with a self-loop.
+sorted, a matched lower cell to its partner, and a matched upper cell to its
+other codim-1 faces. Recurrence is read off the strongly connected components
+of that relation; critical cells are exactly the singletons with a self-loop.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,30 +29,38 @@ __all__ = [
 
 @dataclass
 class FlowGraph:
-    succ: list[tuple[int, ...]]
-    dims: tuple[int, ...]
+    """CSR flow: cell c flows to `succ_idx[succ_ptr[c]:succ_ptr[c + 1]]`.
+    `scc_id`, each cell's component, is set by `strongly_connected_components`."""
+
+    succ_ptr: np.ndarray
+    succ_idx: np.ndarray
+    dims: np.ndarray
     critical: frozenset[int]
-    scc_id: list[int] | None = None
+    scc_id: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.succ)
+        return len(self.dims)
 
 
-def _flow_successors(complex: CellComplex, matching: Matching) -> list[tuple[int, ...]]:
-    """Successors of every cell, indexed by cell id. The matching is taken as
-    given; `multiflow` is the checked entry point."""
-    inverse = {up: lo for lo, up in matching.matched.items()}
-    ptr, faces = complex.face_ptr.tolist(), complex.face_idx.tolist()
-    succ: list[tuple[int, ...]] = []
-    for c in range(len(complex)):
-        if c in matching.critical:
-            succ.append(tuple(sorted(complex.closure(c))))
-        elif c in matching.matched:
-            succ.append((matching.matched[c],))
-        else:
-            skip = inverse[c]
-            succ.append(tuple(f for f in faces[ptr[c] : ptr[c + 1]] if f != skip))
-    return succ
+def _flow_successors(complex: CellComplex, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """CSR successors (ptr, idx) of every cell, in the order the module
+    docstring gives, faces ascending. The matching is taken as given;
+    `multiflow` is the checked entry point."""
+    n = len(complex)
+    lower, upper = np.array(list(matching.matched.items()), dtype=np.intp).reshape(-1, 2).T
+    partner = np.full(n, -1, dtype=np.intp)
+    partner[upper] = lower
+    owner = np.repeat(np.arange(n), np.diff(complex.face_ptr))
+    spread = (partner[owner] >= 0) & (complex.face_idx != partner[owner])
+    critical = np.array(sorted(matching.critical), dtype=np.intp)
+    closures = [sorted(complex.closure(c)) for c in critical.tolist()]
+    closed = np.array([f for cl in closures for f in cl], dtype=np.intp)
+    rows = np.concatenate([lower, owner[spread], np.repeat(critical, list(map(len, closures)))])
+    cols = np.concatenate([upper, complex.face_idx[spread], closed])
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    # a stable sort keeps each cell's successors in the order they were listed
+    return ptr, cols[np.argsort(rows, kind="stable")]
 
 
 def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
@@ -61,26 +68,20 @@ def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
     if not report.ok:
         first = report.violations[0]
         raise ValueError(f"matching is not valid: {first.kind}: {first.detail}")
-    return FlowGraph(
-        succ=_flow_successors(complex, matching),
-        dims=tuple(complex.dims.tolist()),
-        critical=matching.critical,
-    )
+    ptr, idx = _flow_successors(complex, matching)
+    return FlowGraph(succ_ptr=ptr, succ_idx=idx, dims=complex.dims, critical=matching.critical)
 
 
-def _sccs(succ: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Strongly connected components of an indexed adjacency list, numbered
-    in the order of their smallest node.
+def _sccs(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strongly connected components of a CSR graph, numbered in the order of
+    their smallest node.
 
     Returns (labels, order, bounds): the component of every node, the nodes
     sorted by (component, node), and offsets into that order, so component k
     is order[bounds[k]:bounds[k + 1]].
     """
-    n = len(succ)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum([len(s) for s in succ], out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=indptr[-1])
-    graph = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    n = len(ptr) - 1
+    graph = csr_matrix((np.ones(len(idx), dtype=np.int8), idx, ptr), shape=(n, n))
     n_comp, raw = connected_components(graph, directed=True, connection="strong")
     # first[k] is the smallest node of scipy's component k
     _, first = np.unique(raw, return_index=True)
@@ -121,37 +122,31 @@ def strongly_connected_components(flow: FlowGraph) -> CycleReport:
     by their smallest cell id. Only recurrent components (more than one cell,
     or a critical self-loop) get an SccInfo entry; `scc_id` on the flow graph
     is filled for every cell."""
-    labels, order, bounds = _sccs(flow.succ)
-    flow.scc_id = labels.tolist()
+    labels, order, bounds = _sccs(flow.succ_ptr, flow.succ_idx)
+    flow.scc_id = labels
     sizes = np.diff(bounds)
     recurrent = sizes > 1
     critical = labels[np.fromiter(flow.critical, dtype=np.intp, count=len(flow.critical))]
     recurrent[critical] = True
+    # successors that stay inside their cell's component, per cell
+    source = np.repeat(np.arange(len(flow)), np.diff(flow.succ_ptr))
+    inner = source[labels[source] == labels[flow.succ_idx]]
+    crossing = np.bincount(inner, minlength=len(flow)) > 1
 
     infos: list[SccInfo] = []
     for cid in np.flatnonzero(recurrent).tolist():
-        comp = tuple(order[bounds[cid] : bounds[cid + 1]].tolist())
-        members = set(comp)
-        singleton_critical = len(comp) == 1 and comp[0] in flow.critical
-        inside_out = tuple(
-            c for c in comp if sum(1 for s in flow.succ[c] if s in members) > 1
-        )
-        dims_present = tuple(sorted({flow.dims[c] for c in comp}))
-        if len(dims_present) == 1:
-            d = dims_present[0]
-        elif len(dims_present) == 2 and dims_present[1] == dims_present[0] + 1:
-            d = dims_present[0]
-        else:
-            d = None
+        cells = order[bounds[cid] : bounds[cid + 1]]
+        dims_present = tuple(np.unique(flow.dims[cells]).tolist())
         infos.append(
             SccInfo(
                 id=cid,
-                cells=comp,
-                size=len(comp),
-                d=d,
+                cells=tuple(cells.tolist()),
+                size=len(cells),
+                # one dimension, or two adjacent ones
+                d=dims_present[0] if dims_present[-1] - dims_present[0] <= 1 else None,
                 dims_present=dims_present,
-                self_intersections=inside_out,
-                is_critical_singleton=singleton_critical,
+                self_intersections=tuple(cells[crossing[cells]].tolist()),
+                is_critical_singleton=len(cells) == 1 and int(cells[0]) in flow.critical,
             )
         )
     return CycleReport(sccs=infos, n_components=len(sizes))
@@ -170,9 +165,8 @@ def classify_recurrence(flow: FlowGraph, matching: Matching) -> CycleReport:
     for info in report.sccs:
         if info.size > 1 and any(c in flow.critical for c in info.cells):
             raise AssertionError(f"critical cell inside multi-cell component {info.id}")
-    census: dict[int, int] = {}
-    for c in sorted(flow.critical):
-        census[flow.dims[c]] = census.get(flow.dims[c], 0) + 1
-    report.critical_census = census
+    critical = np.fromiter(flow.critical, dtype=np.intp, count=len(flow.critical))
+    dims, counts = np.unique(flow.dims[critical], return_counts=True)
+    report.critical_census = dict(zip(dims.tolist(), counts.tolist()))
     return report
 

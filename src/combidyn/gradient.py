@@ -63,42 +63,42 @@ def is_gradient(
     where the witness is the matched (lower, upper) arrow set of a shortest
     recurrent cycle. Ties break toward smaller cell ids.
     """
-    cycle = _shortest_cycle(_flow_successors(complex, matching))
+    cycle = _shortest_cycle(*_flow_successors(complex, matching))
     if cycle is None:
         return True, None
     arcs = [(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]) if matching.matched.get(a) == b]
     return False, tuple(sorted(arcs))
 
 
-def _shortest_cycle(succ: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """A shortest cycle inside a multi-node strongly connected component, as
-    its node sequence from its first node; among equal lengths the smaller
-    sequence wins. None when there is no such component.
+def _shortest_cycle(ptr: np.ndarray, idx: np.ndarray) -> tuple[int, ...] | None:
+    """A shortest cycle inside a multi-node strongly connected component of the
+    CSR graph (ptr, idx), as its node sequence from its first node; among equal
+    lengths the smaller sequence wins. None when there is no such component.
 
     Self-loops of single-node components do not count: in the flow those are
     the critical cells, which are never on a cycle (classify_recurrence checks
     this), so every multi-cell component holds matched cells only.
     """
-    _, order, bounds = _sccs(succ)
+    _, order, bounds = _sccs(ptr, idx)
     best: tuple[int, tuple[int, ...]] | None = None
     for cid in np.flatnonzero(np.diff(bounds) > 1).tolist():
         scc = order[bounds[cid] : bounds[cid + 1]].tolist()
-        members = set(scc)
+        succ = {u: idx[ptr[u] : ptr[u + 1]].tolist() for u in scc}
         for start in scc:
             # a longer cycle never wins the (len, path) order
             limit = best[0] if best is not None else len(scc)
-            path = _shortest_cycle_through(succ, members, start, limit)
+            path = _shortest_cycle_through(succ, start, limit)
             if path is not None and (best is None or (len(path), path) < best):
                 best = (len(path), path)
     return None if best is None else best[1]
 
 
 def _shortest_cycle_through(
-    succ: list[tuple[int, ...]], members: set[int], start: int, limit: int
+    succ: dict[int, list[int]], start: int, limit: int
 ) -> tuple[int, ...] | None:
-    """BFS within one strongly connected piece; first return to `start` is a
-    shortest cycle through it. The search stops after cycles of `limit`
-    cells and returns None when none is that short."""
+    """BFS within one strongly connected piece, the keys of `succ`; first
+    return to `start` is a shortest cycle through it. The search stops after
+    cycles of `limit` cells and returns None when none is that short."""
     parent: dict[int, int] = {}
     frontier = [start]
     seen = {start}
@@ -106,7 +106,7 @@ def _shortest_cycle_through(
         nxt: list[int] = []
         for u in frontier:
             for v in succ[u]:
-                if v not in members:
+                if v not in succ:
                     continue
                 if v == start:
                     path = [u]

@@ -102,15 +102,15 @@ class PipelineConfig:
         if self.complex_kind == "cubical":
             if point_dim not in (2, 3):
                 raise ValueError(f"cubical needs d in {{2, 3}}, got d={point_dim}")
-            if self.side is None or self.side <= 0:
-                raise ValueError("cubical complex needs --side > 0")
+            if self.side is None or not 0 < self.side < math.inf:
+                raise ValueError("cubical complex needs a finite --side > 0")
             if self.subdivide > 0:
                 raise ValueError("barycentric subdivision applies to simplicial complexes only")
         if self.complex_kind == "dowker":
             if self.landmarks is None:
                 raise ValueError("dowker complex needs --landmarks")
-            if self.relation is None and (self.radius is None or self.radius <= 0):
-                raise ValueError("dowker complex needs --radius > 0 or an explicit --relation")
+            if self.relation is None and (self.radius is None or not 0 < self.radius < math.inf):
+                raise ValueError("dowker complex needs a finite --radius > 0 or a --relation")
         if self.snap and self.complex_kind != "cubical":
             raise ValueError("--snap only applies to cubical complexes")
 
@@ -391,9 +391,8 @@ def export_dot(analysis: Analysis, path) -> None:
     for c, dim in enumerate(analysis.complex.dims.tolist()):
         shape = "doublecircle" if c in analysis.flow.critical else "circle"
         lines.append(f'  {c} [label="{c}:d{dim}" shape={shape}];')
-    for c, targets in enumerate(analysis.flow.succ):
-        for t in targets:
-            lines.append(f"  {c} -> {t};")
+    source = np.repeat(np.arange(len(analysis.flow)), np.diff(analysis.flow.succ_ptr))
+    lines.extend(f"  {c} -> {t};" for c, t in zip(source.tolist(), analysis.flow.succ_idx.tolist()))
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -425,13 +424,15 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     analysis to confirm the critical, SCC and gradient sections round-trip.
 
     `gradient.constraint_rounds` is not checked: it could only be re-derived
-    by solving again. A report that lacks a key raises ValueError naming the
-    report and the key."""
+    by solving again. A report that lacks a key, or whose `matching` or
+    `critical` is not a list, raises ValueError naming the report and the key."""
     doc = json.loads(Path(report_path).read_text())
 
-    def need(node, key, at=""):
+    def need(node, key, at="", kind=None):
         if not isinstance(node, dict) or key not in node:
             raise ValueError(f"{report_path}: report has no {at}{key}")
+        if kind is not None and not isinstance(node[key], kind):
+            raise ValueError(f"{report_path}: report has no {kind.__name__} {at}{key}")
         return node[key]
 
     try:
@@ -443,9 +444,9 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     total, alpha = need(objective, "total", "objective."), need(objective, "alpha", "objective.")
     pairs = [
         (need(e, "lower", f"matching[{i}]."), need(e, "upper", f"matching[{i}]."))
-        for i, e in enumerate(need(doc, "matching"))
+        for i, e in enumerate(need(doc, "matching", kind=list))
     ]
-    critical_entries = need(doc, "critical")
+    critical_entries = need(doc, "critical", kind=list)
     critical = [need(e, "id", f"critical[{i}].") for i, e in enumerate(critical_entries)]
     problem, scc = need(doc, "problem"), need(doc, "scc")
 

@@ -97,3 +97,15 @@ def random_instance(rng: np.random.Generator, small: bool = False):
 
 def problem_for(complex: CellComplex, vectors, alpha: float):
     return build_problem(build_cost_model(complex, vectors, alpha), complex)
+
+
+def to_csr(succ):
+    """(ptr, idx) CSR arrays of an indexed adjacency list."""
+    ptr = np.zeros(len(succ) + 1, dtype=np.intp)
+    np.cumsum([len(s) for s in succ], out=ptr[1:])
+    return ptr, np.array([v for s in succ for v in s], dtype=np.intp)
+
+
+def successor_lists(ptr, idx):
+    """Indexed adjacency list of CSR arrays, one tuple per node."""
+    return [tuple(idx[a:b].tolist()) for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]

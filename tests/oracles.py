@@ -195,3 +195,85 @@ def shortest_cycle_by_bfs(succ):
             if path is not None and (best is None or (len(path), path) < best):
                 best = (len(path), path)
     return None if best is None else best[1]
+
+
+def cubical_cells_by_sites(points, side):
+    """Elementary cubes of lattice points by per-site enumeration: for every
+    site, every axis subset and every corner offset, look the corner up in a
+    site dict. Returns (snapped vertices, set of sorted vertex-id tuples)."""
+    points = np.asarray(points, dtype=float)
+    origin = points.min(axis=0)
+    idx = np.rint((points - origin) / side).astype(int)
+    site_of = {tuple(int(k) for k in row): i for i, row in enumerate(idx)}
+    d = points.shape[1]
+    cells: set[tuple[int, ...]] = set()
+    for key in site_of:
+        for k in range(d + 1):
+            for spanned in itertools.combinations(range(d), k):
+                corners = []
+                for offs in itertools.product((0, 1), repeat=k):
+                    corner = list(key)
+                    for a, o in zip(spanned, offs):
+                        corner[a] += o
+                    c = site_of.get(tuple(corner))
+                    if c is None:
+                        break
+                    corners.append(c)
+                else:
+                    cells.add(tuple(sorted(corners)))
+    return origin + idx * side, cells
+
+
+def simplicial_closure_by_stack(simplices):
+    """Every nonempty subset of every generator, by popping a generator and
+    pushing its one-smaller subsets. Returns a set of sorted vertex tuples."""
+    closed: set[tuple[int, ...]] = set()
+    stack = [tuple(sorted(set(s))) for s in simplices]
+    while stack:
+        s = stack.pop()
+        if not s or s in closed:
+            continue
+        closed.add(s)
+        if len(s) > 1:
+            stack.extend(s[:i] + s[i + 1 :] for i in range(len(s)))
+    return closed
+
+
+def complex_arrays(vertices, kind, cells):
+    """Every array of a CellComplex, from its cells' vertex tuples by
+    definition: cells ordered by (vertex count, vertex ids), the codim-1 faces
+    of a cell found among its vertex subsets of the face size, barycenters as
+    per-cell means."""
+    vertices = np.asarray(vertices, dtype=float)
+    ordered = sorted(cells, key=lambda v: (len(v), v))
+    ids = {v: i for i, v in enumerate(ordered)}
+    if kind == "simplex":
+        dims = [len(v) - 1 for v in ordered]
+        face_size = [len(v) - 1 for v in ordered]
+    else:
+        dims = [len(v).bit_length() - 1 for v in ordered]
+        face_size = [len(v) // 2 for v in ordered]
+    faces = [
+        sorted(ids[f] for f in itertools.combinations(v, size) if f in ids)
+        for v, size in zip(ordered, face_size)
+    ]
+
+    def csr(lists):
+        ptr = np.zeros(len(lists) + 1, dtype=np.intp)
+        np.cumsum([len(x) for x in lists], out=ptr[1:])
+        return ptr, np.array([x for xs in lists for x in xs], dtype=np.intp)
+
+    vert_ptr, vert_idx = csr(ordered)
+    face_ptr, face_idx = csr(faces)
+    pairs = sorted((f, c) for c, fs in enumerate(faces) for f in fs)
+    return {
+        "dims": np.array(dims, dtype=np.intp),
+        "vert_ptr": vert_ptr,
+        "vert_idx": vert_idx,
+        "face_ptr": face_ptr,
+        "face_idx": face_idx,
+        "pairs": np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        "barycenters": np.array([vertices[list(v)].mean(axis=0) for v in ordered]).reshape(
+            -1, vertices.shape[1]
+        ),
+    }

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,9 +115,16 @@ class TestCubicalGrid:
             cubical_grid(pts, side=1.0)
 
     def test_duplicate_site_rejected(self):
-        pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)])
-        with pytest.raises(ValueError, match="same lattice site"):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0), (0.0, 0.0)])
+        with pytest.raises(ValueError, match=r"points 1 and 3 snap to the same lattice site \(1, 0\)"):
             cubical_grid(pts, side=1.0)
+
+    def test_index_overflow_rejected_before_cast(self):
+        pts = np.array([(0.0, 0.0), (1e12, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="axis 0 spans 1e\\+21 lattice sites"):
+                cubical_grid(pts, side=1e-9)
 
 
 class TestSnapToLattice:
@@ -174,6 +183,12 @@ class TestDowker:
         landmarks = np.array([(0.0, 0.0), (5.0, 0.0)])
         K, _ = dowker_complex_from_matrix(landmarks, rel)
         assert vertex_sets(K) == [(0,)]
+
+    def test_empty_relation_rejected(self):
+        data = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        landmarks = np.array([(100.0, 100.0)])
+        with pytest.raises(ValueError, match="no data point relates to any landmark"):
+            dowker_complex(DowkerRelation(data, landmarks, radius=1.0))
 
     def test_landmark_blowup_guard(self):
         data = np.zeros((1, 2))

@@ -76,6 +76,14 @@ class TestRun:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_dowker_without_relations(self, toy_csv, tmp_path, capsys):
+        landmarks = tmp_path / "lm.csv"
+        landmarks.write_text("y1,y2\n100,100\n")
+        rc = main(["run", str(toy_csv), "--complex", "dowker", "--landmarks", str(landmarks),
+                   "--radius", "1"])
+        assert rc == 1
+        assert "error: no data point relates to any landmark" in capsys.readouterr().err
+
     def test_bad_flag_combo(self, toy_csv, capsys):
         rc = main(["run", str(toy_csv), "--complex", "cubical"])
         assert rc == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,15 @@ from combidyn import (
     simplicial_complex,
 )
 
+from combidyn.datagen import GridSpec
+
 from conftest import random_simplicial_instance
-from oracles import euler_characteristic
+from oracles import (
+    complex_arrays,
+    cubical_cells_by_sites,
+    euler_characteristic,
+    simplicial_closure_by_stack,
+)
 
 
 def triangle():
@@ -30,12 +38,33 @@ class TestCellComplex:
     def test_face_closure_required(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(ValueError, match="face"):
-            CellComplex(pts, [("simplex", (0, 1, 2)), ("simplex", (0,)), ("simplex", (1,)), ("simplex", (2,))])
+            CellComplex(pts, "simplex", [np.array([(0, 1, 2)]), np.array([(0,), (1,), (2,)])])
 
-    def test_mixed_kinds_rejected(self):
-        pts = np.array([(0.0, 0.0), (1.0, 0.0)])
-        with pytest.raises(ValueError, match="mixed"):
-            CellComplex(pts, [("simplex", (0,)), ("cube", (1,))])
+    def test_rows_sorted_and_deduplicated(self):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        K = CellComplex(
+            pts,
+            "simplex",
+            [np.array([(2, 1), (1, 0), (0, 2), (2, 1)]), np.array([(2,), (0,), (1,)]), np.array([(1, 2)])],
+        )
+        assert [K.vertex_ids(c) for c in range(len(K))] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "kind, cells, needle",
+        [
+            ("prism", [np.array([(0,)])], "kind"),
+            ("simplex", [np.array([(0, 0)])], r"cell \(0, 0\) has a repeated"),
+            ("simplex", [np.array([(0,), (3,)])], r"cell \(3,\) has a repeated or unknown vertex"),
+            ("simplex", [np.array([(-1,)])], "unknown vertex"),
+            ("simplex", [np.empty((1, 0), dtype=int)], "k >= 1"),
+            ("simplex", [np.array([0, 1])], r"\(n, k\) arrays"),
+            ("cube", [np.array([(0,), (1,), (2,)]), np.array([(0, 1, 2)])], "power-of-two"),
+        ],
+    )
+    def test_bad_cells_rejected(self, kind, cells, needle):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        with pytest.raises(ValueError, match=needle):
+            CellComplex(pts, kind, cells)
 
     def test_closure(self):
         K = triangle()
@@ -96,6 +125,59 @@ class TestCellComplex:
         K = triangle()
         with pytest.raises(KeyError):
             K.cell_id((0, 3))
+
+
+ARRAYS = ("dims", "vert_ptr", "vert_idx", "face_ptr", "face_idx", "pairs", "barycenters")
+
+
+def assert_arrays_equal(K, expected):
+    for name in ARRAYS:
+        got = getattr(K, name)
+        assert got.shape == expected[name].shape, name
+        assert np.array_equal(got, expected[name]), name
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cubical_grid_matches_site_enumeration(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(15):
+            shape = rng.integers(2, 8 if d == 2 else 5, size=d)
+            sites = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), -1).reshape(-1, d)
+            sites = sites[rng.random(len(sites)) < 0.8]
+            if len(sites) == 0:
+                continue
+            sites = sites[rng.permutation(len(sites))]
+            side = float(rng.uniform(0.1, 2.0))
+            points = rng.uniform(-5, 5, size=d) + sites * side
+            K = cubical_grid(points, side)
+            snapped, cells = cubical_cells_by_sites(points, side)
+            assert np.array_equal(K.vertices, snapped)
+            assert_arrays_equal(K, complex_arrays(snapped, "cube", cells))
+
+    def test_simplicial_closure_matches_stack_closure(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            # repeated ids inside a generator and repeated generators
+            gens = [tuple(rng.integers(0, n, size=rng.integers(1, 6)).tolist()) for _ in range(rng.integers(1, 6))]
+            gens += gens[: int(rng.integers(0, 3))]
+            vertices = rng.normal(size=(n, 2))
+            K = simplicial_complex(vertices, gens)
+            assert_arrays_equal(K, complex_arrays(vertices, "simplex", simplicial_closure_by_stack(gens)))
+
+    def test_cubical_grid_memory(self):
+        # 160 x 160 points, 101,761 cells; the arrays themselves hold 11 MB
+        side = 0.07
+        points = GridSpec((0.0, 0.0), side, (160, 160)).points()
+        tracemalloc.start()
+        try:
+            K = cubical_grid(points, side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(K) == 101761
+        assert peak < 45e6
 
 
 class TestSimplicialClosure:

@@ -19,7 +19,13 @@ from combidyn import (
 from combidyn.dynamics import _flow_successors, _sccs
 from combidyn.gradient import _shortest_cycle
 
-from conftest import problem_for, random_cubical_instance, random_instance
+from conftest import (
+    problem_for,
+    random_cubical_instance,
+    random_instance,
+    successor_lists,
+    to_csr,
+)
 from oracles import brute_force_optimum, sccs_by_reachability, shortest_cycle_by_bfs
 
 
@@ -58,7 +64,7 @@ class TestIsGradient:
             else:
                 K, vectors = random_cubical_instance(rng, max_extent=6)
             m = solve_exact(problem_for(K, vectors, float(rng.uniform(0.5, 2.0))))
-            cycle = shortest_cycle_by_bfs(_flow_successors(K, m))
+            cycle = shortest_cycle_by_bfs(successor_lists(*_flow_successors(K, m)))
             if cycle is None:
                 assert is_gradient(K, m) == (True, None)
                 continue
@@ -77,7 +83,7 @@ class TestIsGradient:
                 tuple(int(v) for v in np.flatnonzero(rng.random(n) < density))
                 for _ in range(n)
             ]
-            assert _shortest_cycle(succ) == shortest_cycle_by_bfs(succ)
+            assert _shortest_cycle(*to_csr(succ)) == shortest_cycle_by_bfs(succ)
 
 
 class TestThreshold:
@@ -210,7 +216,7 @@ class TestTarjan:
 
     @staticmethod
     def partition(succ):
-        _, order, bounds = _sccs(succ)
+        _, order, bounds = _sccs(*to_csr(succ))
         return [tuple(order[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def test_two_cycle_and_isolated(self):
@@ -224,7 +230,7 @@ class TestTarjan:
         assert self.partition([(1,), (2,), ()]) == [(0,), (1,), (2,)]
 
     def test_empty_graph(self):
-        labels, order, bounds = _sccs([])
+        labels, order, bounds = _sccs(*to_csr([]))
         assert len(labels) == len(order) == 0
         assert bounds.tolist() == [0]
 
@@ -237,7 +243,7 @@ class TestTarjan:
                 tuple(int(v) for v in np.flatnonzero(rng.random(n) < density))
                 for _ in range(n)
             ]
-            labels, order, bounds = _sccs(succ)
+            labels, order, bounds = _sccs(*to_csr(succ))
             expected = sccs_by_reachability(succ)
             assert self.partition(succ) == expected
             # components are numbered by smallest member

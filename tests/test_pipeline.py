@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=needle):
             PipelineConfig(**kwargs).validate(point_dim=dim)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("kind, key", [("cubical", "side"), ("dowker", "radius")])
+    def test_non_finite_side_and_radius_rejected(self, kind, key, value):
+        config = PipelineConfig(complex_kind=kind, landmarks="lm.csv", **{key: value})
+        with pytest.raises(ValueError, match=f"finite --{key} > 0"):
+            config.validate(point_dim=2)
+
     def test_echo_round_trip(self):
         config = PipelineConfig(
             complex_kind="dowker",
@@ -288,7 +296,7 @@ class TestExports:
         text = out.read_text()
         assert text.startswith("digraph flow {")
         assert text.count("doublecircle") == 1
-        assert text.count("->") == sum(len(t) for t in analysis.flow.succ)
+        assert text.count("->") == len(analysis.flow.succ_idx)
         assert '6 [label="6:d2" shape=doublecircle];' in text
 
     def test_arrows(self, toy_csv, tmp_path):
@@ -314,6 +322,8 @@ MISSING_KEYS = [
     ("config_echo", lambda d: d.pop("config_echo")),
     ("problem", lambda d: d.pop("problem")),
     ("scc", lambda d: d.pop("scc")),
+    ("list matching", lambda d: d.__setitem__("matching", 5)),
+    ("list critical", lambda d: d.__setitem__("critical", None)),
 ]
 
 
