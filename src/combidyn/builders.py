@@ -8,6 +8,29 @@ than from rounding noise. The rule used is: a point exactly on a circumcircle
 counts as outside, and points are inserted in input order. Both together fix
 the triangulation of any cocircular family by the lexicographic index of its
 points.
+
+Each insertion touches only the triangles near the new point. Triangles are
+stored counterclockwise with their three neighbours. A visibility walk
+(Devillers, Pion & Teillaud, "Walking in a triangulation", 2002) starts at the
+triangle created last and crosses any edge with the point strictly outside,
+until the triangle holding the point is reached. The cavity, the triangles
+whose circumcircle holds the point strictly, then grows from there by
+breadth-first search across neighbours. It is the set a scan of every
+triangle would find: the holding triangle always conflicts, and a conflicting
+triangle that does not hold the point has a neighbour on the point's side
+whose circumcircle, on that side, contains its own, so every conflicting
+triangle is joined to the holding one through conflicting triangles. The
+cavity is refilled by a fan of triangles from its boundary edges to the point.
+On jittered grids in input order the walk is a few steps long; points in
+random order make it about the square root of the point count.
+
+The enclosing super-triangle is finite, so a thin triangle along the convex
+hull whose circumcircle reaches one of its corners is never created: the
+complex can miss a few Delaunay triangles along the hull (1 to 5 of some 630
+on 324 jittered grid points, 4 to 8 of some 1,980 on 1,000 uniform points),
+and every triangle it keeps is a Delaunay triangle. Points that all lie
+within rounding of one line, but not exactly on it, lose every triangle this
+way, and the build fails.
 """
 
 from __future__ import annotations
@@ -89,20 +112,69 @@ def _incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
     return (det > 0) - (det < 0)
 
 
-def _strictly_in_circumcircle(pts, tri, p) -> bool:
-    a, b, c = tri
-    s = _orient2d(*pts[a], *pts[b], *pts[c])
-    if s == 0:
-        raise AssertionError(f"degenerate triangle {tri} in triangulation")
-    return _incircle(*pts[a], *pts[b], *pts[c], *p) * s > 0
+def _locate(X, Y, tri, nbr, t, i) -> int:
+    """Triangle holding point i, by a visibility walk from triangle t: cross
+    an edge that has the point strictly on its outer side until no edge has.
+    On a Delaunay triangulation the walk never revisits a triangle, so a walk
+    longer than the triangle count means the adjacency is corrupt."""
+    px, py = X[i], Y[i]
+    came = -1  # the point is strictly inside the edge just crossed: skip it
+    for _ in range(len(tri)):
+        a, b, c = tri[t]
+        na, nb, nc = nbr[t]
+        ax, ay, bx, by, cx, cy = X[a], Y[a], X[b], Y[b], X[c], Y[c]
+        if na != came and _orient2d(bx, by, cx, cy, px, py) < 0:
+            came, t = t, na
+        elif nb != came and _orient2d(cx, cy, ax, ay, px, py) < 0:
+            came, t = t, nb
+        elif nc != came and _orient2d(ax, ay, bx, by, px, py) < 0:
+            came, t = t, nc
+        else:
+            return t
+        if t < 0:
+            break
+    raise RuntimeError(
+        f"point {i}: the walk found no triangle within {len(tri)} steps; "
+        "the triangle adjacency is corrupt"
+    )
+
+
+def _check_points(pts: np.ndarray) -> None:
+    """Reject non-finite and repeated points, naming the first offender."""
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"point {i} at {pts[i].tolist()} is not finite")
+    # stable, so each run of equal rows is in input order; -0.0 == 0.0
+    order = np.lexsort(pts.T[::-1])
+    rows = pts[order]
+    same = np.concatenate([[False], (rows[1:] == rows[:-1]).all(axis=1)])
+    if same.any():
+        first = order[np.maximum.accumulate(np.where(same, 0, np.arange(len(pts))))]
+        k = np.flatnonzero(same)[np.argmin(order[same])]
+        raise ValueError(f"duplicate points at indices {first[k]} and {order[k]}")
+
+
+def _collinear(pts: np.ndarray) -> bool:
+    """True iff every point lies on the line through points 0 and 1: the float
+    filter of _orient2d over all rows at once, the exact test only for the
+    rows it leaves undecided."""
+    (ax, ay), (bx, by) = pts[0], pts[1]
+    cx, cy = pts[2:].T
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
+    if (np.abs(det) > _ORIENT_BOUND * (np.abs(detleft) + np.abs(detright))).any():
+        return False
+    return all(_orient2d(ax, ay, bx, by, x, y) == 0 for x, y in pts[2:].tolist())
 
 
 def delaunay_2d(points) -> CellComplex:
     """Delaunay triangulation of planar points as a simplicial complex.
 
     Fully collinear input degenerates gracefully to the path of consecutive
-    edges along the line. Anything with three or more points and no duplicates
-    is accepted.
+    edges along the line. Anything with three or more finite points and no
+    duplicates is accepted.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -110,20 +182,9 @@ def delaunay_2d(points) -> CellComplex:
     n = len(pts)
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
-    seen: dict[tuple[float, float], int] = {}
-    for i, p in enumerate(pts):
-        key = (p[0], p[1])
-        if key in seen:
-            raise ValueError(f"duplicate points at indices {seen[key]} and {i}")
-        seen[key] = i
-
-    anchor_b = next(i for i in range(1, n) if (pts[i] != pts[0]).any())
-    if all(
-        _orient2d(*pts[0], *pts[anchor_b], *pts[k]) == 0
-        for k in range(n)
-        if k not in (0, anchor_b)
-    ):
-        order = sorted(range(n), key=lambda i: (pts[i][0], pts[i][1]))
+    _check_points(pts)
+    if _collinear(pts):
+        order = np.lexsort(pts.T[::-1])
         return simplicial_complex(pts, np.stack([order[:-1], order[1:]], axis=1))
 
     # Super-triangle comfortably containing everything; its vertices get the
@@ -139,27 +200,54 @@ def delaunay_2d(points) -> CellComplex:
             [cx, cy + 16 * span],
         ]
     )
-    triangles: set[tuple[int, int, int]] = {(n, n + 1, n + 2)}
+    # Python floats: the predicates run several times faster on them than on
+    # numpy scalars. tri[t] lists a triangle counterclockwise; nbr[t][k] is the
+    # triangle across the edge opposite tri[t][k], or -1 on the outer hull.
+    X, Y = work[:, 0].tolist(), work[:, 1].tolist()
+    tri = [[n, n + 1, n + 2]]
+    nbr = [[-1, -1, -1]]
 
     for i in range(n):
-        p = work[i]
-        cavity = [t for t in triangles if _strictly_in_circumcircle(work, t, p)]
-        if not cavity:
-            raise AssertionError(f"insertion point {i} fell outside the triangulation")
-        edge_count: dict[tuple[int, int], int] = {}
-        for t in cavity:
-            triangles.remove(t)
-            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-                edge_count[e] = edge_count.get(e, 0) + 1
-        for e, cnt in edge_count.items():
-            if cnt == 1:
-                triangles.add(tuple(sorted((e[0], e[1], i))))
+        px, py = X[i], Y[i]
+        t = _locate(X, Y, tri, nbr, len(tri) - 1, i)
+        # cavity: the triangles whose circumcircle holds point i strictly
+        inside = {t: True}
+        cavity = [t]
+        boundary = []  # (u, v, triangle across, its slot pointing back)
+        for s in cavity:
+            verts, across = tri[s], nbr[s]
+            for k, o in enumerate(across):
+                if o >= 0 and o not in inside:
+                    a, b, c = tri[o]
+                    inside[o] = _incircle(X[a], Y[a], X[b], Y[b], X[c], Y[c], px, py) > 0
+                    if inside[o]:
+                        cavity.append(o)
+                if o < 0 or not inside[o]:
+                    back = nbr[o].index(s) if o >= 0 else -1
+                    boundary.append((verts[k - 2], verts[k - 1], o, back))
+        # fan (u, v, i) over the boundary, reusing the cavity's slots first
+        extra = len(boundary) - len(cavity)
+        ids = cavity + list(range(len(tri), len(tri) + extra))
+        tri += [None] * extra
+        nbr += [None] * extra
+        from_u, to_v = {}, {}
+        for t, (u, v, o, back) in zip(ids, boundary):
+            tri[t] = [u, v, i]
+            nbr[t] = [-1, -1, o]
+            if o >= 0:
+                nbr[o][back] = t
+            from_u[u] = to_v[v] = t
+        for t, (u, v, _, _) in zip(ids, boundary):
+            nbr[t][0] = from_u[v]
+            nbr[t][1] = to_v[u]
 
-    real = [t for t in triangles if max(t) < n]
-    covered = {v for t in real for v in t}
-    if covered != set(range(n)):
-        raise AssertionError(f"points {sorted(set(range(n)) - covered)} ended up in no triangle")
-    return simplicial_complex(pts, np.array(real, dtype=np.intp).reshape(-1, 3))
+    real = np.array([t for t in tri if max(t) < n], dtype=np.intp).reshape(-1, 3)
+    covered = np.zeros(n, dtype=bool)
+    covered[real] = True
+    missing = np.flatnonzero(~covered)
+    if len(missing):
+        raise AssertionError(f"points {missing.tolist()} ended up in no triangle")
+    return simplicial_complex(pts, real)
 
 
 def _lattice_indices(points: np.ndarray, side: float, tol_factor: float = 1e-9):

@@ -241,6 +241,19 @@ class VerificationReport:
         return {v.kind for v in self.violations}
 
 
+def _cell_ids(values) -> np.ndarray:
+    """Cell ids as int64; integral floats pass, any other value raises."""
+    ids = np.asarray(values)
+    if ids.dtype.kind in "iu":
+        return ids.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        out = ids.astype(np.int64)
+    bad = out != ids
+    if bad.any():
+        raise ValueError(f"cell id {ids[bad][0]} is not an integer")
+    return out
+
+
 def verify_matching(complex: CellComplex, matching, critical=None) -> VerificationReport:
     """Check the partial-matching axioms: each matched pair admissible, the map
     single-valued and injective, no cell both source and target, every cell
@@ -248,44 +261,47 @@ def verify_matching(complex: CellComplex, matching, critical=None) -> Verificati
 
     Accepts a Matching, or a raw iterable of (lower, upper) pairs together
     with an explicit critical set (which the Matching form carries itself).
+    Ids may be negative or out of range; those are reported, not indexed.
     """
     if isinstance(matching, Matching):
-        pairs = matching.pairs()
-        critical = set(matching.critical)
+        P = _cell_ids([list(matching.matched), list(matching.matched.values())]).T
+        P = P[np.argsort(P[:, 0])]  # lowers are distinct: the order of pairs()
+        critical = matching.critical
     else:
-        pairs = [tuple(p) for p in matching]
-        critical = set(critical or ())
+        P = _cell_ids([tuple(p) for p in matching]).reshape(-1, 2)
+    # np.unique sorts when asked for counts; without them numpy 2.4 hashes,
+    # some 20 times slower on 10^5 ids
+    crit, _ = np.unique(_cell_ids(list(critical or ())), return_counts=True)
+    n = len(complex)
 
     violations: list[Violation] = []
-    for k in np.flatnonzero(complex.pair_index(pairs) < 0).tolist():
-        lo, up = pairs[k]
+    for lo, up in P[complex.pair_index(P) < 0].tolist():
         violations.append(
             Violation("non_admissible", (lo, up), f"({lo}, {up}) is not a codim-1 face pair")
         )
-
-    lowers: dict[int, int] = {}
-    uppers: dict[int, int] = {}
-    for lo, up in pairs:
-        lowers[lo] = lowers.get(lo, 0) + 1
-        uppers[up] = uppers.get(up, 0) + 1
-    for lo, cnt in sorted(lowers.items()):
-        if cnt > 1:
-            violations.append(Violation("two_out", (lo,), f"cell {lo} matched upward {cnt} times"))
-    for up, cnt in sorted(uppers.items()):
-        if cnt > 1:
-            violations.append(Violation("two_in", (up,), f"cell {up} receives {cnt} matches"))
-    for c in sorted(set(lowers) & set(uppers)):
+    lowers, n_lower = np.unique(P[:, 0], return_counts=True)
+    uppers, n_upper = np.unique(P[:, 1], return_counts=True)
+    for lo, cnt in zip(lowers[n_lower > 1].tolist(), n_lower[n_lower > 1].tolist()):
+        violations.append(Violation("two_out", (lo,), f"cell {lo} matched upward {cnt} times"))
+    for up, cnt in zip(uppers[n_upper > 1].tolist(), n_upper[n_upper > 1].tolist()):
+        violations.append(Violation("two_in", (up,), f"cell {up} receives {cnt} matches"))
+    # an id counted twice in the union of two distinct sets is in both
+    paired, twice = np.unique(np.concatenate([lowers, uppers]), return_counts=True)
+    for c in paired[twice > 1].tolist():
         violations.append(
             Violation("in_and_out", (c,), f"cell {c} is both a source and a target")
         )
-    for c in sorted(critical & (set(lowers) | set(uppers))):
+    named, twice = np.unique(np.concatenate([paired, crit]), return_counts=True)
+    for c in named[twice > 1].tolist():
         violations.append(
             Violation("critical_in_pair", (c,), f"critical cell {c} also appears in a pair")
         )
-    all_ids = set(range(len(complex)))
-    for c in sorted(all_ids - set(lowers) - set(uppers) - critical):
+    known = (named >= 0) & (named < n)
+    covered = np.zeros(n, dtype=bool)
+    covered[named[known]] = True
+    for c in np.flatnonzero(~covered).tolist():
         violations.append(Violation("uncovered", (c,), f"cell {c} is neither matched nor critical"))
-    for c in sorted((set(lowers) | set(uppers) | critical) - all_ids):
+    for c in named[~known].tolist():
         violations.append(Violation("unknown_cell", (c,), f"cell {c} is not in the complex"))
     return VerificationReport(violations)
 

@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from combidyn.builders import _incircle, _orient2d
+
 
 def enumerate_selections(problem):
     """Yield (selected_variable_tuple, objective) for every feasible selection
@@ -277,3 +279,78 @@ def complex_arrays(vertices, kind, cells):
             -1, vertices.shape[1]
         ),
     }
+
+
+def delaunay_triangles_by_scan(points):
+    """Triangles of incremental Bowyer-Watson that tests every live triangle's
+    circumcircle at every insertion: points in input order, the package's
+    super-triangle and predicates, a point on a circumcircle counts as
+    outside. Quadratic. It checks the walk and the cavity search, so it
+    shares the package's exact predicates, which
+    `circumcircle_has_no_point_inside` checks from the determinant. Returns a
+    set of sorted vertex-id triples."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    cx, cy = (lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2
+    span = max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+    work = np.vstack(
+        [
+            pts,
+            [cx - 16 * span, cy - 9 * span],
+            [cx + 16 * span, cy - 9 * span],
+            [cx, cy + 16 * span],
+        ]
+    ).tolist()
+
+    def strictly_inside(tri, p):
+        a, b, c = (work[k] for k in tri)
+        s = _orient2d(*a, *b, *c)
+        assert s != 0, f"degenerate triangle {tri} in triangulation"
+        return _incircle(*a, *b, *c, *p) * s > 0
+
+    triangles: set[tuple[int, int, int]] = {(n, n + 1, n + 2)}
+    for i in range(n):
+        cavity = [t for t in triangles if strictly_inside(t, work[i])]
+        assert cavity, f"insertion point {i} fell outside the triangulation"
+        edge_count: dict[tuple[int, int], int] = {}
+        for t in cavity:
+            triangles.remove(t)
+            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
+                edge_count[e] = edge_count.get(e, 0) + 1
+        for e, cnt in edge_count.items():
+            if cnt == 1:
+                triangles.add(tuple(sorted((e[0], e[1], i))))
+    return {t for t in triangles if max(t) < n}
+
+
+def matching_violations_by_loop(complex, pairs, critical):
+    """(kind, cells, detail) of every matching-axiom violation of a raw pair
+    list and critical set, by counting ids in dicts and comparing Python sets.
+    Same kinds, order and messages as `verify_matching`."""
+    out = []
+    for k in np.flatnonzero(complex.pair_index(pairs) < 0).tolist():
+        lo, up = pairs[k]
+        out.append(("non_admissible", (lo, up), f"({lo}, {up}) is not a codim-1 face pair"))
+    lowers: dict[int, int] = {}
+    uppers: dict[int, int] = {}
+    for lo, up in pairs:
+        lowers[lo] = lowers.get(lo, 0) + 1
+        uppers[up] = uppers.get(up, 0) + 1
+    critical = set(critical)
+    for lo, cnt in sorted(lowers.items()):
+        if cnt > 1:
+            out.append(("two_out", (lo,), f"cell {lo} matched upward {cnt} times"))
+    for up, cnt in sorted(uppers.items()):
+        if cnt > 1:
+            out.append(("two_in", (up,), f"cell {up} receives {cnt} matches"))
+    for c in sorted(set(lowers) & set(uppers)):
+        out.append(("in_and_out", (c,), f"cell {c} is both a source and a target"))
+    for c in sorted(critical & (set(lowers) | set(uppers))):
+        out.append(("critical_in_pair", (c,), f"critical cell {c} also appears in a pair"))
+    all_ids = set(range(len(complex)))
+    for c in sorted(all_ids - set(lowers) - set(uppers) - critical):
+        out.append(("uncovered", (c,), f"cell {c} is neither matched nor critical"))
+    for c in sorted((set(lowers) | set(uppers) | critical) - all_ids):
+        out.append(("unknown_cell", (c,), f"cell {c} is not in the complex"))
+    return out

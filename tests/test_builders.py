@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import Delaunay
 
 from combidyn import (
     DowkerRelation,
@@ -13,7 +16,13 @@ from combidyn import (
     snap_to_lattice,
 )
 
-from oracles import circumcircle_has_no_point_inside, dowker_cells_by_subsets
+from combidyn.builders import _collinear, _locate, _orient2d
+from combidyn.datagen import GridSpec
+from oracles import (
+    circumcircle_has_no_point_inside,
+    delaunay_triangles_by_scan,
+    dowker_cells_by_subsets,
+)
 
 
 def vertex_sets(K, dim=None):
@@ -71,9 +80,158 @@ class TestDelaunay:
         with pytest.raises(ValueError, match="duplicate"):
             delaunay_2d(pts)
 
+    @pytest.mark.parametrize(
+        "pts, pair",
+        [
+            # three copies: the first copy and the first later one
+            ([(0, 0), (1, 0), (0, 0), (0, 1), (0, 0)], (0, 2)),
+            # the earliest repeat in input order, not in coordinate order
+            ([(5, 5), (0, 0), (1, 1), (5, 5), (0, 0)], (0, 3)),
+            ([(1, 1), (0.0, 1), (2, 0), (-0.0, 1)], (1, 3)),
+        ],
+    )
+    def test_duplicate_message_names_first_repeat(self, pts, pair):
+        with pytest.raises(ValueError, match=f"duplicate points at indices {pair[0]} and {pair[1]}$"):
+            delaunay_2d(np.array(pts, dtype=float))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 0.5], [2.0, bad]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"point 3 at \[{bad}, 0\.5\] is not finite"):
+                delaunay_2d(pts)
+
+    def test_exactly_collinear_points_make_a_path(self):
+        k = np.random.default_rng(4).permutation(40)
+        pts = np.stack([k * 0.375 - 2.0, k * -0.125 + 7.0], axis=1)  # exact in binary
+        K = delaunay_2d(pts)
+        assert K.counts_by_dim() == {0: 40, 1: 39}
+        order = np.argsort(pts[:, 0])
+        assert sorted(vertex_sets(K, 1)) == sorted(
+            tuple(sorted(e)) for e in zip(order[:-1].tolist(), order[1:].tolist())
+        )
+
+    def test_collinear_test_is_exact(self):
+        k = np.arange(30.0)
+        line = np.stack([k * 0.375 - 2.0, k * -0.125 + 7.0], axis=1)
+        assert _collinear(line)
+        off = line.copy()
+        off[17, 1] = np.nextafter(off[17, 1], np.inf)  # one ulp off the line
+        assert not _collinear(off)
+        # rounded decimal lines: the float filter leaves rows to the exact test
+        for step in (0.1, 0.3, 1 / 3):
+            pts = np.stack([k * step, k * 3 * step + 0.7], axis=1)
+            rowwise = all(_orient2d(*pts[0], *pts[1], *p) == 0 for p in pts[2:].tolist())
+            assert _collinear(pts) == rowwise
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             delaunay_2d(np.array([(0.0, 0.0), (1.0, 0.0)]))
+
+    def test_walk_budget_raises_on_corrupt_adjacency(self):
+        # three counterclockwise triangles of the unit square, each claiming
+        # the next as its neighbour across every edge: a walk towards point 4
+        # at (10, 10) goes round the cycle until its budget runs out
+        X, Y = [0.0, 1.0, 1.0, 0.0, 10.0], [0.0, 0.0, 1.0, 1.0, 10.0]
+        tri = [[0, 1, 2], [0, 2, 3], [0, 1, 3]]
+        nbr = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]
+        with pytest.raises(RuntimeError, match="point 4: the walk found no triangle within 3 steps"):
+            _locate(X, Y, tri, nbr, 0, 4)
+
+
+def _pythagorean_ring(r):
+    """Every integer point on the circle of radius r, exactly cocircular."""
+    pts = {
+        (sx * x, sy * y)
+        for x in range(r + 1)
+        for y in [math.isqrt(r * r - x * x)]
+        if x * x + y * y == r * r
+        for sx in (-1, 1)
+        for sy in (-1, 1)
+    }
+    return np.array(sorted(pts), dtype=float)
+
+
+def _jittered_grid(w, h, rng, jitter=0.3):
+    grid = np.array([(i, j) for i in range(w) for j in range(h)], dtype=float)
+    return grid + rng.uniform(-jitter, jitter, grid.shape)
+
+
+@st.composite
+def point_sets(draw):
+    kind = draw(st.sampled_from(["jittered", "grid", "shuffled", "ring", "exact_ring", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 0.44, 2.0**-5, 1e3]))
+    offset = draw(st.sampled_from([0.0, -3.3, 1e4]))
+    if kind in ("jittered", "grid", "shuffled"):
+        w, h = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+        pts = _jittered_grid(w, h, rng, jitter=0.3 if kind == "jittered" else 0.0)
+        if kind == "shuffled":
+            pts = pts[rng.permutation(len(pts))]
+    elif kind == "ring":
+        theta = 2 * math.pi * np.arange(draw(st.integers(3, 48))) / 48
+        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    elif kind == "exact_ring":
+        ring = _pythagorean_ring(65)
+        pts = ring[rng.choice(len(ring), draw(st.integers(3, len(ring))), replace=False)]
+    else:
+        pts = rng.uniform(-1, 1, (draw(st.integers(3, 60)), 2))
+    if kind in ("ring", "exact_ring") and draw(st.booleans()):
+        at = draw(st.integers(0, len(pts)))
+        pts = np.insert(pts, at, [0.0, 0.0], axis=0)
+    return pts * scale + offset
+
+
+class TestDelaunayAgainstScan:
+    """The adjacency walk gives exactly the triangles of the quadratic scan,
+    including every tie the cocircular rule breaks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(point_sets())
+    def test_walk_equals_scan(self, pts):
+        assert set(vertex_sets(delaunay_2d(pts), 2)) == delaunay_triangles_by_scan(pts)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["delaunay_jitter", "grid12", "shuffled10", "random150", "ring40_centre", "exact_ring325"],
+    )
+    def test_fixed_inputs(self, name):
+        rng = np.random.default_rng(1)
+        if name == "delaunay_jitter":  # the benchmark's 324 points at seed 1
+            pitch = 6.6 / 17
+            grid = GridSpec((-3.3, -3.3), pitch, (18, 18)).points()
+            pts = grid + rng.uniform(-0.3 * pitch, 0.3 * pitch, grid.shape)
+        elif name == "grid12":
+            pts = _jittered_grid(12, 12, rng, jitter=0.0)
+        elif name == "shuffled10":
+            pts = _jittered_grid(10, 10, rng, jitter=0.0)[rng.permutation(100)]
+        elif name == "random150":
+            pts = rng.uniform(-1, 1, (150, 2))
+        elif name == "ring40_centre":
+            theta = 2 * math.pi * np.arange(40) / 40
+            pts = np.vstack([np.stack([np.cos(theta), np.sin(theta)], axis=1), [0.0, 0.0]])
+        else:
+            pts = np.vstack([[0.0, 0.0], _pythagorean_ring(325)])
+        assert set(vertex_sets(delaunay_2d(pts), 2)) == delaunay_triangles_by_scan(pts)
+
+
+class TestDelaunayAgainstQhull:
+    """On generic input every triangle is one of Qhull's. The two sets are not
+    equal: the finite super-triangle drops a few Delaunay triangles along the
+    convex hull (see the builders module docstring)."""
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("random", 50), ("random", 1000), ("random", 10_000), ("jittered", 30), ("jittered", 100)],
+    )
+    def test_triangles_are_qhull_triangles(self, kind, n):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-1, 1, (n, 2)) if kind == "random" else _jittered_grid(n, n, rng)
+        ours = set(vertex_sets(delaunay_2d(pts), 2))
+        qhull = set(map(tuple, np.sort(Delaunay(pts).simplices, axis=1).tolist()))
+        assert ours <= qhull
+        assert len(qhull) - len(ours) < 0.01 * len(qhull) + 3
 
 
 class TestCubicalGrid:

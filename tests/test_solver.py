@@ -28,7 +28,11 @@ from conftest import (
     random_instance,
     random_simplicial_instance,
 )
-from oracles import brute_force_optimum, dense_assignment_selection
+from oracles import (
+    brute_force_optimum,
+    dense_assignment_selection,
+    matching_violations_by_loop,
+)
 
 TOY_ALPHA = 0.75
 TOY_OBJECTIVE = 1.6286796564403576  # 3 * (1 - 1/sqrt(2)) + alpha
@@ -298,6 +302,41 @@ class TestVerify:
             ("unknown_cell", (-1,)),
             ("unknown_cell", (7,)),
         ]
+
+    def test_non_integer_ids_rejected(self, toy):
+        _, K, _ = toy
+        assert verify_matching(K, [(0, 3.0), (1, 5), (2, 4)], critical={6}).ok
+        with pytest.raises(ValueError, match="cell id 3.5 is not an integer"):
+            verify_matching(K, [(0, 3.5), (1, 5), (2, 4)], critical={6})
+        with pytest.raises(ValueError, match="cell id nan is not an integer"):
+            verify_matching(K, [(0, 3), (1, 5), (2, 4)], critical={6, math.nan})
+
+    def test_matches_loop_oracle(self):
+        """Same violations, in the same order with the same messages, as the
+        dict-counting loop, on optimal matchings with random damage: repeated,
+        dropped, negative and out-of-range ids."""
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            K, vectors, alpha = random_instance(rng)
+            n = len(K)
+            m = solve_exact(problem_for(K, vectors, alpha))
+            assert verify_matching(K, m).violations == []
+            pairs, critical = m.pairs(), set(m.critical)
+            for _ in range(int(rng.integers(0, 4))):
+                what = rng.integers(4)
+                if what == 0 and pairs:
+                    pairs.append(pairs[rng.integers(len(pairs))])
+                elif what == 1 and pairs:
+                    critical.update(pairs.pop(rng.integers(len(pairs))))
+                elif what == 2:
+                    pairs.append(tuple(rng.integers(-3, n + 3, 2).tolist()))
+                else:
+                    critical ^= {int(rng.integers(-2, n + 2))}
+            rng.shuffle(pairs)
+            got = verify_matching(K, pairs, critical).violations
+            assert [(v.kind, v.cells, v.detail) for v in got] == matching_violations_by_loop(
+                K, pairs, critical
+            )
 
 
 class TestRepair:
