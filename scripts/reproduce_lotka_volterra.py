@@ -3,9 +3,9 @@
 Samples the two-species model on a 9x9 grid over [20,100]x[10,70], triangulates
 it, and solves at alpha=0.95. Both recurrent components should circle the
 interior equilibrium at (60, 40). The same field is then solved in constraint
-mode, which excludes cycles until the cheapest matching at that alpha is
-gradient: no multi-cell component may remain. Both written reports are
-round-tripped through the verifier before the script reports success.
+mode, which excludes cyclic components until the cheapest matching at that
+alpha is gradient: no multi-cell component may remain. Both written reports
+are round-tripped through the verifier before the script reports success.
 """
 
 import argparse
@@ -50,7 +50,7 @@ def main():
     )
     print()
     print(f"constraint mode: objective {gradient.matching.objective:.6f} at alpha={args.alpha} "
-          f"after {len(gradient.constraints)} excluded cycle(s)")
+          f"after {gradient.constraint_rounds} re-solve(s)")
     print(f"  multi-cell components left: {len(gradient.recurrence.multi_cell())}")
     ok &= not gradient.recurrence.multi_cell()
     ok &= verified(gradient, args.out / "report_gradient.json", field_csv)

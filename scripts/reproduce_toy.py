@@ -17,9 +17,11 @@ from combidyn import (
     delaunay_2d,
     evaluate_matching,
     is_gradient,
+    multiflow,
     preset_field,
     solve_exact,
     solve_gradient_constrained,
+    strongly_connected_components,
 )
 
 
@@ -32,11 +34,13 @@ def setup(preset):
 def show_solution(K, vectors, alpha):
     model = build_cost_model(K, vectors, alpha=alpha)
     matching = solve_exact(build_problem(model, K))
-    ok, witness = is_gradient(K, matching)
+    recurrence = strongly_connected_components(multiflow(K, matching))
+    cyclic = [list(s.cells) for s in recurrence.multi_cell()]
     print(f"  alpha={alpha}: objective {matching.objective:.6f}, "
           f"matched {dict(sorted(matching.matched.items()))}, "
           f"critical {sorted(matching.critical)}")
-    print(f"  gradient: {ok}" + (f", witness cycle {witness}" if witness else ""))
+    print(f"  gradient: {is_gradient(K, matching)}"
+          + (f", cyclic components {cyclic}" if cyclic else ""))
     return model, matching
 
 
@@ -64,7 +68,7 @@ def main():
 
     constrained, rounds = solve_gradient_constrained(build_problem(model15, K), K)
     print(f"  constrained at 0.15: objective {constrained.objective:.6f} "
-          f"after {len(rounds)} excluded cycle(s)")
+          f"after {rounds} re-solve(s)")
     print(f"  sweep result re-priced at 0.15: {evaluate_matching(model15, swept):.6f} "
           f"(constrained is cheaper or equal)")
 

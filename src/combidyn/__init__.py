@@ -5,7 +5,8 @@ lattice, or Dowker), average the sample vectors onto cells, pick the cheapest
 partial self-matching of the complex under a cosine-alignment cost, and read
 the resulting discrete flow: critical cells, cycles, strongly connected
 components. Gradient (cycle-free) matchings are available by alpha sweep or
-by explicit cycle-elimination constraints.
+by constraints that forbid each cyclic component of the flow until none is
+left.
 """
 
 from .builders import (
@@ -37,7 +38,6 @@ from .dynamics import (
     strongly_connected_components,
 )
 from .gradient import (
-    CycleConstraint,
     DEFAULT_ALPHA_GRID,
     all_critical_threshold,
     alpha_sweep,
@@ -79,7 +79,6 @@ __all__ = [
     "Analysis",
     "CellComplex",
     "CostModel",
-    "CycleConstraint",
     "CycleReport",
     "DEFAULT_ALPHA_GRID",
     "DowkerRelation",

@@ -4,18 +4,19 @@ A matching is a discrete gradient field exactly when the flow it induces has
 no nontrivial recurrence, i.e. the arrows admit a compatible Lyapunov order.
 This module decides that property, finds the alpha regime where the optimum
 becomes gradient, and solves the matching program under explicit no-cycle
-side constraints via lazy cut generation.
+side constraints via lazy cut generation: each round forbids every cyclic
+component of the flow at once, one row per component.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .complexes import CellComplex
+from .complexes import CellComplex, pair_rows
 # build_cost_model is unused here but stays a module attribute: perfbench/spans.py
 # traces the layers through this module's globals
 from .costs import CostModel, build_cost_model  # noqa: F401
@@ -30,7 +31,6 @@ from .solver import (
 )
 
 __all__ = [
-    "CycleConstraint",
     "is_gradient",
     "all_critical_threshold",
     "alpha_sweep",
@@ -42,84 +42,18 @@ __all__ = [
 DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(round(0.01 * k, 2) for k in range(200, -1, -1))
 
 
-@dataclass(frozen=True)
-class CycleConstraint:
-    """At most |arc_set| - 1 of these pair variables may be selected together.
-    Selecting all of them would reproduce the offending cycle."""
-
-    arc_set: frozenset[int]
-
-    @property
-    def bound(self) -> int:
-        return len(self.arc_set) - 1
+def is_gradient(complex: CellComplex, matching: Matching) -> bool:
+    """Decide acyclicity of the induced flow: True when no strongly connected
+    component has more than one cell. Self-loops of single-cell components
+    do not count: in the flow those are the critical cells."""
+    return not _cyclic_components(complex, matching)
 
 
-def is_gradient(
-    complex: CellComplex, matching: Matching
-) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
-    """Decide acyclicity of the induced flow.
-
-    Returns (True, None) for a gradient matching, otherwise (False, witness)
-    where the witness is the matched (lower, upper) arrow set of a shortest
-    recurrent cycle. Ties break toward smaller cell ids.
-    """
-    cycle = _shortest_cycle(*_flow_successors(complex, matching))
-    if cycle is None:
-        return True, None
-    arcs = [(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]) if matching.matched.get(a) == b]
-    return False, tuple(sorted(arcs))
-
-
-def _shortest_cycle(ptr: np.ndarray, idx: np.ndarray) -> tuple[int, ...] | None:
-    """A shortest cycle inside a multi-node strongly connected component of the
-    CSR graph (ptr, idx), as its node sequence from its first node; among equal
-    lengths the smaller sequence wins. None when there is no such component.
-
-    Self-loops of single-node components do not count: in the flow those are
-    the critical cells, which are never on a cycle (classify_recurrence checks
-    this), so every multi-cell component holds matched cells only.
-    """
-    _, order, bounds = _sccs(ptr, idx)
-    best: tuple[int, tuple[int, ...]] | None = None
-    for cid in np.flatnonzero(np.diff(bounds) > 1).tolist():
-        scc = order[bounds[cid] : bounds[cid + 1]].tolist()
-        succ = {u: idx[ptr[u] : ptr[u + 1]].tolist() for u in scc}
-        for start in scc:
-            # a longer cycle never wins the (len, path) order
-            limit = best[0] if best is not None else len(scc)
-            path = _shortest_cycle_through(succ, start, limit)
-            if path is not None and (best is None or (len(path), path) < best):
-                best = (len(path), path)
-    return None if best is None else best[1]
-
-
-def _shortest_cycle_through(
-    succ: dict[int, list[int]], start: int, limit: int
-) -> tuple[int, ...] | None:
-    """BFS within one strongly connected piece, the keys of `succ`; first
-    return to `start` is a shortest cycle through it. The search stops after
-    cycles of `limit` cells and returns None when none is that short."""
-    parent: dict[int, int] = {}
-    frontier = [start]
-    seen = {start}
-    for _ in range(limit):
-        nxt: list[int] = []
-        for u in frontier:
-            for v in succ[u]:
-                if v not in succ:
-                    continue
-                if v == start:
-                    path = [u]
-                    while path[-1] != start:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return tuple(path)
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    return None
+def _cyclic_components(complex: CellComplex, matching: Matching) -> list[np.ndarray]:
+    """Cells of every multi-cell strongly connected component of the flow,
+    ascending, components in the order of their smallest cell."""
+    _, order, bounds = _sccs(*_flow_successors(complex, matching))
+    return [order[bounds[k] : bounds[k + 1]] for k in np.flatnonzero(np.diff(bounds) > 1)]
 
 
 def all_critical_threshold(cost_model: CostModel) -> float:
@@ -170,8 +104,7 @@ def alpha_sweep(
         # the same pairs induce the same flow, so only a new matching is tested
         if matching.matched == cyclic:
             continue
-        ok, _ = is_gradient(complex, matching)
-        if ok:
+        if is_gradient(complex, matching):
             return alpha, matching
         cyclic = matching.matched
 
@@ -187,31 +120,38 @@ def solve_gradient_constrained(
     problem: MatchingProblem,
     complex: CellComplex,
     max_rounds: int = 10000,
-) -> tuple[Matching, tuple[CycleConstraint, ...]]:
+) -> tuple[Matching, int]:
     """Cheapest gradient matching at the problem's own alpha.
 
-    Lazy loop: solve, test acyclicity, forbid the witness cycle's arrows from
-    co-occurring, repeat. Returns the matching and every generated constraint.
-    The first round has no rows and goes to the sparse assignment solver
-    `solve_exact`; later rounds go to HiGHS' branch-and-cut
-    (`solve_branch_and_bound`), whose choice among tied optima is its own.
+    Lazy loop: solve, and while the flow has multi-cell strongly connected
+    components, forbid each of them and solve again. Returns the matching and
+    the number of re-solves. The first solve has no rows and goes to the
+    sparse assignment solver `solve_exact`; later ones go to HiGHS'
+    branch-and-cut (`solve_branch_and_bound`), whose choice among tied optima
+    is its own.
+
+    A component's row says that at most all but one of the pairs with both
+    cells inside it may be selected together. Inside a multi-cell component a
+    matched lower cell's only successor is its partner, and a matched upper
+    cell's only predecessor there is its partner, since no coface leads back
+    to it; critical cells are singletons. So the component is a union of
+    whole pairs, and any matching that selects all of them rebuilds every
+    arrow of the component and is cyclic: the row cuts off no gradient
+    matching. A component that is one simple cycle gives the classic cycle
+    inequality.
     """
-    constraints: list[CycleConstraint] = []
+    cuts: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
-    for _ in range(max_rounds):
-        if constraints:
-            matching = solve_branch_and_bound(
-                problem, tuple(c.arc_set for c in constraints)
-            )
-        else:
-            matching = solve_exact(problem)
-        ok, witness = is_gradient(complex, matching)
-        if ok:
-            return matching, tuple(constraints)
-        assert witness is not None
-        arc_set = frozenset(problem.pair_var(lo, up) for lo, up in witness)
-        if arc_set in seen:
-            raise RuntimeError("cycle constraint repeated; solver is not separating")
-        seen.add(arc_set)
-        constraints.append(CycleConstraint(arc_set))
+    for rounds in range(max_rounds):
+        matching = solve_branch_and_bound(problem, tuple(cuts)) if cuts else solve_exact(problem)
+        components = _cyclic_components(complex, matching)
+        if not components:
+            return matching, rounds
+        for cells in components:
+            pairs = [(c, matching.matched[c]) for c in cells.tolist() if c in matching.matched]
+            cut = frozenset(pair_rows(problem.pairs, problem.n_cells, pairs).tolist())
+            if cut in seen:
+                raise RuntimeError("cycle constraint repeated; solver is not separating")
+            seen.add(cut)
+            cuts.append(cut)
     raise RuntimeError(f"no gradient matching found within {max_rounds} rounds")

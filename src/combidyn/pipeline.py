@@ -28,10 +28,9 @@ from .builders import (
 from .complexes import CellComplex, barycentric_subdivision
 from .costs import CostModel, build_cost_model
 from .datagen import FieldSample
-from .dynamics import CycleReport, FlowGraph, classify_recurrence, multiflow
+from .dynamics import CycleReport, FlowGraph, _flow_successors, classify_recurrence, multiflow
 from .gradient import (
     DEFAULT_ALPHA_GRID,
-    CycleConstraint,
     all_critical_threshold,
     alpha_sweep,
     is_gradient,
@@ -150,6 +149,41 @@ def _fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _float_table(path, rows: list[list[str]], width: int) -> np.ndarray:
+    """The data rows after the header as an (n, width) float array; blank rows
+    are skipped. The first bad line, in file order, raises a ParseError: a
+    row of the wrong width, an entry `float()` rejects, or a non-finite value."""
+    lines, data = [], []
+    short = None  # (line, length) of the first row of the wrong width
+    for ln, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            short = (ln, len(row))
+            break
+        lines.append(ln)
+        data.append(row)
+    try:
+        # numpy parses each string with float(), so it accepts the same text
+        table = np.array(data, dtype=float).reshape(-1, width)
+    except ValueError:
+        # numpy does not say which entry failed: find the first bad line in order
+        for ln, row in zip(lines, data):
+            try:
+                vals = [float(c) for c in row]
+            except ValueError as exc:
+                raise ParseError(path, ln, str(exc)) from None
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(path, ln, "non-finite value")
+        raise
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise ParseError(path, lines[bad[0]], "non-finite value")
+    if short is not None:
+        raise ParseError(path, short[0], f"expected {width} values, got {short[1]}")
+    return table
+
+
 def read_field_csv(path) -> FieldSample:
     """Read `x1..xd,v1..vd` rows. d is inferred from the header."""
     path = Path(path)
@@ -164,23 +198,10 @@ def read_field_csv(path) -> FieldSample:
     expected = [f"x{i}" for i in range(1, d + 1)] + [f"v{i}" for i in range(1, d + 1)]
     if header != expected:
         raise ParseError(path, 1, f"expected header {','.join(expected)}, got {','.join(header)}")
-    points, vectors = [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 2 * d:
-            raise ParseError(path, ln, f"expected {2 * d} values, got {len(row)}")
-        try:
-            vals = [float(c) for c in row]
-        except ValueError as exc:
-            raise ParseError(path, ln, str(exc)) from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ParseError(path, ln, "non-finite value")
-        points.append(vals[:d])
-        vectors.append(vals[d:])
-    if not points:
+    table = _float_table(path, rows, 2 * d)
+    if not len(table):
         raise ParseError(path, 2, "no data rows")
-    return FieldSample(np.asarray(points, dtype=float), np.asarray(vectors, dtype=float))
+    return FieldSample(table[:, :d].copy(), table[:, d:].copy())
 
 
 def read_landmarks_csv(path) -> np.ndarray:
@@ -195,22 +216,10 @@ def read_landmarks_csv(path) -> np.ndarray:
     expected = [f"y{i}" for i in range(1, d + 1)]
     if d < 1 or header != expected:
         raise ParseError(path, 1, f"expected header y1..yd, got {','.join(header)}")
-    out = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != d:
-            raise ParseError(path, ln, f"expected {d} values, got {len(row)}")
-        try:
-            vals = [float(c) for c in row]
-        except ValueError as exc:
-            raise ParseError(path, ln, str(exc)) from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ParseError(path, ln, "non-finite value")
-        out.append(vals)
-    if not out:
+    table = _float_table(path, rows, d)
+    if not len(table):
         raise ParseError(path, 2, "no landmark rows")
-    return np.asarray(out, dtype=float)
+    return table
 
 
 def read_relation_csv(path) -> np.ndarray:
@@ -252,7 +261,7 @@ class Analysis:
     flow: FlowGraph
     recurrence: CycleReport
     alpha_effective: float
-    constraints: tuple[CycleConstraint, ...] = ()
+    constraint_rounds: int = 0  # re-solves of the constrained loop
     document: dict = field(default_factory=dict)
 
 
@@ -291,7 +300,7 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
     config.validate(sample.dim)
     complex, vectors = _build_complex(config, sample)
 
-    constraints: tuple[CycleConstraint, ...] = ()
+    rounds = 0
     if config.gradient_mode == "sweep":
         base = build_cost_model(complex, vectors, config.alpha)
         alpha_eff, matching = alpha_sweep(complex, base)
@@ -302,7 +311,7 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
         cost_model = build_cost_model(complex, vectors, alpha_eff)
         problem = build_problem(cost_model, complex)
         if config.gradient_mode == "constraints":
-            matching, constraints = solve_gradient_constrained(problem, complex)
+            matching, rounds = solve_gradient_constrained(problem, complex)
         else:
             matching = solve_exact(problem)
 
@@ -319,7 +328,7 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
         flow=flow,
         recurrence=recurrence,
         alpha_effective=alpha_eff,
-        constraints=constraints,
+        constraint_rounds=rounds,
     )
     analysis.document = build_report_document(analysis)
     return analysis
@@ -348,11 +357,10 @@ def build_report_document(analysis: Analysis) -> dict:
         "scc": _scc_entries(analysis.recurrence),
     }
     if analysis.config.gradient_mode != "off":
-        ok, _ = is_gradient(complex, matching)
         doc["gradient"] = {
             "mode": analysis.config.gradient_mode,
-            "is_gradient": ok,
-            "constraint_rounds": len(analysis.constraints),
+            "is_gradient": is_gradient(complex, matching),
+            "constraint_rounds": analysis.constraint_rounds,
         }
     return doc
 
@@ -507,7 +515,9 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     ok &= good
     lines.append(f"problem size (N={size['N']}, m={size['m']}): {'PASS' if good else 'FAIL'}")
 
-    flow = multiflow(complex, matching)
+    # the pairs passed verify_matching above, so the unchecked flow is safe
+    ptr, idx = _flow_successors(complex, matching)
+    flow = FlowGraph(succ_ptr=ptr, succ_idx=idx, dims=complex.dims, critical=matching.critical)
     recurrence = classify_recurrence(flow, matching)
     good = _scc_entries(recurrence) == scc
     ok &= good

@@ -15,6 +15,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from combidyn.builders import _incircle, _orient2d
+from combidyn.dynamics import _flow_successors
+from combidyn.pipeline import ParseError
+from combidyn.solver import Matching
 
 
 def enumerate_selections(problem):
@@ -160,43 +163,23 @@ def sccs_by_reachability(succ):
     return sorted(comps)
 
 
-def shortest_cycle_by_bfs(succ):
-    """Shortest cycle inside a multi-node strongly connected component by a
-    breadth-first search, run to the end, from every node of every such
-    component; ties toward the smaller node sequence. Returns the sequence
-    from its first node, or None."""
-    best = None
-    for comp in sccs_by_reachability(succ):
-        if len(comp) < 2:
-            continue
-        members = set(comp)
-        for start in comp:
-            parent = {}
-            frontier = [start]
-            seen = {start}
-            path = None
-            while frontier and path is None:
-                nxt = []
-                for u in frontier:
-                    for v in succ[u]:
-                        if v not in members:
-                            continue
-                        if v == start:
-                            path = [u]
-                            while path[-1] != start:
-                                path.append(parent[path[-1]])
-                            path = tuple(reversed(path))
-                            break
-                        if v not in seen:
-                            seen.add(v)
-                            parent[v] = u
-                            nxt.append(v)
-                    if path is not None:
-                        break
-                frontier = nxt
-            if path is not None and (best is None or (len(path), path) < best):
-                best = (len(path), path)
-    return None if best is None else best[1]
+def gradient_optimum(complex, problem):
+    """Objective of the cheapest gradient matching, by full enumeration: the
+    cheapest selection whose flow, given by `_flow_successors`, has only
+    single-cell strongly connected components by `sccs_by_reachability`."""
+    n_pairs = problem.n_pairs
+    for objective, selected in sorted((obj, sel) for sel, obj in enumerate_selections(problem)):
+        chosen = [v for v in selected if v < n_pairs]
+        matching = Matching(
+            matched={int(lo): int(up) for lo, up in problem.pairs[chosen].tolist()},
+            critical=frozenset(v - n_pairs for v in selected if v >= n_pairs),
+            objective=objective,
+        )
+        ptr, idx = _flow_successors(complex, matching)
+        succ = [idx[a:b].tolist() for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+        if all(len(comp) == 1 for comp in sccs_by_reachability(succ)):
+            return objective
+    raise AssertionError("no gradient selection; the all-critical one always is")
 
 
 def cubical_cells_by_sites(points, side):
@@ -354,3 +337,23 @@ def matching_violations_by_loop(complex, pairs, critical):
     for c in sorted((set(lowers) | set(uppers) | critical) - all_ids):
         out.append(("unknown_cell", (c,), f"cell {c} is not in the complex"))
     return out
+
+
+def float_rows_by_loop(path, rows, width):
+    """The data rows after the header of a CSV, parsed one row at a time with
+    `float()` and checked in file order: width, then parse, then finiteness.
+    Blank rows are skipped. Same ParseErrors as `pipeline._float_table`."""
+    out = []
+    for ln, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise ParseError(path, ln, f"expected {width} values, got {len(row)}")
+        try:
+            vals = [float(c) for c in row]
+        except ValueError as exc:
+            raise ParseError(path, ln, str(exc)) from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError(path, ln, "non-finite value")
+        out.append(vals)
+    return np.asarray(out, dtype=float).reshape(-1, width)

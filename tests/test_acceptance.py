@@ -122,20 +122,19 @@ def test_criterion_05_gradient_recovery(grad_toy):
     _, K, vectors = grad_toy
 
     m15 = solve_exact(problem_for(K, vectors, 0.15))
-    ok15, witness = is_gradient(K, m15)
-    assert not ok15 and witness
+    assert is_gradient(K, m15) is False
     cycle_dims = {
         s.dims_present for s in classify_recurrence(multiflow(K, m15), m15).multi_cell()
     }
     assert (0, 1) in cycle_dims  # recurrent vertex-edge cycle
 
     m14 = solve_exact(problem_for(K, vectors, 0.14))
-    assert is_gradient(K, m14) == (True, None)
+    assert is_gradient(K, m14) is True
 
     model15 = build_cost_model(K, vectors, alpha=0.15)
     constrained, rounds = solve_gradient_constrained(build_problem(model15, K), K)
-    assert is_gradient(K, constrained) == (True, None)
-    assert len(rounds) >= 1
+    assert is_gradient(K, constrained) is True
+    assert rounds >= 1
     # fair comparison: both gradient matchings priced at the same alpha
     assert constrained.objective <= evaluate_matching(model15, m14) + 1e-12
 

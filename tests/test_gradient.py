@@ -5,85 +5,52 @@ import pytest
 
 import combidyn.gradient
 from combidyn import (
-    CycleConstraint,
     DEFAULT_ALPHA_GRID,
     all_critical_threshold,
     alpha_sweep,
+    assign_vertex_average,
     build_cost_model,
     build_problem,
     is_gradient,
+    multiflow,
+    preset_field,
     simplicial_complex,
     solve_exact,
     solve_gradient_constrained,
+    strongly_connected_components,
 )
-from combidyn.dynamics import _flow_successors, _sccs
-from combidyn.gradient import _shortest_cycle
+from combidyn.dynamics import _sccs
 
-from conftest import (
-    problem_for,
-    random_cubical_instance,
-    random_instance,
-    successor_lists,
-    to_csr,
-)
-from oracles import brute_force_optimum, sccs_by_reachability, shortest_cycle_by_bfs
+from conftest import problem_for, random_cubical_instance, random_simplicial_instance, to_csr
+from oracles import gradient_optimum, sccs_by_reachability
+
+
+def cyclic_cells(K, m):
+    return [s.cells for s in strongly_connected_components(multiflow(K, m)).multi_cell()]
 
 
 class TestIsGradient:
     def test_toy_cycle_witness(self, toy):
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.75))
-        ok, witness = is_gradient(K, m)
-        assert not ok
-        assert witness == ((0, 3), (1, 5), (2, 4))
+        assert is_gradient(K, m) is False
+        # the three vertex-edge pairs (0, 3), (1, 5), (2, 4) form one cycle
+        assert cyclic_cells(K, m) == [(0, 1, 2, 3, 4, 5)]
 
     def test_all_critical_is_gradient(self, toy):
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.05))
         assert m.matched == {}
-        assert is_gradient(K, m) == (True, None)
+        assert is_gradient(K, m) is True
 
     def test_grad_toy_recovers(self, grad_toy):
         _, K, vectors = grad_toy
-        ok15, witness = is_gradient(K, solve_exact(problem_for(K, vectors, 0.15)))
-        assert not ok15 and witness
+        m15 = solve_exact(problem_for(K, vectors, 0.15))
+        assert is_gradient(K, m15) is False and cyclic_cells(K, m15)
         m14 = solve_exact(problem_for(K, vectors, 0.14))
         assert m14.matched == {0: 3}
         assert m14.objective == pytest.approx(0.95846, abs=1e-5)
-        assert is_gradient(K, m14) == (True, None)
-
-    # Each search stops once it is deeper than the shortest cycle found so
-    # far; the cycle must equal the one searches run to the end pick.
-
-    def test_witness_matches_unbounded_search(self):
-        rng = np.random.default_rng(17)
-        cyclic = 0
-        for trial in range(400):
-            if trial % 4:
-                K, vectors, _ = random_instance(rng)
-            else:
-                K, vectors = random_cubical_instance(rng, max_extent=6)
-            m = solve_exact(problem_for(K, vectors, float(rng.uniform(0.5, 2.0))))
-            cycle = shortest_cycle_by_bfs(successor_lists(*_flow_successors(K, m)))
-            if cycle is None:
-                assert is_gradient(K, m) == (True, None)
-                continue
-            cyclic += 1
-            arrows = zip(cycle, cycle[1:] + cycle[:1])
-            witness = tuple(sorted((a, b) for a, b in arrows if m.matched.get(a) == b))
-            assert is_gradient(K, m) == (False, witness)
-        assert cyclic >= 50
-
-    def test_shortest_cycle_matches_unbounded_search(self):
-        rng = np.random.default_rng(29)
-        for _ in range(500):
-            n = int(rng.integers(1, 15))
-            density = rng.uniform(0.05, 0.35)
-            succ = [
-                tuple(int(v) for v in np.flatnonzero(rng.random(n) < density))
-                for _ in range(n)
-            ]
-            assert _shortest_cycle(*to_csr(succ)) == shortest_cycle_by_bfs(succ)
+        assert is_gradient(K, m14) is True
 
 
 class TestThreshold:
@@ -171,31 +138,28 @@ class TestConstrainedSolve:
     def test_toy(self, toy):
         _, K, vectors = toy
         p = problem_for(K, vectors, 0.75)
-        m, constraints = solve_gradient_constrained(p, K)
+        m, rounds = solve_gradient_constrained(p, K)
         assert m.matched == {1: 5, 2: 4, 3: 6}
         assert m.critical == frozenset({0})
-        assert is_gradient(K, m) == (True, None)
-        assert len(constraints) == 1
-        assert constraints[0].arc_set == frozenset(
-            p.pair_var(lo, up) for lo, up in ((0, 3), (1, 5), (2, 4))
-        )
-        assert constraints[0].bound == 2
+        assert is_gradient(K, m) is True
+        assert rounds == 1
+        assert m.objective == gradient_optimum(K, p)
 
     def test_grad_toy(self, grad_toy):
         _, K, vectors = grad_toy
         p = problem_for(K, vectors, 0.15)
-        m, constraints = solve_gradient_constrained(p, K)
+        m, rounds = solve_gradient_constrained(p, K)
         # {0: 3, 1: 5} and {0: 3, 2: 4} tie exactly; which one comes back is
         # the MIP solver's choice
-        assert len(constraints) == 1
-        assert m.objective == brute_force_optimum(p, [c.arc_set for c in constraints])
+        assert rounds == 1
+        assert m.objective == gradient_optimum(K, p)
         assert m.objective == pytest.approx(1.00136, abs=1e-5)
-        assert is_gradient(K, m) == (True, None)
+        assert is_gradient(K, m) is True
 
     def test_gradient_input_needs_no_rounds(self, grad_toy):
         _, K, vectors = grad_toy
-        m, constraints = solve_gradient_constrained(problem_for(K, vectors, 0.14), K)
-        assert constraints == ()
+        m, rounds = solve_gradient_constrained(problem_for(K, vectors, 0.14), K)
+        assert rounds == 0
         assert m.matched == {0: 3}
 
     def test_round_budget(self, toy):
@@ -203,11 +167,35 @@ class TestConstrainedSolve:
         with pytest.raises(RuntimeError, match="0 rounds"):
             solve_gradient_constrained(problem_for(K, vectors, 0.75), K, max_rounds=0)
 
+    def test_two_components_cut_in_one_round(self):
+        # two disjoint copies of the toy triangle: both cycles are cut at once
+        sample = preset_field("toy")
+        points = np.vstack([sample.points, sample.points + (10.0, 0.0)])
+        K = simplicial_complex(points, [(0, 1, 2), (3, 4, 5)])
+        vectors = assign_vertex_average(K, np.vstack([sample.vectors, sample.vectors]))
+        p = problem_for(K, vectors, 0.75)
+        assert len(cyclic_cells(K, solve_exact(p))) == 2
+        m, rounds = solve_gradient_constrained(p, K)
+        assert rounds == 1
+        assert is_gradient(K, m) is True
+        assert m.objective == gradient_optimum(K, p)
 
-class TestCycleConstraint:
-    def test_bound(self):
-        c = CycleConstraint(frozenset({1, 4, 7}))
-        assert c.bound == 2
+    def test_matches_gradient_oracle(self):
+        rng = np.random.default_rng(41)
+        alphas = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+        cut = 0
+        for trial in range(300):
+            if trial % 4:
+                K, vectors = random_simplicial_instance(rng)
+            else:
+                K, vectors = random_cubical_instance(rng, max_extent=2)
+            alpha = alphas[trial % 7] if trial % 2 else float(rng.uniform(0.0, 2.0))
+            p = problem_for(K, vectors, alpha)
+            m, rounds = solve_gradient_constrained(p, K)
+            cut += rounds > 0
+            assert is_gradient(K, m) is True
+            assert m.objective == gradient_optimum(K, p)
+        assert cut >= 40
 
 
 class TestTarjan:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -23,6 +24,8 @@ from combidyn import (
     verify_report,
     write_field_csv,
 )
+
+from oracles import float_rows_by_loop
 
 
 @pytest.fixture()
@@ -118,6 +121,72 @@ class TestReadLandmarksCsv:
             read_landmarks_csv(path)
 
 
+# entries whose parse must match float(): whitespace, underscores, signs,
+# spelled-out and overflowing infinities, hex, a decimal comma, non-ASCII digits
+# and minus sign, and plain garbage
+FLOAT_CELLS = [
+    " 1.5 ", "\t2\t", "\u00a01\u00a0", "1_000", "1__0", "_1", "1e1_0", "+3", "-0", "++1",
+    ".5", "5.", "1e", "Infinity", "-infinity", "inf", "nan", "NaN", "nan(1)", "1e500",
+    "-1e500", "0x10", "0b1", "1,5", "1.5j", "1d5", "\u0661\u0662", "\uff11\uff12",
+    "\u0661.\u0665", "\u22121", "", " ", "zero",
+]
+# files whose bad lines come in different orders, blank rows in between
+FLOAT_FILES = [
+    [["0", "0", "1", "0"], ["0", "0", "inf", "0"], ["1", "2", "3"]],
+    [["0", "0", "1", "0"], ["1", "2", "3"], ["0", "0", "inf", "0"]],
+    [["0", "0", "nan", "0"], ["0", "x", "1", "0"]],
+    [["0", "x", "1", "0"], ["0", "0", "nan", "0"]],
+    [[], ["0", "0", "1", "0"], [" ", "", " ", ""], ["0", "y", "1", "0"], ["1", "2", "3"]],
+    [["0", "0", "1", "0"], ["1", "2", "3", "4", "5"], ["0", "q", "1", "0"]],
+    [["0", "0", "1", "0"], [], ["-0", "1e-320", "1.7976931348623157e308", "0.1"]],
+]
+
+
+class TestFloatRows:
+    """The readers parse all rows in one numpy call; the per-row float()
+    loop they replaced is the oracle, down to each ParseError's text and line."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            table = read()
+        except ParseError as exc:
+            return "error", str(exc), exc.line
+        return "ok", table.shape, table.tobytes()
+
+    @staticmethod
+    def write(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def check_field(self, path, rows):
+        written = self.write(path, ["x1", "x2", "v1", "v2"], rows)
+
+        def read():
+            sample = read_field_csv(path)
+            return np.hstack([sample.points, sample.vectors])
+
+        assert self.outcome(read) == self.outcome(lambda: float_rows_by_loop(path, written, 4))
+
+    @pytest.mark.parametrize("cell", FLOAT_CELLS)
+    def test_field_cell(self, tmp_path, cell):
+        self.check_field(tmp_path / "f.csv", [["0", "0", "1", "0"], ["0", cell, "1", "0"]])
+
+    @pytest.mark.parametrize("rows", FLOAT_FILES)
+    def test_field_file(self, tmp_path, rows):
+        self.check_field(tmp_path / "f.csv", rows)
+
+    @pytest.mark.parametrize("cell", FLOAT_CELLS)
+    def test_landmark_cell(self, tmp_path, cell):
+        path = tmp_path / "lm.csv"
+        written = self.write(path, ["y1", "y2"], [["0", "0"], [cell, "1"], ["2", "2"]])
+        assert self.outcome(lambda: read_landmarks_csv(path)) == self.outcome(
+            lambda: float_rows_by_loop(path, written, 2)
+        )
+
+
 class TestReadRelationCsv:
     def test_good(self, tmp_path):
         path = tmp_path / "rel.csv"
@@ -196,7 +265,7 @@ class TestRunPipeline:
         assert analysis.matching.matched == {0: 3, 1: 5, 2: 4}
         assert analysis.matching.critical == frozenset({6})
         assert analysis.alpha_effective == 0.75
-        assert analysis.constraints == ()
+        assert analysis.constraint_rounds == 0
 
         doc = analysis.document
         assert doc["problem"] == {"N": 7, "m": 16}
@@ -232,7 +301,7 @@ class TestRunPipeline:
             PipelineConfig(alpha=0.75, gradient_mode="constraints"), toy_csv
         )
         assert analysis.matching.matched == {1: 5, 2: 4, 3: 6}
-        assert len(analysis.constraints) == 1
+        assert analysis.constraint_rounds == 1
         g = analysis.document["gradient"]
         assert g == {"mode": "constraints", "is_gradient": True, "constraint_rounds": 1}
 
