@@ -214,15 +214,29 @@ class CellComplex:
 
     def closure(self, cell_id: int) -> frozenset[int]:
         """The cell and all its faces, every codimension."""
-        acc = {self._check(cell_id)}
-        stack = [cell_id]
-        while stack:
-            c = stack.pop()
-            for f in self.face_idx[self.face_ptr[c] : self.face_ptr[c + 1]].tolist():
-                if f not in acc:
-                    acc.add(f)
-                    stack.append(f)
-        return frozenset(acc)
+        return frozenset(self.closures([self._check(cell_id)])[1].tolist())
+
+    def closures(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, face) rows of the closures of `cells`, each cell with itself
+        and all its faces, sorted by (cell, face) without repeats. Rows grow
+        one codimension at a time through the codim-1 face table and are
+        deduplicated at each step, so shared faces are not walked twice."""
+        n = len(self)
+        cells = np.unique(np.asarray(cells, dtype=np.intp))
+        src, dst = cells, cells
+        keys = [cells * n + cells]
+        while len(dst):
+            start = self.face_ptr[dst]
+            count = self.face_ptr[dst + 1] - start
+            src = np.repeat(src, count)
+            # slot of each new row inside its cell's face list
+            offset = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
+            key = np.unique(src * n + self.face_idx[np.repeat(start, count) + offset])
+            src, dst = key // n, key % n
+            keys.append(key)
+        key = np.concatenate(keys)
+        key.sort()  # rows of different codimensions never coincide
+        return key // n, key % n
 
     def pair_index(self, queries) -> np.ndarray:
         """Row in `pairs` of each (lower, upper) in `queries`, or -1 where it

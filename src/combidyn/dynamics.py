@@ -52,11 +52,11 @@ def _flow_successors(complex: CellComplex, matching: Matching) -> tuple[np.ndarr
     partner[upper] = lower
     owner = np.repeat(np.arange(n), np.diff(complex.face_ptr))
     spread = (partner[owner] >= 0) & (complex.face_idx != partner[owner])
-    critical = np.array(sorted(matching.critical), dtype=np.intp)
-    closures = [sorted(complex.closure(c)) for c in critical.tolist()]
-    closed = np.array([f for cl in closures for f in cl], dtype=np.intp)
-    rows = np.concatenate([lower, owner[spread], np.repeat(critical, list(map(len, closures)))])
-    cols = np.concatenate([upper, complex.face_idx[spread], closed])
+    closed_cell, closed_face = complex.closures(
+        np.fromiter(matching.critical, dtype=np.intp, count=len(matching.critical))
+    )
+    rows = np.concatenate([lower, owner[spread], closed_cell])
+    cols = np.concatenate([upper, complex.face_idx[spread], closed_face])
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
     # a stable sort keeps each cell's successors in the order they were listed

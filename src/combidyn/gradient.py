@@ -79,9 +79,10 @@ def alpha_sweep(
     """Walk alpha downward and return the first grid value whose optimal
     matching is gradient, together with that matching.
 
-    Pair costs do not depend on alpha, so the sweep builds the program once
-    from `cost_model` and re-prices only its diagonals at each grid value;
-    the model's own alpha is not used. A step that returns the same pairs as
+    Pair costs do not depend on alpha, so the sweep builds the program and
+    its assignment graph once from `cost_model`, and re-prices only the
+    diagonals at each grid value; `replace` carries the graph to each step.
+    The model's own alpha is not used. A step that returns the same pairs as
     the step before is not tested for acyclicity again. If no grid value
     works (on the default grid only when alpha 0 ties the all-critical
     matching with a cycle of zero-cost pairs), fall back to the all-critical

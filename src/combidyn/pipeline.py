@@ -33,7 +33,9 @@ from .gradient import (
     DEFAULT_ALPHA_GRID,
     all_critical_threshold,
     alpha_sweep,
-    is_gradient,
+    # unused here but kept a module attribute: perfbench/spans.py traces the
+    # layers through this module's globals
+    is_gradient,  # noqa: F401
     solve_gradient_constrained,
 )
 from .solver import (
@@ -359,7 +361,8 @@ def build_report_document(analysis: Analysis) -> dict:
     if analysis.config.gradient_mode != "off":
         doc["gradient"] = {
             "mode": analysis.config.gradient_mode,
-            "is_gradient": is_gradient(complex, matching),
+            # acyclic iff no multi-cell component, read off the flow already analysed
+            "is_gradient": not analysis.recurrence.multi_cell(),
             "constraint_rounds": analysis.constraint_rounds,
         }
     return doc

@@ -11,20 +11,23 @@ One exact solver per problem class:
   2-color the admissibility graph, so the program reduces to a minimum-weight
   perfect matching on a sparse bipartite graph with one dummy per cell for the
   stay-critical option, solved by scipy's LAPJVsp (Jonker & Volgenant 1987).
-  Polynomial; memory linear in the number of pairs and cells.
+  Polynomial; memory linear in the number of pairs and cells. The graph's
+  shape depends only on the pairs and cell dimensions, so `build_problem`
+  lays it out once and a solve only prices its edges.
 * solve_branch_and_bound, the program plus cycle-exclusion rows: a binary
   integer program solved by HiGHS' branch-and-cut (`scipy.optimize.milp`)
   with a relative gap of 0. Among equal optima it returns the one HiGHS'
   deterministic search reaches, which follows no documented order.
+  `scipy.optimize` is imported on the first such solve: it takes about a
+  third of the package's import time, and only constraint mode needs it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
@@ -32,6 +35,7 @@ from .complexes import CellComplex, pair_rows
 from .costs import CostModel
 
 __all__ = [
+    "AssignmentGraph",
     "MatchingProblem",
     "Matching",
     "build_problem",
@@ -47,15 +51,80 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
+class AssignmentGraph:
+    """The sparse bipartite graph `solve_exact` hands to LAPJVsp, laid out
+    once per problem; a solve only prices its edges.
+
+    Rows are even-parity cells plus one dummy per odd cell; columns are odd
+    cells plus one dummy per even cell. Edges: each admissible pair, each cell
+    to its own dummy (the cell stays critical), and each pair's two dummies to
+    each other at cost 0, so the dummies of a matched pair cover one another.
+    Listed in that order, edge k < m carries variable k's cost; `order` sorts
+    them into CSR order (rows ascending, columns ascending within a row), the
+    order `indices` and `indptr` describe. LAPJVsp's choice among tied optima
+    depends on that order, so it is the one scipy's COO-to-CSR conversion
+    gives.
+
+    The layout depends only on the problem's `pairs` and `dims`; it keeps
+    those arrays to tell whether it still fits a problem.
+    """
+
+    pairs: np.ndarray
+    dims: np.ndarray
+    pair_row: np.ndarray  # (n_pairs,) row of each pair's even cell
+    pair_col: np.ndarray  # (n_pairs,) column of its odd cell
+    order: np.ndarray  # (2 * n_pairs + n_cells,) edge of each CSR slot
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def build(cls, pairs: np.ndarray, dims: np.ndarray) -> "AssignmentGraph":
+        even = np.asarray(dims) % 2 == 0
+        n = len(even)
+        ne = int(even.sum())
+        no = n - ne
+        pos = np.empty(n, dtype=np.intp)  # index of a cell among its own parity
+        pos[even] = np.arange(ne)
+        pos[~even] = np.arange(no)
+        lo, up = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+        lo_even = even[lo]
+        r = pos[np.where(lo_even, lo, up)]
+        c = pos[np.where(lo_even, up, lo)]
+        rows = np.concatenate([r, np.where(even, pos, ne + pos), ne + c])
+        cols = np.concatenate([c, np.where(even, no + pos, pos), no + r])
+        order = np.lexsort((cols, rows))  # no edge is listed twice
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(pairs, dims, r, c, order, cols[order], indptr)
+
+    def weighted(self, costs: np.ndarray) -> csr_array:
+        """The graph with variable k's edge at costs[k] and the dummy pairs at 0."""
+        weights = np.concatenate([np.asarray(costs, dtype=float), np.zeros(len(self.pair_row))])
+        weights = weights[self.order]
+        # scipy drops explicit zeros; the smallest subnormal is absorbed by any
+        # sum with a normal float, so it keeps the edge without moving a cost
+        weights[weights == 0.0] = np.nextafter(0.0, 1.0)
+        n = len(self.indptr) - 1
+        return csr_array((weights, self.indices, self.indptr), shape=(n, n))
+
+
 @dataclass
 class MatchingProblem:
     """Variables are the admissible pairs, rows of `pairs` in (lower, upper)
     order, then one diagonal (stay critical) per cell; `costs` prices them in
-    that order."""
+    that order.
+
+    `graph` is the assignment graph `solve_exact` prices. `build_problem`
+    lays it out and `dataclasses.replace` carries it, so problems that differ
+    only in costs share it. A problem without one, or whose `pairs` or `dims`
+    are not the arrays it was laid out for, gets a new one per solve.
+    """
 
     pairs: np.ndarray  # (n_pairs, 2)
     costs: np.ndarray  # (n_pairs + n_cells,)
     dims: np.ndarray  # (n_cells,)
+    graph: AssignmentGraph | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_pairs(self) -> int:
@@ -78,6 +147,13 @@ class MatchingProblem:
             raise KeyError((lower, upper))
         return row
 
+    def assignment_graph(self) -> AssignmentGraph:
+        """`graph` when it fits `pairs` and `dims`, else a new layout."""
+        g = self.graph
+        if g is not None and g.pairs is self.pairs and g.dims is self.dims:
+            return g
+        return AssignmentGraph.build(self.pairs, self.dims)
+
 
 def build_problem(cost_model: CostModel, complex: CellComplex) -> MatchingProblem:
     n = len(complex)
@@ -87,6 +163,7 @@ def build_problem(cost_model: CostModel, complex: CellComplex) -> MatchingProble
         pairs=cost_model.pairs,
         costs=np.concatenate([cost_model.pair_costs, np.full(n, cost_model.alpha)]),
         dims=complex.dims,
+        graph=AssignmentGraph.build(cost_model.pairs, complex.dims),
     )
 
 
@@ -133,40 +210,16 @@ def _selection_to_matching(problem: MatchingProblem, selected: np.ndarray) -> Ma
 
 def solve_exact(problem: MatchingProblem) -> Matching:
     """Global minimizer of the plain matching program, by a sparse
-    minimum-weight perfect matching (LAPJVsp). Deterministic.
-
-    Rows are even-parity cells plus one dummy per odd cell; columns are odd
-    cells plus one dummy per even cell. Edges: each admissible pair at its
-    cost, each cell to its own dummy at its diagonal cost (the cell stays
-    critical), and each pair's two dummies to each other at cost 0, so the
-    dummies of a matched pair cover one another.
+    minimum-weight perfect matching (LAPJVsp) on the problem's assignment
+    graph (see `AssignmentGraph`). Deterministic.
     """
     n = problem.n_cells
     if n == 0:
         return Matching(matched={}, critical=frozenset(), objective=0.0)
-    even = np.asarray(problem.dims) % 2 == 0
-    ne = int(even.sum())
-    no = n - ne
-    pos = np.empty(n, dtype=np.intp)  # index of a cell among its own parity
-    pos[even] = np.arange(ne)
-    pos[~even] = np.arange(no)
-
+    graph = problem.assignment_graph()
+    _, col_of_row = min_weight_full_bipartite_matching(graph.weighted(problem.costs))
+    hit = col_of_row[graph.pair_row] == graph.pair_col
     lo, up = problem.pairs.T
-    lo_even = even[lo]
-    r = pos[np.where(lo_even, lo, up)]
-    c = pos[np.where(lo_even, up, lo)]
-    # edges in variable order (pairs, then diagonals), then the dummy pairs
-    rows = np.concatenate([r, np.where(even, pos, ne + pos), ne + c])
-    cols = np.concatenate([c, np.where(even, no + pos, pos), no + r])
-    weights = np.concatenate([np.asarray(problem.costs, dtype=float), np.zeros(len(r))])
-    # scipy drops explicit zeros; the smallest subnormal is absorbed by any
-    # sum with a normal float, so it keeps the edge without moving a cost
-    weights[weights == 0.0] = np.nextafter(0.0, 1.0)
-
-    _, col_of_row = min_weight_full_bipartite_matching(
-        csr_array((weights, (rows, cols)), shape=(n, n))
-    )
-    hit = col_of_row[r] == c
     critical = np.ones(n, dtype=bool)
     critical[lo[hit]] = critical[up[hit]] = False
     selected = np.concatenate([np.flatnonzero(hit), problem.n_pairs + np.flatnonzero(critical)])
@@ -186,6 +239,8 @@ def solve_branch_and_bound(
     speed of the machine. Among equal optima the choice is HiGHS' own,
     deterministic but not lexicographic.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n = problem.n_cells
     if n == 0:
         return Matching(matched={}, critical=frozenset(), objective=0.0)

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from combidyn.builders import _incircle, _orient2d
 from combidyn.dynamics import _flow_successors
@@ -98,6 +100,48 @@ def dense_assignment_selection(problem):
     return sorted(selected)
 
 
+def assignment_matrix_by_coo(problem):
+    """The sparse assignment graph of the plain program, built from scratch
+    as one COO matrix and converted by scipy: rows are even-parity cells plus
+    one dummy per odd cell, columns odd cells plus one dummy per even cell;
+    edges are the pairs at their costs, each cell to its own dummy at its
+    diagonal cost, and each pair's two dummies to each other at cost 0. Zero
+    weights become the smallest subnormal, which scipy keeps. Returns the
+    matrix and the (row, column) of each pair."""
+    n = problem.n_cells
+    even = np.asarray(problem.dims) % 2 == 0
+    ne = int(even.sum())
+    no = n - ne
+    pos = np.empty(n, dtype=np.intp)
+    pos[even] = np.arange(ne)
+    pos[~even] = np.arange(no)
+    lo, up = problem.pairs.T
+    lo_even = even[lo]
+    r = pos[np.where(lo_even, lo, up)]
+    c = pos[np.where(lo_even, up, lo)]
+    rows = np.concatenate([r, np.where(even, pos, ne + pos), ne + c])
+    cols = np.concatenate([c, np.where(even, no + pos, pos), no + r])
+    weights = np.concatenate([np.asarray(problem.costs, dtype=float), np.zeros(len(r))])
+    weights[weights == 0.0] = np.nextafter(0.0, 1.0)
+    return csr_array((weights, (rows, cols)), shape=(n, n)), r, c
+
+
+def sparse_selection_by_coo(problem):
+    """Optimal selection of the plain program by LAPJVsp on
+    `assignment_matrix_by_coo`: the pairs whose edge is matched, then the
+    diagonals of the cells no matched pair covers. Returns the selected
+    variable indices, sorted."""
+    n = problem.n_cells
+    if n == 0:
+        return []
+    matrix, r, c = assignment_matrix_by_coo(problem)
+    _, col_of_row = min_weight_full_bipartite_matching(matrix)
+    hit = col_of_row[r] == c
+    critical = np.ones(n, dtype=bool)
+    critical[problem.pairs[hit].ravel()] = False
+    return np.flatnonzero(hit).tolist() + (problem.n_pairs + np.flatnonzero(critical)).tolist()
+
+
 def circumcircle_has_no_point_inside(points, triangle, others) -> bool:
     """Empty-circumcircle check in exact rational arithmetic, written from the
     determinant definition and nothing else."""
@@ -180,6 +224,41 @@ def gradient_optimum(complex, problem):
         if all(len(comp) == 1 for comp in sccs_by_reachability(succ)):
             return objective
     raise AssertionError("no gradient selection; the all-critical one always is")
+
+
+def closure_by_walk(complex, cell):
+    """The cell and all its faces, by a depth-first walk over codim-1 faces."""
+    acc = {cell}
+    stack = [cell]
+    while stack:
+        for f in complex.codim1_faces(stack.pop()):
+            if f not in acc:
+                acc.add(f)
+                stack.append(f)
+    return acc
+
+
+def flow_successors_by_closure(complex, matching):
+    """CSR successors (ptr, idx) of the flow, one closure walk per critical
+    cell: rows listed as matched lower -> partner, matched upper -> its other
+    codim-1 faces, critical cell -> its sorted closure, then grouped by cell
+    with a stable sort. Takes the matching as given, like `_flow_successors`."""
+    n = len(complex)
+    lower, upper = np.array(list(matching.matched.items()), dtype=np.intp).reshape(-1, 2).T
+    partner = np.full(n, -1, dtype=np.intp)
+    partner[upper] = lower
+    owner = np.repeat(np.arange(n), np.diff(complex.face_ptr))
+    spread = (partner[owner] >= 0) & (complex.face_idx != partner[owner])
+    critical = sorted(matching.critical)
+    closures = [sorted(closure_by_walk(complex, c)) for c in critical]
+    closed = np.array([f for cl in closures for f in cl], dtype=np.intp)
+    rows = np.concatenate(
+        [lower, owner[spread], np.repeat(np.array(critical, dtype=np.intp), list(map(len, closures)))]
+    )
+    cols = np.concatenate([upper, complex.face_idx[spread], closed])
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return ptr, cols[np.argsort(rows, kind="stable")]
 
 
 def cubical_cells_by_sites(points, side):

@@ -1,17 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combidyn import (
     Matching,
+    barycentric_subdivision,
     build_cost_model,
     build_problem,
     classify_recurrence,
+    cubical_grid,
     multiflow,
+    simplicial_complex,
     solve_exact,
     strongly_connected_components,
 )
+from combidyn.dynamics import _flow_successors
 
 from conftest import problem_for, random_instance, successor_lists
+from oracles import closure_by_walk, flow_successors_by_closure
 
 
 class TestMultiflow:
@@ -45,6 +53,78 @@ class TestMultiflow:
         bad = Matching(matched={0: 3}, critical=frozenset(), objective=0.0)
         with pytest.raises(ValueError, match="not valid"):
             multiflow(K, bad)
+
+
+@st.composite
+def complexes(draw, kind, d):
+    """A d-dimensional simplicial complex, barycentrically subdivided when
+    kind is "subdivided", or a d-dimensional cubical lattice patch with some
+    sites left out."""
+    if kind == "cube":
+        shape = draw(st.tuples(*[st.integers(2, 4 if d == 2 else 3)] * d))
+        sites = np.array(list(itertools.product(*map(range, shape))), dtype=float)
+        drop = draw(st.sets(st.integers(1, len(sites) - 1), max_size=len(sites) // 4))
+        return cubical_grid(np.delete(sites, sorted(drop), axis=0), 1.0)
+    n = draw(st.integers(d + 1, d + 3))
+    simplex = st.lists(st.integers(0, n - 1), min_size=1, max_size=d + 1, unique=True)
+    top = draw(st.permutations(range(n)))[: d + 1]  # one d-simplex at least
+    gens = [top] + draw(st.lists(simplex, max_size=3 if kind == "simplex" else 1))
+    K = simplicial_complex(np.random.default_rng(n).normal(size=(n, d)), gens)
+    if kind == "subdivided":
+        K, _ = barycentric_subdivision(K, np.zeros((len(K), d)))
+    return K
+
+
+@st.composite
+def matchings(draw, K):
+    """Every cell critical; a maximal random matching with no critical cell
+    named (the flow takes the matching as given); or a random partial
+    matching with the uncovered cells critical."""
+    mode = draw(st.sampled_from(["all_critical", "no_critical", "random"]))
+    if mode == "all_critical":
+        return Matching(matched={}, critical=frozenset(range(len(K))), objective=0.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = 1.0 if mode == "no_critical" else rng.random()
+    used = np.zeros(len(K), dtype=bool)
+    matched = {}
+    for lo, up in K.pairs[rng.permutation(len(K.pairs))].tolist():
+        if not used[lo] and not used[up] and rng.random() < keep:
+            matched[lo] = up
+            used[lo] = used[up] = True
+    critical = frozenset() if mode == "no_critical" else frozenset(np.flatnonzero(~used).tolist())
+    return Matching(matched=matched, critical=critical, objective=0.0)
+
+
+KINDS = list(itertools.product(["simplex", "subdivided", "cube"], [2, 3]))
+
+
+class TestFlowSuccessors:
+    """The array closure of critical cells against one depth-first closure
+    walk per critical cell (`oracles.flow_successors_by_closure`)."""
+
+    @pytest.mark.parametrize("kind, d", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_closure_walk(self, kind, d, data):
+        K = data.draw(complexes(kind, d))
+        m = data.draw(matchings(K))
+        ptr, idx = _flow_successors(K, m)
+        want_ptr, want_idx = flow_successors_by_closure(K, m)
+        assert np.array_equal(ptr, want_ptr)
+        assert np.array_equal(idx, want_idx)
+
+    @pytest.mark.parametrize("kind, d", KINDS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_closure_matches_walk(self, kind, d, data):
+        K = data.draw(complexes(kind, d))
+        for c in range(len(K)):
+            assert K.closure(c) == frozenset(closure_by_walk(K, c))
+        cell, face = K.closures([len(K) - 1, 0, len(K) - 1])
+        want = sorted(
+            (c, f) for c in {0, len(K) - 1} for f in closure_by_walk(K, c)
+        )
+        assert list(zip(cell.tolist(), face.tolist())) == want
 
 
 class TestRecurrence:

@@ -1,13 +1,16 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from combidyn import (
+    DEFAULT_ALPHA_GRID,
     CostModel,
     Matching,
+    MatchingProblem,
     assign_vertex_average,
     build_cost_model,
     build_problem,
@@ -29,9 +32,11 @@ from conftest import (
     random_simplicial_instance,
 )
 from oracles import (
+    assignment_matrix_by_coo,
     brute_force_optimum,
     dense_assignment_selection,
     matching_violations_by_loop,
+    sparse_selection_by_coo,
 )
 
 TOY_ALPHA = 0.75
@@ -191,6 +196,111 @@ class TestSparseAssignment:
             tracemalloc.stop()
         assert peak < 200e6
         assert verify_matching(K, m).ok
+
+
+def random_problem(rng):
+    if rng.random() < 0.6:
+        K, vectors = random_simplicial_instance(rng)
+    else:
+        K, vectors = random_cubical_instance(rng)
+    return K, problem_for(K, vectors, float(rng.uniform(0.0, 2.0)))
+
+
+def assert_same_solve(p):
+    """solve_exact on the prepared graph picks the selection the per-call
+    COO construction picks, with the same objective."""
+    m = solve_exact(p)
+    expected = sparse_selection_by_coo(p)
+    # pairs may come in any row order here, so no pair_var lookup
+    var = {pq: k for k, pq in enumerate(map(tuple, p.pairs.tolist()))}
+    assert sorted([var[pq] for pq in m.pairs()] + [p.diagonal_var(c) for c in m.critical]) == expected
+    assert m.objective == math.fsum(p.costs[v] for v in expected)
+
+
+class TestAssignmentGraph:
+    """The graph `build_problem` lays out once against the COO matrix built
+    per call (`oracles.sparse_selection_by_coo`): LAPJVsp breaks ties by edge
+    order, so equal optima are not enough; the selections must be equal."""
+
+    def test_matrix_is_the_coo_matrix(self):
+        rng = np.random.default_rng(61)
+        for trial in range(60):
+            _, p = random_problem(rng)
+            if trial % 2:
+                # pairs out of (lower, upper) order: their edges reach each
+                # row out of column order, and CSR order must sort them
+                perm = rng.permutation(p.n_pairs)
+                costs = np.concatenate([p.costs[perm], p.costs[p.n_pairs :]])
+                p = MatchingProblem(pairs=p.pairs[perm], costs=costs, dims=p.dims)
+                assert_same_solve(p)
+            got = p.assignment_graph().weighted(p.costs)
+            want, _, _ = assignment_matrix_by_coo(p)
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(67)
+        for _ in range(150):
+            assert_same_solve(random_problem(rng)[1])
+
+    def test_exact_zeros_and_ties(self):
+        # pair costs 0 and exactly 2 * alpha, alpha 0, and many tied optima
+        rng = np.random.default_rng(71)
+        grid = np.arange(9) * 0.25
+        seen_zero_cost = seen_zero_alpha = seen_two_alpha = False
+        for _ in range(150):
+            K, _ = random_problem(rng)
+            alpha = float(rng.choice(grid))
+            costs = rng.choice(grid, size=len(K.pairs))
+            model = CostModel(alpha=alpha, pairs=K.pairs, pair_costs=costs, n_cells=len(K))
+            assert_same_solve(build_problem(model, K))
+            seen_zero_cost |= bool((costs == 0.0).any())
+            seen_zero_alpha |= alpha == 0.0
+            seen_two_alpha |= bool((costs == 2 * alpha).any())
+        assert seen_zero_cost and seen_zero_alpha and seen_two_alpha
+
+    def test_sweep_grid_through_replace(self):
+        # the alpha sweep re-prices the diagonals with dataclasses.replace,
+        # which carries the graph
+        rng = np.random.default_rng(73)
+        for _ in range(8):
+            _, p = random_problem(rng)
+            for alpha in DEFAULT_ALPHA_GRID:
+                costs = np.concatenate([p.costs[: p.n_pairs], np.full(p.n_cells, alpha)])
+                q = replace(p, costs=costs)
+                assert q.assignment_graph() is p.graph
+                assert_same_solve(q)
+
+    def test_hand_built_problem(self, toy):
+        _, K, vectors = toy
+        built = problem_for(K, vectors, TOY_ALPHA)
+        p = MatchingProblem(pairs=K.pairs, costs=built.costs, dims=K.dims)
+        assert p.graph is None
+        assert_same_solve(p)
+        assert solve_exact(p) == solve_exact(built)
+
+    def test_stale_graph_is_not_reused(self):
+        # two complexes with equal cell and pair counts but different pairs:
+        # vertices 0..3 under the edges (0, 1), (2, 3) or (0, 1), (1, 2)
+        points = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
+        A = simplicial_complex(points, [(0, 1), (2, 3)])
+        B = simplicial_complex(points, [(0, 1), (1, 2), (3,)])
+        assert (len(A), len(A.pairs)) == (len(B), len(B.pairs))
+        assert not np.array_equal(A.pairs, B.pairs)
+        rng = np.random.default_rng(79)
+        for _ in range(20):
+            pa = problem_for(A, rng.normal(size=(len(A), 2)), 0.4)
+            pb = problem_for(B, rng.normal(size=(len(B), 2)), 0.4)
+            q = replace(pa, pairs=pb.pairs, dims=pb.dims, costs=pb.costs)
+            assert q.graph is pa.graph
+            assert q.assignment_graph() is not pa.graph
+            assert_same_solve(q)
+            assert solve_exact(q) == solve_exact(pb)
+        # an equal copy of the pairs is a different array: laid out anew
+        copy = replace(pa, pairs=pa.pairs.copy())
+        assert copy.assignment_graph() is not pa.graph
+        assert solve_exact(copy) == solve_exact(pa)
 
 
 class TestConstraints:
