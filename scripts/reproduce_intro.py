@@ -36,13 +36,13 @@ def main():
     analysis = run_pipeline(config, field_csv)
 
     counts = analysis.complex.counts_by_dim()
-    print(f"complex: {counts}, m={analysis.problem.m}")
+    print(f"complex: {counts}, m={analysis.document['problem']['m']}")
     print(f"objective: {analysis.matching.objective:.6f} at alpha={args.alpha}")
     for info in analysis.recurrence.multi_cell():
         radii = [np.linalg.norm(analysis.complex.barycenters[c]) for c in info.cells]
         print(f"  orbit scc {info.id}: {info.size} cells, dims {info.dims_present}, "
               f"mean radius {np.mean(radii):.3f}")
-    for c in sorted(analysis.matching.critical):
+    for c in analysis.matching.critical.tolist():
         r = np.linalg.norm(analysis.complex.barycenters[c])
         print(f"  critical cell {c}: dim {analysis.complex.dims[c]}, radius {r:.3f}")
 

@@ -38,7 +38,7 @@ def main():
     counts = analysis.complex.counts_by_dim()
     print(f"trajectory: {len(analysis.sample.points)} samples, "
           f"{counts[0]} distinct lattice sites after snapping")
-    print(f"complex: {counts}, m={analysis.problem.m}")
+    print(f"complex: {counts}, m={analysis.document['problem']['m']}")
     print(f"objective: {analysis.matching.objective:.6f} at alpha={args.alpha}")
     for info in analysis.recurrence.multi_cell():
         print(f"  scc {info.id}: {info.size} cells, d={info.d}")

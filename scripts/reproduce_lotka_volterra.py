@@ -36,7 +36,7 @@ def main():
         PipelineConfig(complex_kind="delaunay2d", alpha=args.alpha), field_csv
     )
 
-    print(f"complex: {analysis.complex.counts_by_dim()}, m={analysis.problem.m}")
+    print(f"complex: {analysis.complex.counts_by_dim()}, m={analysis.document['problem']['m']}")
     print(f"objective: {analysis.matching.objective:.6f} at alpha={args.alpha}")
     for info in analysis.recurrence.multi_cell():
         center = np.mean([analysis.complex.barycenters[c] for c in info.cells], axis=0)

@@ -36,9 +36,9 @@ def show_solution(K, vectors, alpha):
     matching = solve_exact(build_problem(model, K))
     recurrence = strongly_connected_components(multiflow(K, matching))
     cyclic = [list(s.cells) for s in recurrence.multi_cell()]
+    arrows = ", ".join(f"{lo}: {up}" for lo, up in matching.pairs.tolist())
     print(f"  alpha={alpha}: objective {matching.objective:.6f}, "
-          f"matched {dict(sorted(matching.matched.items()))}, "
-          f"critical {sorted(matching.critical)}")
+          f"matched {{{arrows}}}, critical {matching.critical.tolist()}")
     print(f"  gradient: {is_gradient(K, matching)}"
           + (f", cyclic components {cyclic}" if cyclic else ""))
     return model, matching

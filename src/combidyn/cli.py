@@ -92,7 +92,8 @@ def _cmd_run(args) -> int:
     counts = analysis.complex.counts_by_dim()
     count_str = " + ".join(f"{n} d{d}" for d, n in sorted(counts.items()))
     print(f"complex: {len(analysis.complex)} cells ({count_str})")
-    print(f"problem: N={analysis.problem.n_cells}, m={analysis.problem.m}")
+    size = analysis.document["problem"]
+    print(f"problem: N={size['N']}, m={size['m']}")
     obj = analysis.document["objective"]
     print(
         f"objective: {obj['total']} at alpha={obj['alpha']} "

@@ -65,7 +65,8 @@ class CostModel:
         """Cost of each (lower, upper) in a sequence of pairs, in its order."""
         rows = pair_rows(self.pairs, self.n_cells, pairs)
         if (rows < 0).any():
-            raise KeyError(f"not an admissible pair: {list(pairs)[np.flatnonzero(rows < 0)[0]]}")
+            bad = np.asarray(pairs).reshape(-1, 2)[np.flatnonzero(rows < 0)[0]]
+            raise KeyError(f"not an admissible pair: {tuple(bad.tolist())}")
         return self.pair_costs[rows]
 
     def pair_cost(self, lower: int, upper: int) -> float:

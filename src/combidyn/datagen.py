@@ -3,6 +3,7 @@ Euler-integrated Lorenz trajectory."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -108,8 +109,8 @@ def gen_lorenz_trajectory(x0=(0.0, 1.0, 1.05), dt: float = 0.2, n: int = 1000) -
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     pts = [np.asarray(x0, dtype=float)]
     vecs = [_rhs_lorenz(pts[0])]
     for _ in range(n - 1):

@@ -4,6 +4,8 @@ Every cell gets a successor set: a critical cell maps to its whole closure,
 sorted, a matched lower cell to its partner, and a matched upper cell to its
 other codim-1 faces. Recurrence is read off the strongly connected components
 of that relation; critical cells are exactly the singletons with a self-loop.
+The matching comes in as arrays (`Matching.pairs`, `Matching.critical`) and
+the flow is arrays too.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ __all__ = [
 @dataclass
 class FlowGraph:
     """CSR flow: cell c flows to `succ_idx[succ_ptr[c]:succ_ptr[c + 1]]`.
-    `scc_id`, each cell's component, is set by `strongly_connected_components`."""
+    `critical` is the matching's critical cells, ascending. `scc_id`, each
+    cell's component, is set by `strongly_connected_components`."""
 
     succ_ptr: np.ndarray
     succ_idx: np.ndarray
     dims: np.ndarray
-    critical: frozenset[int]
+    critical: np.ndarray
     scc_id: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -47,14 +50,12 @@ def _flow_successors(complex: CellComplex, matching: Matching) -> tuple[np.ndarr
     docstring gives, faces ascending. The matching is taken as given;
     `multiflow` is the checked entry point."""
     n = len(complex)
-    lower, upper = np.array(list(matching.matched.items()), dtype=np.intp).reshape(-1, 2).T
+    lower, upper = matching.pairs.T
     partner = np.full(n, -1, dtype=np.intp)
     partner[upper] = lower
     owner = np.repeat(np.arange(n), np.diff(complex.face_ptr))
     spread = (partner[owner] >= 0) & (complex.face_idx != partner[owner])
-    closed_cell, closed_face = complex.closures(
-        np.fromiter(matching.critical, dtype=np.intp, count=len(matching.critical))
-    )
+    closed_cell, closed_face = complex.closures(matching.critical)
     rows = np.concatenate([lower, owner[spread], closed_cell])
     cols = np.concatenate([upper, complex.face_idx[spread], closed_face])
     ptr = np.zeros(n + 1, dtype=np.intp)
@@ -126,8 +127,7 @@ def strongly_connected_components(flow: FlowGraph) -> CycleReport:
     flow.scc_id = labels
     sizes = np.diff(bounds)
     recurrent = sizes > 1
-    critical = labels[np.fromiter(flow.critical, dtype=np.intp, count=len(flow.critical))]
-    recurrent[critical] = True
+    recurrent[labels[flow.critical]] = True
     # successors that stay inside their cell's component, per cell
     source = np.repeat(np.arange(len(flow)), np.diff(flow.succ_ptr))
     inner = source[labels[source] == labels[flow.succ_idx]]
@@ -146,7 +146,8 @@ def strongly_connected_components(flow: FlowGraph) -> CycleReport:
                 d=dims_present[0] if dims_present[-1] - dims_present[0] <= 1 else None,
                 dims_present=dims_present,
                 self_intersections=tuple(cells[crossing[cells]].tolist()),
-                is_critical_singleton=len(cells) == 1 and int(cells[0]) in flow.critical,
+                # a recurrent singleton holds a critical cell
+                is_critical_singleton=len(cells) == 1,
             )
         )
     return CycleReport(sccs=infos, n_components=len(sizes))
@@ -159,14 +160,14 @@ def classify_recurrence(flow: FlowGraph, matching: Matching) -> CycleReport:
     cells are exactly the self-loop singletons, and no multi-cell component
     contains a critical cell.
     """
-    if matching.critical != flow.critical:
+    if not np.array_equal(matching.critical, flow.critical):
         raise ValueError("flow graph and matching disagree on the critical set")
     report = strongly_connected_components(flow)
-    for info in report.sccs:
-        if info.size > 1 and any(c in flow.critical for c in info.cells):
-            raise AssertionError(f"critical cell inside multi-cell component {info.id}")
-    critical = np.fromiter(flow.critical, dtype=np.intp, count=len(flow.critical))
-    dims, counts = np.unique(flow.dims[critical], return_counts=True)
+    held = flow.scc_id[flow.critical]
+    multi = held[np.bincount(flow.scc_id)[held] > 1]
+    if len(multi):
+        raise AssertionError(f"critical cell inside multi-cell component {multi.min()}")
+    dims, counts = np.unique(flow.dims[flow.critical], return_counts=True)
     report.critical_census = dict(zip(dims.tolist(), counts.tolist()))
     return report
 

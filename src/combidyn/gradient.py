@@ -98,23 +98,22 @@ def alpha_sweep(
 
     problem = build_problem(cost_model, complex)
     pair_costs = problem.costs[: problem.n_pairs]
-    cyclic: dict[int, int] | None = None  # the last matching found not gradient
+    cyclic = None  # pairs of the last matching found not gradient
     for alpha in grid:
         costs = np.concatenate([pair_costs, np.full(problem.n_cells, alpha)])
         matching = solve_exact(replace(problem, costs=costs))
         # the same pairs induce the same flow, so only a new matching is tested
-        if matching.matched == cyclic:
+        if cyclic is not None and np.array_equal(matching.pairs, cyclic):
             continue
         if is_gradient(complex, matching):
             return alpha, matching
-        cyclic = matching.matched
+        cyclic = matching.pairs
 
     t = all_critical_threshold(cost_model)
     if not math.isfinite(t):
         raise RuntimeError("sweep failed on a complex with no admissible pairs")
-    model = replace(cost_model, alpha=t)
-    every = Matching(matched={}, critical=frozenset(range(len(complex))), objective=0.0)
-    return t, Matching(every.matched, every.critical, evaluate_matching(model, every))
+    every = Matching(pairs=(), critical=np.arange(len(complex)), objective=0.0)
+    return t, replace(every, objective=evaluate_matching(replace(cost_model, alpha=t), every))
 
 
 def solve_gradient_constrained(
@@ -149,8 +148,8 @@ def solve_gradient_constrained(
         if not components:
             return matching, rounds
         for cells in components:
-            pairs = [(c, matching.matched[c]) for c in cells.tolist() if c in matching.matched]
-            cut = frozenset(pair_rows(problem.pairs, problem.n_cells, pairs).tolist())
+            inside = matching.pairs[np.isin(matching.pairs[:, 0], cells)]
+            cut = frozenset(pair_rows(problem.pairs, problem.n_cells, inside).tolist())
             if cut in seen:
                 raise RuntimeError("cycle constraint repeated; solver is not separating")
             seen.add(cut)

@@ -40,7 +40,6 @@ from .gradient import (
 )
 from .solver import (
     Matching,
-    MatchingProblem,
     build_problem,
     evaluate_matching,
     objective_decomposition,
@@ -258,7 +257,6 @@ class Analysis:
     complex: CellComplex
     vectors: np.ndarray  # (N, d), one row per cell
     cost_model: CostModel
-    problem: MatchingProblem
     matching: Matching
     flow: FlowGraph
     recurrence: CycleReport
@@ -307,7 +305,6 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
         base = build_cost_model(complex, vectors, config.alpha)
         alpha_eff, matching = alpha_sweep(complex, base)
         cost_model = replace(base, alpha=alpha_eff)
-        problem = build_problem(cost_model, complex)
     else:
         alpha_eff = config.alpha
         cost_model = build_cost_model(complex, vectors, alpha_eff)
@@ -325,7 +322,6 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
         complex=complex,
         vectors=vectors,
         cost_model=cost_model,
-        problem=problem,
         matching=matching,
         flow=flow,
         recurrence=recurrence,
@@ -346,7 +342,7 @@ def build_report_document(analysis: Analysis) -> dict:
         "complex": {
             "counts": {str(d): n for d, n in sorted(complex.counts_by_dim().items())}
         },
-        "problem": {"N": analysis.problem.n_cells, "m": analysis.problem.m},
+        "problem": _problem_size(analysis.cost_model),
         "objective": {
             "total": _sig9(matching.objective),
             "matched": n_matched,
@@ -354,8 +350,8 @@ def build_report_document(analysis: Analysis) -> dict:
             "critical": n_critical,
             "alpha": float(analysis.alpha_effective),
         },
-        "matching": [{"lower": lo, "upper": up} for lo, up in matching.pairs()],
-        "critical": [_cell_entry(complex, c) for c in sorted(matching.critical)],
+        "matching": [{"lower": lo, "upper": up} for lo, up in matching.pairs.tolist()],
+        "critical": [_cell_entry(complex, c) for c in matching.critical.tolist()],
         "scc": _scc_entries(analysis.recurrence),
     }
     if analysis.config.gradient_mode != "off":
@@ -366,6 +362,12 @@ def build_report_document(analysis: Analysis) -> dict:
             "constraint_rounds": analysis.constraint_rounds,
         }
     return doc
+
+
+def _problem_size(cost_model: CostModel) -> dict:
+    """The program's size: N cells, and m variables, one per admissible pair
+    plus one diagonal per cell."""
+    return {"N": cost_model.n_cells, "m": len(cost_model.pairs) + cost_model.n_cells}
 
 
 def _cell_entry(complex: CellComplex, cell_id: int) -> dict:
@@ -398,12 +400,15 @@ def export_report(analysis: Analysis, path) -> None:
 def export_dot(analysis: Analysis, path) -> None:
     """Flow graph in DOT form: one node per cell, one edge per flow arrow.
     Critical cells are drawn doubled."""
+    flow = analysis.flow
+    critical = np.zeros(len(flow), dtype=bool)
+    critical[flow.critical] = True
     lines = ["digraph flow {"]
-    for c, dim in enumerate(analysis.complex.dims.tolist()):
-        shape = "doublecircle" if c in analysis.flow.critical else "circle"
+    for c, (dim, crit) in enumerate(zip(flow.dims.tolist(), critical.tolist())):
+        shape = "doublecircle" if crit else "circle"
         lines.append(f'  {c} [label="{c}:d{dim}" shape={shape}];')
-    source = np.repeat(np.arange(len(analysis.flow)), np.diff(analysis.flow.succ_ptr))
-    lines.extend(f"  {c} -> {t};" for c, t in zip(source.tolist(), analysis.flow.succ_idx.tolist()))
+    source = np.repeat(np.arange(len(flow)), np.diff(flow.succ_ptr))
+    lines.extend(f"  {c} -> {t};" for c, t in zip(source.tolist(), flow.succ_idx.tolist()))
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -418,7 +423,7 @@ def export_arrows(analysis: Analysis, path) -> None:
         + [f"to_x{i}" for i in range(1, d + 1)]
     )
     lines = [",".join(header)]
-    for lo, up in analysis.matching.pairs():
+    for lo, up in analysis.matching.pairs.tolist():
         a = analysis.complex.barycenters[lo]
         b = analysis.complex.barycenters[up]
         row = [str(lo), str(up)] + [_fmt9(x) for x in a] + [_fmt9(x) for x in b]
@@ -473,16 +478,15 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     ok &= good
     lines.append(f"complex rebuild ({sum(counts.values())} cells): {'PASS' if good else 'FAIL'}")
 
-    # the raw pair list, so that a pair listed twice is caught
-    rep = verify_matching(complex, pairs, set(critical))
+    rep = verify_matching(complex, pairs, critical)
     ok &= rep.ok
     lines.append(
-        f"matching axioms ({len(pairs)} pairs, {len(set(critical))} critical): "
+        f"matching axioms ({len(pairs)} pairs, {len(critical)} critical): "
         f"{'PASS' if rep.ok else 'FAIL (' + ', '.join(sorted(rep.kinds())) + ')'}"
     )
     if not rep.ok:
         return False, lines
-    matching = Matching(matched=dict(pairs), critical=frozenset(critical), objective=float(total))
+    matching = Matching(pairs, critical, float(total))
 
     alpha = float(alpha)
     model = build_cost_model(complex, vectors, alpha)
@@ -513,7 +517,7 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
         f"{'PASS' if good else 'FAIL'}"
     )
 
-    size = {"N": len(complex), "m": len(model.pair_costs) + len(complex)}
+    size = _problem_size(model)
     good = problem == size
     ok &= good
     lines.append(f"problem size (N={size['N']}, m={size['m']}): {'PASS' if good else 'FAIL'}")
@@ -526,7 +530,7 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     ok &= good
     lines.append(f"recurrence round-trip ({len(recurrence.sccs)} components): {'PASS' if good else 'FAIL'}")
 
-    redone = [_cell_entry(complex, c) for c in sorted(matching.critical)]
+    redone = [_cell_entry(complex, c) for c in matching.critical.tolist()]
     good = redone == critical_entries
     ok &= good
     lines.append(f"critical census round-trip: {'PASS' if good else 'FAIL'}")

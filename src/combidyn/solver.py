@@ -3,7 +3,9 @@
 The program has one binary variable per admissible pair plus one diagonal
 variable per cell, and one constraint per cell: exactly one incident variable
 is selected. Feasible selections are exactly the partial matchings of the
-admissibility graph with the unmatched cells declared critical.
+admissibility graph with the unmatched cells declared critical. Every solver
+returns its selection as a `Matching` of two arrays: the selected rows of the
+problem's `pairs` and the critical cells.
 
 One exact solver per problem class:
 
@@ -25,7 +27,7 @@ One exact solver per problem class:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -167,45 +169,31 @@ def build_problem(cost_model: CostModel, complex: CellComplex) -> MatchingProble
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
-    """A partial self-matching of the complex: lower cell -> codim-1 coface,
-    plus the set of cells left critical."""
+    """A partial self-matching of the complex as arrays: `pairs` is (k, 2)
+    int64, one (lower, upper) row per matched lower cell and its codim-1
+    coface, sorted by (lower, upper); `critical` holds the cells left
+    critical, ascending. Construction sorts both and keeps repeats, so the
+    order they were built in never shows and `verify_matching` sees a cell
+    named twice."""
 
-    matched: dict[int, int]
-    critical: frozenset[int]
+    pairs: np.ndarray
+    critical: np.ndarray
     objective: float
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.matched.items())
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.matched) | self.critical
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.matched.values()) | self.critical
+    def __post_init__(self):
+        pairs = _cell_ids(self.pairs).reshape(-1, 2)
+        object.__setattr__(self, "pairs", pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+        object.__setattr__(self, "critical", np.sort(_cell_ids(self.critical).reshape(-1)))
 
 
 def evaluate_matching(cost_model: CostModel, matching: Matching) -> float:
     """Canonical objective of a matching: pair costs in (lower, upper) order,
     then alpha per critical cell, summed exactly."""
-    terms = cost_model.costs_of(matching.pairs()).tolist()
+    terms = cost_model.costs_of(matching.pairs).tolist()
     terms += [cost_model.alpha] * len(matching.critical)
     return math.fsum(terms)
-
-
-def _selection_to_matching(problem: MatchingProblem, selected: np.ndarray) -> Matching:
-    """Matching of the ascending selected variable indices; the objective is
-    re-summed from the problem's own costs."""
-    is_pair = selected < problem.n_pairs
-    lo, up = problem.pairs[selected[is_pair]].T
-    return Matching(
-        matched=dict(zip(lo.tolist(), up.tolist())),
-        critical=frozenset((selected[~is_pair] - problem.n_pairs).tolist()),
-        objective=math.fsum(problem.costs[selected].tolist()),
-    )
 
 
 def solve_exact(problem: MatchingProblem) -> Matching:
@@ -215,15 +203,17 @@ def solve_exact(problem: MatchingProblem) -> Matching:
     """
     n = problem.n_cells
     if n == 0:
-        return Matching(matched={}, critical=frozenset(), objective=0.0)
+        return Matching(pairs=(), critical=(), objective=0.0)
     graph = problem.assignment_graph()
     _, col_of_row = min_weight_full_bipartite_matching(graph.weighted(problem.costs))
     hit = col_of_row[graph.pair_row] == graph.pair_col
     lo, up = problem.pairs.T
     critical = np.ones(n, dtype=bool)
     critical[lo[hit]] = critical[up[hit]] = False
-    selected = np.concatenate([np.flatnonzero(hit), problem.n_pairs + np.flatnonzero(critical)])
-    return _selection_to_matching(problem, selected)
+    chosen = np.concatenate([hit, critical])
+    return Matching(
+        problem.pairs[hit], np.flatnonzero(critical), math.fsum(problem.costs[chosen].tolist())
+    )
 
 
 def solve_branch_and_bound(
@@ -243,7 +233,7 @@ def solve_branch_and_bound(
 
     n = problem.n_cells
     if n == 0:
-        return Matching(matched={}, critical=frozenset(), objective=0.0)
+        return Matching(pairs=(), critical=(), objective=0.0)
     cuts = [sorted(c) for c in constraints]
     for c in cuts:
         if not c or c[0] < 0 or c[-1] >= problem.n_pairs:
@@ -274,7 +264,12 @@ def solve_branch_and_bound(
     )
     if res.status != 0:
         raise RuntimeError(f"HiGHS found no optimum: {res.message}")
-    return _selection_to_matching(problem, np.flatnonzero(res.x > 0.5))
+    chosen = res.x > 0.5
+    return Matching(
+        problem.pairs[chosen[: problem.n_pairs]],
+        np.flatnonzero(chosen[problem.n_pairs :]),
+        math.fsum(problem.costs[chosen].tolist()),
+    )
 
 
 @dataclass(frozen=True)
@@ -312,19 +307,18 @@ def _cell_ids(values) -> np.ndarray:
 def verify_matching(complex: CellComplex, matching, critical=None) -> VerificationReport:
     """Check the partial-matching axioms: each matched pair admissible, the map
     single-valued and injective, no cell both source and target, every cell
-    covered, and the critical set disjoint from the pairs.
+    covered, the critical cells disjoint from the pairs, and none named twice.
 
     Accepts a Matching, or a raw iterable of (lower, upper) pairs together
-    with an explicit critical set (which the Matching form carries itself).
-    Ids may be negative or out of range; those are reported, not indexed.
+    with an explicit iterable of critical cells (which the Matching form
+    carries itself). Ids may be negative or out of range; those are
+    reported, not indexed.
     """
     if isinstance(matching, Matching):
-        P = _cell_ids([list(matching.matched), list(matching.matched.values())]).T
-        P = P[np.argsort(P[:, 0])]  # lowers are distinct: the order of pairs()
-        critical = matching.critical
+        P, crit = matching.pairs, matching.critical
     else:
         P = _cell_ids([tuple(p) for p in matching]).reshape(-1, 2)
-    crit = _cell_ids(list(critical or ()))
+        crit = _cell_ids(list(critical or ()))
     n = len(complex)
 
     violations: list[Violation] = []
@@ -358,6 +352,8 @@ def verify_matching(complex: CellComplex, matching, critical=None) -> Verificati
         violations.append(
             Violation("critical_in_pair", (c,), f"critical cell {c} also appears in a pair")
         )
+    for c, cnt in zip(named[n_crit > 1].tolist(), n_crit[n_crit > 1].tolist()):
+        violations.append(Violation("two_critical", (c,), f"cell {c} is critical {cnt} times"))
     known = (named >= 0) & (named < n)
     covered = np.zeros(n, dtype=bool)
     covered[named[known]] = True
@@ -396,23 +392,15 @@ def repair(complex: CellComplex, cost_model: CostModel, assignment) -> Matching:
     if bad:
         raise ValueError(f"assignment does not cover cell {bad[0]} exactly once")
 
-    admissible = (complex.pair_index(entries) >= 0).tolist()
-    matched = {}
-    critical = set()
-    for (i, j), ok in zip(entries, admissible):
-        if i == j:
-            critical.add(i)
-        elif ok:
-            matched[i] = j
-        else:
-            critical.add(i)
-            critical.add(j)
-    out = Matching(matched=matched, critical=frozenset(critical), objective=0.0)
-    return Matching(matched=matched, critical=out.critical, objective=evaluate_matching(cost_model, out))
+    entries = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
+    keep = complex.pair_index(entries) >= 0
+    # a diagonal (i, i) is never admissible; each dropped row leaves its cells critical
+    out = Matching(entries[keep], np.unique(entries[~keep]), 0.0)
+    return replace(out, objective=evaluate_matching(cost_model, out))
 
 
 def objective_decomposition(matching: Matching, cost_model: CostModel) -> tuple[int, float, int]:
     """Split the objective into (matched count, sum of pair cosines, critical
     count); matched - cosine_sum + critical * alpha recovers the objective."""
-    cosine_sum = math.fsum((1.0 - cost_model.costs_of(matching.pairs())).tolist())
-    return len(matching.matched), cosine_sum, len(matching.critical)
+    cosine_sum = math.fsum((1.0 - cost_model.costs_of(matching.pairs)).tolist())
+    return len(matching.pairs), cosine_sum, len(matching.critical)

@@ -215,8 +215,8 @@ def gradient_optimum(complex, problem):
     for objective, selected in sorted((obj, sel) for sel, obj in enumerate_selections(problem)):
         chosen = [v for v in selected if v < n_pairs]
         matching = Matching(
-            matched={int(lo): int(up) for lo, up in problem.pairs[chosen].tolist()},
-            critical=frozenset(v - n_pairs for v in selected if v >= n_pairs),
+            pairs=problem.pairs[chosen],
+            critical=[v - n_pairs for v in selected if v >= n_pairs],
             objective=objective,
         )
         ptr, idx = _flow_successors(complex, matching)
@@ -244,12 +244,12 @@ def flow_successors_by_closure(complex, matching):
     codim-1 faces, critical cell -> its sorted closure, then grouped by cell
     with a stable sort. Takes the matching as given, like `_flow_successors`."""
     n = len(complex)
-    lower, upper = np.array(list(matching.matched.items()), dtype=np.intp).reshape(-1, 2).T
+    lower, upper = matching.pairs.T
     partner = np.full(n, -1, dtype=np.intp)
     partner[upper] = lower
     owner = np.repeat(np.arange(n), np.diff(complex.face_ptr))
     spread = (partner[owner] >= 0) & (complex.face_idx != partner[owner])
-    critical = sorted(matching.critical)
+    critical = matching.critical.tolist()
     closures = [sorted(closure_by_walk(complex, c)) for c in critical]
     closed = np.array([f for cl in closures for f in cl], dtype=np.intp)
     rows = np.concatenate(

@@ -84,6 +84,15 @@ class TestRun:
         assert rc == 1
         assert "error: no data point relates to any landmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])
+    def test_gen_non_finite_dt(self, tmp_path, capsys, dt):
+        out = tmp_path / "lorenz.csv"
+        # one token, so that argparse does not read "-inf" as a flag
+        rc = main(["gen", "--preset", "lorenz_desk", "--out", str(out), f"--dt={dt}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: dt must be finite and positive, got {float(dt)}\n"
+        assert not out.exists()
+
     def test_bad_flag_combo(self, toy_csv, capsys):
         rc = main(["run", str(toy_csv), "--complex", "cubical"])
         assert rc == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,11 @@ class TestLorenz:
             gen_lorenz_trajectory(n=0)
         with pytest.raises(ValueError):
             gen_lorenz_trajectory(dt=-0.1)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt}$"):
+            gen_lorenz_trajectory(dt=dt)
 
 
 class TestPresets:

@@ -37,7 +37,7 @@ class TestMultiflow:
             (0, 1, 2, 3, 4, 5, 6),
         ]
         assert flow.dims.tolist() == [0, 0, 0, 1, 1, 1, 2]
-        assert flow.critical == frozenset({6})
+        assert flow.critical.tolist() == [6]
 
     def test_critical_maps_to_closure_with_self_loop(self, toy):
         _, K, vectors = toy
@@ -50,7 +50,7 @@ class TestMultiflow:
 
     def test_invalid_matching_rejected(self, toy):
         _, K, _ = toy
-        bad = Matching(matched={0: 3}, critical=frozenset(), objective=0.0)
+        bad = Matching(pairs=[(0, 3)], critical=(), objective=0.0)
         with pytest.raises(ValueError, match="not valid"):
             multiflow(K, bad)
 
@@ -82,17 +82,17 @@ def matchings(draw, K):
     matching with the uncovered cells critical."""
     mode = draw(st.sampled_from(["all_critical", "no_critical", "random"]))
     if mode == "all_critical":
-        return Matching(matched={}, critical=frozenset(range(len(K))), objective=0.0)
+        return Matching(pairs=(), critical=np.arange(len(K)), objective=0.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     keep = 1.0 if mode == "no_critical" else rng.random()
     used = np.zeros(len(K), dtype=bool)
-    matched = {}
+    pairs = []
     for lo, up in K.pairs[rng.permutation(len(K.pairs))].tolist():
         if not used[lo] and not used[up] and rng.random() < keep:
-            matched[lo] = up
+            pairs.append((lo, up))
             used[lo] = used[up] = True
-    critical = frozenset() if mode == "no_critical" else frozenset(np.flatnonzero(~used).tolist())
-    return Matching(matched=matched, critical=critical, objective=0.0)
+    critical = () if mode == "no_critical" else np.flatnonzero(~used)
+    return Matching(pairs=pairs, critical=critical, objective=0.0)
 
 
 KINDS = list(itertools.product(["simplex", "subdivided", "cube"], [2, 3]))
@@ -173,7 +173,7 @@ class TestRecurrence:
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.75))
         flow = multiflow(K, m)
-        other = Matching(matched=dict(m.matched), critical=frozenset(), objective=0.0)
+        other = Matching(pairs=m.pairs, critical=(), objective=0.0)
         with pytest.raises(ValueError, match="disagree"):
             classify_recurrence(flow, other)
 

@@ -40,7 +40,7 @@ class TestIsGradient:
     def test_all_critical_is_gradient(self, toy):
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.05))
-        assert m.matched == {}
+        assert m.pairs.tolist() == []
         assert is_gradient(K, m) is True
 
     def test_grad_toy_recovers(self, grad_toy):
@@ -48,7 +48,7 @@ class TestIsGradient:
         m15 = solve_exact(problem_for(K, vectors, 0.15))
         assert is_gradient(K, m15) is False and cyclic_cells(K, m15)
         m14 = solve_exact(problem_for(K, vectors, 0.14))
-        assert m14.matched == {0: 3}
+        assert m14.pairs.tolist() == [[0, 3]]
         assert m14.objective == pytest.approx(0.95846, abs=1e-5)
         assert is_gradient(K, m14) is True
 
@@ -61,7 +61,7 @@ class TestThreshold:
         assert t == min(model.pair_costs.tolist()) / 2
         assert t == pytest.approx((1 - 1 / math.sqrt(2)) / 2, abs=1e-12)
         below = solve_exact(problem_for(K, vectors, round(t - 0.01, 6)))
-        assert below.matched == {}
+        assert below.pairs.tolist() == []
 
     def test_grad_toy_value(self, grad_toy):
         _, K, vectors = grad_toy
@@ -87,13 +87,13 @@ class TestSweep:
         _, K, vectors = grad_toy
         alpha, m = alpha_sweep(K, build_cost_model(K, vectors, 0.5), alpha_grid=(0.15, 0.14))
         assert alpha == 0.14
-        assert m.matched == {0: 3}
+        assert m.pairs.tolist() == [[0, 3]]
 
     def test_fallback_to_threshold(self, grad_toy):
         _, K, vectors = grad_toy
         alpha, m = alpha_sweep(K, build_cost_model(K, vectors, 0.5), alpha_grid=(0.15,))
         assert alpha == pytest.approx(0.129232, abs=1e-5)
-        assert m.matched == {}
+        assert m.pairs.tolist() == []
         assert len(m.critical) == 7
         assert m.objective == pytest.approx(7 * alpha, abs=1e-9)
 
@@ -102,18 +102,20 @@ class TestSweep:
         calls = []
 
         def counting(complex, matching):
-            calls.append(matching.matched)
+            calls.append(matching.pairs.tolist())
             return is_gradient(complex, matching)
 
         monkeypatch.setattr(combidyn.gradient, "is_gradient", counting)
         alpha, m = alpha_sweep(K, build_cost_model(K, vectors, 0.5))
-        assert (alpha, m.matched) == (0.14, {})
+        assert (alpha, m.pairs.tolist()) == (0.14, [])
         steps = [
-            solve_exact(problem_for(K, vectors, a)).matched for a in DEFAULT_ALPHA_GRID if a >= alpha
+            solve_exact(problem_for(K, vectors, a)).pairs.tolist()
+            for a in DEFAULT_ALPHA_GRID
+            if a >= alpha
         ]
         assert len(steps) == 187
         changed = [s for i, s in enumerate(steps) if i == 0 or s != steps[i - 1]]
-        assert calls == changed == [{0: 3, 1: 5, 2: 4}, {}]
+        assert calls == changed == [[[0, 3], [1, 5], [2, 4]], []]
 
     def test_default_grid_shape(self):
         assert DEFAULT_ALPHA_GRID[0] == 2.0
@@ -139,8 +141,8 @@ class TestConstrainedSolve:
         _, K, vectors = toy
         p = problem_for(K, vectors, 0.75)
         m, rounds = solve_gradient_constrained(p, K)
-        assert m.matched == {1: 5, 2: 4, 3: 6}
-        assert m.critical == frozenset({0})
+        assert m.pairs.tolist() == [[1, 5], [2, 4], [3, 6]]
+        assert m.critical.tolist() == [0]
         assert is_gradient(K, m) is True
         assert rounds == 1
         assert m.objective == gradient_optimum(K, p)
@@ -160,7 +162,7 @@ class TestConstrainedSolve:
         _, K, vectors = grad_toy
         m, rounds = solve_gradient_constrained(problem_for(K, vectors, 0.14), K)
         assert rounds == 0
-        assert m.matched == {0: 3}
+        assert m.pairs.tolist() == [[0, 3]]
 
     def test_round_budget(self, toy):
         _, K, vectors = toy

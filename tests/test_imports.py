@@ -33,10 +33,10 @@ done = run_pipeline(PipelineConfig(alpha=0.75, gradient_mode="constraints"), pat
 seen["constraints"] = loaded()
 print(json.dumps({
     "loaded": seen,
-    "sweep": [sweep.alpha_effective, sorted(sweep.matching.matched.items())],
+    "sweep": [sweep.alpha_effective, sweep.matching.pairs.tolist()],
     "constraints": [
-        sorted(done.matching.matched.items()),
-        sorted(done.matching.critical),
+        done.matching.pairs.tolist(),
+        done.matching.critical.tolist(),
         done.constraint_rounds,
         done.matching.objective,
         done.document["gradient"],

@@ -262,8 +262,8 @@ class TestRunPipeline:
     def test_toy(self, toy_csv):
         analysis = run_pipeline(PipelineConfig(alpha=0.75), toy_csv)
         assert analysis.complex.counts_by_dim() == {0: 3, 1: 3, 2: 1}
-        assert analysis.matching.matched == {0: 3, 1: 5, 2: 4}
-        assert analysis.matching.critical == frozenset({6})
+        assert analysis.matching.pairs.tolist() == [[0, 3], [1, 5], [2, 4]]
+        assert analysis.matching.critical.tolist() == [6]
         assert analysis.alpha_effective == 0.75
         assert analysis.constraint_rounds == 0
 
@@ -292,7 +292,7 @@ class TestRunPipeline:
     def test_sweep_mode(self, grad_toy_csv):
         analysis = run_pipeline(PipelineConfig(gradient_mode="sweep"), grad_toy_csv)
         assert analysis.alpha_effective == 0.14
-        assert analysis.matching.matched == {0: 3}
+        assert analysis.matching.pairs.tolist() == [[0, 3]]
         g = analysis.document["gradient"]
         assert g == {"mode": "sweep", "is_gradient": True, "constraint_rounds": 0}
 
@@ -300,7 +300,7 @@ class TestRunPipeline:
         analysis = run_pipeline(
             PipelineConfig(alpha=0.75, gradient_mode="constraints"), toy_csv
         )
-        assert analysis.matching.matched == {1: 5, 2: 4, 3: 6}
+        assert analysis.matching.pairs.tolist() == [[1, 5], [2, 4], [3, 6]]
         assert analysis.constraint_rounds == 1
         g = analysis.document["gradient"]
         assert g == {"mode": "constraints", "is_gradient": True, "constraint_rounds": 1}

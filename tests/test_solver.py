@@ -85,16 +85,16 @@ class TestSolve:
         p = problem_for(K, vectors, TOY_ALPHA)
         for solve in (solve_exact, solve_branch_and_bound):
             m = solve(p)
-            assert m.matched == {0: 3, 1: 5, 2: 4}
-            assert m.critical == frozenset({6})
+            assert m.pairs.tolist() == [[0, 3], [1, 5], [2, 4]]
+            assert m.critical.tolist() == [6]
             assert m.objective == pytest.approx(TOY_OBJECTIVE, abs=1e-12)
 
     def test_single_vertex(self):
         K = simplicial_complex(np.array([[0.0, 0.0]]), [(0,)])
         p = problem_for(K, np.array([[1.0, 0.0]]), 0.3)
         m = solve_exact(p)
-        assert m.matched == {}
-        assert m.critical == frozenset({0})
+        assert m.pairs.tolist() == []
+        assert m.critical.tolist() == [0]
         assert m.objective == pytest.approx(0.3)
 
     def test_backends_match_brute_force(self):
@@ -119,10 +119,19 @@ class TestSolve:
             assert m.objective == evaluate_matching(model, m)
 
 
+def same_matching(a, b):
+    """Equal pairs, critical cells and objective."""
+    return (
+        np.array_equal(a.pairs, b.pairs)
+        and np.array_equal(a.critical, b.critical)
+        and a.objective == b.objective
+    )
+
+
 def selection(problem, matching):
     """The matching's selected variable indices, sorted."""
-    pairs = [problem.pair_var(lo, up) for lo, up in matching.pairs()]
-    return sorted(pairs + [problem.diagonal_var(c) for c in matching.critical])
+    pairs = [problem.pair_var(lo, up) for lo, up in matching.pairs.tolist()]
+    return sorted(pairs + [problem.diagonal_var(c) for c in matching.critical.tolist()])
 
 
 class TestSparseAssignment:
@@ -175,8 +184,8 @@ class TestSparseAssignment:
         p = problem_for(K, np.tile([1.0, 0.0], (3, 1)), alpha)
         assert p.n_pairs == 0
         m = solve_exact(p)
-        assert m.matched == {}
-        assert m.critical == frozenset({0, 1, 2})
+        assert m.pairs.tolist() == []
+        assert m.critical.tolist() == [0, 1, 2]
         assert m.objective == 3 * alpha
         assert selection(p, m) == dense_assignment_selection(p)
 
@@ -213,7 +222,8 @@ def assert_same_solve(p):
     expected = sparse_selection_by_coo(p)
     # pairs may come in any row order here, so no pair_var lookup
     var = {pq: k for k, pq in enumerate(map(tuple, p.pairs.tolist()))}
-    assert sorted([var[pq] for pq in m.pairs()] + [p.diagonal_var(c) for c in m.critical]) == expected
+    chosen = [var[pq] for pq in map(tuple, m.pairs.tolist())]
+    assert sorted(chosen + [p.diagonal_var(c) for c in m.critical.tolist()]) == expected
     assert m.objective == math.fsum(p.costs[v] for v in expected)
 
 
@@ -278,7 +288,7 @@ class TestAssignmentGraph:
         p = MatchingProblem(pairs=K.pairs, costs=built.costs, dims=K.dims)
         assert p.graph is None
         assert_same_solve(p)
-        assert solve_exact(p) == solve_exact(built)
+        assert same_matching(solve_exact(p), solve_exact(built))
 
     def test_stale_graph_is_not_reused(self):
         # two complexes with equal cell and pair counts but different pairs:
@@ -296,11 +306,11 @@ class TestAssignmentGraph:
             assert q.graph is pa.graph
             assert q.assignment_graph() is not pa.graph
             assert_same_solve(q)
-            assert solve_exact(q) == solve_exact(pb)
+            assert same_matching(solve_exact(q), solve_exact(pb))
         # an equal copy of the pairs is a different array: laid out anew
         copy = replace(pa, pairs=pa.pairs.copy())
         assert copy.assignment_graph() is not pa.graph
-        assert solve_exact(copy) == solve_exact(pa)
+        assert same_matching(solve_exact(copy), solve_exact(pa))
 
 
 class TestConstraints:
@@ -309,13 +319,13 @@ class TestConstraints:
         p = problem_for(K, vectors, TOY_ALPHA)
         base = solve_branch_and_bound(p)
         banned = frozenset(
-            p.pair_var(lo, up) for lo, up in base.pairs()
+            p.pair_var(lo, up) for lo, up in base.pairs.tolist()
         )
         m = solve_branch_and_bound(p, constraints=(banned,))
-        chosen = {p.pair_var(lo, up) for lo, up in m.pairs()}
+        chosen = {p.pair_var(lo, up) for lo, up in m.pairs.tolist()}
         assert len(chosen & banned) < len(banned)
-        assert m.matched == {1: 5, 2: 4, 3: 6}
-        assert m.critical == frozenset({0})
+        assert m.pairs.tolist() == [[1, 5], [2, 4], [3, 6]]
+        assert m.critical.tolist() == [0]
         expected = 2 * (1 - 1 / math.sqrt(2)) + (1 - 1 / math.sqrt(5)) + TOY_ALPHA
         assert m.objective == pytest.approx(expected, abs=1e-9)
         assert verify_matching(K, m).ok
@@ -333,7 +343,7 @@ class TestConstraints:
             m = solve_branch_and_bound(p, constraints=cuts)
             assert m.objective == brute_force_optimum(p, cuts)
             assert verify_matching(K, m).ok
-            chosen = {p.pair_var(lo, up) for lo, up in m.pairs()}
+            chosen = {p.pair_var(lo, up) for lo, up in m.pairs.tolist()}
             assert all(not cut <= chosen for cut in cuts)
 
     def test_recursion_limit_untouched(self, toy):
@@ -431,7 +441,7 @@ class TestVerify:
             n = len(K)
             m = solve_exact(problem_for(K, vectors, alpha))
             assert verify_matching(K, m).violations == []
-            pairs, critical = m.pairs(), set(m.critical)
+            pairs, critical = list(map(tuple, m.pairs.tolist())), set(m.critical.tolist())
             for _ in range(int(rng.integers(0, 4))):
                 what = rng.integers(4)
                 if what == 0 and pairs:
@@ -454,8 +464,8 @@ class TestRepair:
         _, K, vectors = toy
         model = build_cost_model(K, vectors, alpha=0.5)
         fixed = repair(K, model, [(0, 6), (1, 5), (2, 4), (3, 3)])
-        assert fixed.matched == {1: 5, 2: 4}
-        assert fixed.critical == frozenset({0, 3, 6})
+        assert fixed.pairs.tolist() == [[1, 5], [2, 4]]
+        assert fixed.critical.tolist() == [0, 3, 6]
         assert verify_matching(K, fixed).ok
 
     def test_objective_drop_bound(self):
@@ -496,7 +506,7 @@ class TestDecomposition:
             model = build_cost_model(K, vectors, alpha)
             m = solve_exact(build_problem(model, K))
             n_matched, cosine_sum, n_critical = objective_decomposition(m, model)
-            assert n_matched == len(m.matched)
+            assert n_matched == len(m.pairs)
             assert n_critical == len(m.critical)
             recovered = n_matched - cosine_sum + n_critical * alpha
             assert recovered == pytest.approx(m.objective, abs=1e-9)
@@ -510,9 +520,27 @@ class TestDecomposition:
         assert cosine_sum == pytest.approx(3 / math.sqrt(2), abs=1e-12)
 
 
-class TestMatchingViews:
-    def test_domain_image(self):
-        m = Matching(matched={0: 3, 1: 5}, critical=frozenset({6}), objective=0.0)
-        assert m.domain == frozenset({0, 1, 6})
-        assert m.image == frozenset({3, 5, 6})
-        assert m.pairs() == [(0, 3), (1, 5)]
+class TestMatchingArrays:
+    def test_shuffled_input_and_repeats(self, toy):
+        # rows and critical ids in any order come back in the report's order:
+        # pairs by lower cell, critical cells ascending
+        rng = np.random.default_rng(83)
+        for _ in range(10):
+            K, vectors, alpha = random_instance(rng)
+            m = solve_exact(problem_for(K, vectors, alpha))
+            pairs = m.pairs[rng.permutation(len(m.pairs))].tolist()
+            critical = rng.permutation(m.critical).tolist()
+            shuffled = Matching(pairs, critical, m.objective)
+            assert shuffled.pairs.tolist() == sorted(pairs)
+            assert shuffled.critical.tolist() == sorted(critical)
+            assert shuffled.pairs.dtype == shuffled.critical.dtype == np.int64
+            assert same_matching(shuffled, m)
+        # a repeated pair or critical cell is kept, and verify_matching sees it
+        _, K, _ = toy
+        twice = Matching([(2, 4), (0, 3), (1, 5), (0, 3)], [6], 0.0)
+        assert twice.pairs.tolist() == [[0, 3], [0, 3], [1, 5], [2, 4]]
+        assert verify_matching(K, twice).kinds() == {"two_out", "two_in"}
+        again = Matching([(0, 3), (1, 5), (2, 4)], [6, 6], 0.0)
+        assert [(v.kind, v.detail) for v in verify_matching(K, again).violations] == [
+            ("two_critical", "cell 6 is critical 2 times")
+        ]
