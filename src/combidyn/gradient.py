@@ -81,39 +81,84 @@ def alpha_sweep(
 
     Pair costs do not depend on alpha, so the sweep builds the program and
     its assignment graph once from `cost_model`, and re-prices only the
-    diagonals at each grid value; `replace` carries the graph to each step.
-    The model's own alpha is not used. A step that returns the same pairs as
-    the step before is not tested for acyclicity again. If no grid value
-    works (on the default grid only when alpha 0 ties the all-critical
-    matching with a cycle of zero-cost pairs), fall back to the all-critical
-    matching at its threshold alpha.
+    diagonals at each grid value; `replace` carries the graph to each solve.
+    The model's own alpha is not used.
+
+    A matching M costs c(M) + alpha * k(M), linear in alpha, and the optimum
+    is the lower envelope of these lines, so a matching the solver returns at
+    two grid values is optimal on every grid value between them. The sweep
+    therefore does not solve every grid value. From the current index i,
+    whose matching is cyclic, it gallops to i+1, i+2, i+4, ... (clamped to
+    the last index) until the returned pairs differ, then bisects back to the
+    first index k whose pairs differ, and tests acyclicity only there: k's
+    alpha is the answer when its matching is gradient, and the walk goes on
+    from k otherwise. Each grid index is solved at most once.
+
+    Tie rule: between two grid values that return the same pairs, every grid
+    value is taken to return them. A rival optimum the solver could return
+    inside such a run ties the matching there with equal c and k, and is not
+    seen. Without ties this is the answer of testing every grid value.
+
+    If the pairs still have not changed at the last grid value (on the
+    default grid only when alpha 0 ties the all-critical matching with a
+    cycle of zero-cost pairs), fall back to the all-critical matching at its
+    threshold alpha.
     """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
     if not grid:
         raise ValueError("alpha grid is empty")
+    for a in grid:
+        if not 0.0 <= a <= 2.0:  # also false for NaN
+            raise ValueError(f"alpha grid must lie within [0, 2], got {a!r}")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("alpha grid must be strictly descending")
-    if grid[0] > 2.0 or grid[-1] < 0.0:
-        raise ValueError("alpha grid must lie within [0, 2]")
 
     problem = build_problem(cost_model, complex)
     pair_costs = problem.costs[: problem.n_pairs]
-    cyclic = None  # pairs of the last matching found not gradient
-    for alpha in grid:
-        costs = np.concatenate([pair_costs, np.full(problem.n_cells, alpha)])
-        matching = solve_exact(replace(problem, costs=costs))
-        # the same pairs induce the same flow, so only a new matching is tested
-        if cyclic is not None and np.array_equal(matching.pairs, cyclic):
-            continue
+    solved: dict[int, Matching] = {}  # grid index -> the solver's matching there
+
+    def solve(k: int) -> Matching:
+        if k not in solved:
+            costs = np.concatenate([pair_costs, np.full(problem.n_cells, grid[k])])
+            solved[k] = solve_exact(replace(problem, costs=costs))
+        return solved[k]
+
+    k = 0
+    while True:
+        matching = solve(k)
         if is_gradient(complex, matching):
-            return alpha, matching
-        cyclic = matching.pairs
+            return grid[k], matching
+        k = _first_change(
+            lambda j: not np.array_equal(solve(j).pairs, matching.pairs), k, len(grid) - 1
+        )
+        if k is None:
+            break
 
     t = all_critical_threshold(cost_model)
     if not math.isfinite(t):
         raise RuntimeError("sweep failed on a complex with no admissible pairs")
     every = Matching(pairs=(), critical=np.arange(len(complex)), objective=0.0)
     return t, replace(every, objective=evaluate_matching(replace(cost_model, alpha=t), every))
+
+
+def _first_change(differs, k: int, last: int) -> int | None:
+    """First index j in (k, last] with `differs(j)`, or None when the last
+    index does not differ. Gallops to k+1, k+2, k+4, ... (clamped to `last`)
+    until an index differs, then bisects back between it and the last index
+    found not to differ. Exact when the indices that differ form one run up
+    to `last`; otherwise it returns some index that differs whose
+    predecessor does not."""
+    lo, step = k, 1
+    while lo < last:
+        j = min(k + step, last)
+        if differs(j):
+            hi = j
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if differs(mid) else (mid, hi)
+            return hi
+        lo, step = j, 2 * step
+    return None
 
 
 def solve_gradient_constrained(

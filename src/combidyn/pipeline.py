@@ -394,7 +394,65 @@ def _scc_entries(recurrence: CycleReport) -> list[dict]:
 
 def export_report(analysis: Analysis, path) -> None:
     doc = analysis.document or build_report_document(analysis)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(_report_text(doc))
+
+
+# report sections with one entry per pair, critical cell or component
+_ENTRY_LISTS = ("matching", "critical", "scc")
+
+
+def _report_text(doc: dict) -> str:
+    """`json.dumps(doc, indent=2) + "\n"`, byte for byte. An indent turns off
+    json's C encoder, so the entries of the long lists are written here, one
+    f-string each; every other value goes through `json.dumps`."""
+    if not doc or not all(type(k) is str for k in doc):
+        return json.dumps(doc, indent=2) + "\n"
+    quoted: dict[str, str] = {}  # key -> its JSON string
+    parts = []
+    for key, value in doc.items():
+        if key in _ENTRY_LISTS and type(value) is list and value:
+            text = "[\n" + ",\n".join([_entry_text(e, quoted) for e in value]) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+def _entry_text(entry, quoted: dict[str, str]) -> str:
+    """One list entry as `json.dumps` indents it two levels deep. A dict of
+    ints and lists of numbers is written here; anything else goes through
+    `json.dumps` whole."""
+    if type(entry) is dict and entry:
+        lines = []
+        for k, v in entry.items():
+            if type(k) is not str:
+                break
+            if type(v) is int:
+                text = str(v)
+            else:
+                items = _number_items(v)
+                if items is None:
+                    break
+                text = f"[\n        {items}\n      ]" if items else "[]"
+            q = quoted.get(k) or quoted.setdefault(k, json.dumps(k))
+            lines.append(f"      {q}: {text}")
+        else:
+            return "    {\n" + ",\n".join(lines) + "\n    }"
+    return "    " + json.dumps(entry, indent=2).replace("\n", "\n    ")
+
+
+def _number_items(value) -> str | None:
+    """The items of a list of ints, or of finite floats, as `json.dumps`
+    writes them three levels deep; None for any other value."""
+    if type(value) is not list:
+        return None
+    types = set(map(type, value))
+    if types <= {int}:
+        return ",\n        ".join(map(str, value))
+    # a sum is finite only if every term is, and json writes a finite float by repr
+    if types == {float} and math.isfinite(sum(value)):
+        return ",\n        ".join(map(float.__repr__, value))
+    return None
 
 
 def export_dot(analysis: Analysis, path) -> None:

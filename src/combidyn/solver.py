@@ -199,11 +199,21 @@ def evaluate_matching(cost_model: CostModel, matching: Matching) -> float:
 def solve_exact(problem: MatchingProblem) -> Matching:
     """Global minimizer of the plain matching program, by a sparse
     minimum-weight perfect matching (LAPJVsp) on the problem's assignment
-    graph (see `AssignmentGraph`). Deterministic.
+    graph (see `AssignmentGraph`). Deterministic. A cost that is not finite
+    raises a ValueError naming its variable: LAPJVsp never returns on NaN.
     """
     n = problem.n_cells
     if n == 0:
         return Matching(pairs=(), critical=(), objective=0.0)
+    bad = np.flatnonzero(~np.isfinite(problem.costs))
+    if len(bad):
+        v = int(bad[0])
+        var = (
+            f"pair {tuple(problem.pairs[v].tolist())}"
+            if v < problem.n_pairs
+            else f"diagonal of cell {v - problem.n_pairs}"
+        )
+        raise ValueError(f"cost of variable {v} ({var}) is {problem.costs[v]}, not finite")
     graph = problem.assignment_graph()
     _, col_of_row = min_weight_full_bipartite_matching(graph.weighted(problem.costs))
     hit = col_of_row[graph.pair_row] == graph.pair_col

@@ -1,9 +1,17 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from combidyn import (
     CellComplex,
     assign_vertex_average,
+    barycentric_subdivision,
     build_cost_model,
     build_problem,
     cubical_grid,
@@ -109,3 +117,43 @@ def to_csr(succ):
 def successor_lists(ptr, idx):
     """Indexed adjacency list of CSR arrays, one tuple per node."""
     return [tuple(idx[a:b].tolist()) for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+
+@st.composite
+def complexes(draw, kind, d):
+    """A d-dimensional simplicial complex, barycentrically subdivided when
+    kind is "subdivided", or a d-dimensional cubical lattice patch with some
+    sites left out."""
+    if kind == "cube":
+        shape = draw(st.tuples(*[st.integers(2, 4 if d == 2 else 3)] * d))
+        sites = np.array(list(itertools.product(*map(range, shape))), dtype=float)
+        drop = draw(st.sets(st.integers(1, len(sites) - 1), max_size=len(sites) // 4))
+        return cubical_grid(np.delete(sites, sorted(drop), axis=0), 1.0)
+    n = draw(st.integers(d + 1, d + 3))
+    simplex = st.lists(st.integers(0, n - 1), min_size=1, max_size=d + 1, unique=True)
+    top = draw(st.permutations(range(n)))[: d + 1]  # one d-simplex at least
+    gens = [top] + draw(st.lists(simplex, max_size=3 if kind == "simplex" else 1))
+    K = simplicial_complex(np.random.default_rng(n).normal(size=(n, d)), gens)
+    if kind == "subdivided":
+        K, _ = barycentric_subdivision(K, np.zeros((len(K), d)))
+    return K
+
+
+KINDS = list(itertools.product(["simplex", "subdivided", "cube"], [2, 3]))
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_snippet(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports the package from this
+    checkout. A hang fails after `timeout` seconds instead of stalling the
+    suite: the child is killed and `subprocess.TimeoutExpired` raised."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )

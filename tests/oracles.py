@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,9 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from combidyn.builders import _incircle, _orient2d
 from combidyn.dynamics import _flow_successors
+from combidyn.gradient import DEFAULT_ALPHA_GRID, all_critical_threshold, is_gradient
 from combidyn.pipeline import ParseError
-from combidyn.solver import Matching
+from combidyn.solver import Matching, build_problem, evaluate_matching, solve_exact
 
 
 def enumerate_selections(problem):
@@ -224,6 +226,30 @@ def gradient_optimum(complex, problem):
         if all(len(comp) == 1 for comp in sccs_by_reachability(succ)):
             return objective
     raise AssertionError("no gradient selection; the all-critical one always is")
+
+
+def alpha_sweep_by_grid(complex, cost_model, alpha_grid=None):
+    """`gradient.alpha_sweep` by solving every grid value in turn: the first
+    grid alpha whose `solve_exact` optimum is gradient, with that matching,
+    testing acyclicity only when the pairs differ from the step before, and
+    the all-critical matching at its threshold when no grid value works."""
+    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
+    problem = build_problem(cost_model, complex)
+    pair_costs = problem.costs[: problem.n_pairs]
+    cyclic = None  # pairs of the last matching found not gradient
+    for alpha in grid:
+        costs = np.concatenate([pair_costs, np.full(problem.n_cells, alpha)])
+        matching = solve_exact(replace(problem, costs=costs))
+        if cyclic is not None and np.array_equal(matching.pairs, cyclic):
+            continue
+        if is_gradient(complex, matching):
+            return alpha, matching
+        cyclic = matching.pairs
+    t = all_critical_threshold(cost_model)
+    if not math.isfinite(t):
+        raise RuntimeError("sweep failed on a complex with no admissible pairs")
+    every = Matching(pairs=(), critical=np.arange(len(complex)), objective=0.0)
+    return t, replace(every, objective=evaluate_matching(replace(cost_model, alpha=t), every))
 
 
 def closure_by_walk(complex, cell):

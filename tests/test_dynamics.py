@@ -1,24 +1,19 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from combidyn import (
     Matching,
-    barycentric_subdivision,
     build_cost_model,
     build_problem,
     classify_recurrence,
-    cubical_grid,
     multiflow,
-    simplicial_complex,
     solve_exact,
     strongly_connected_components,
 )
 from combidyn.dynamics import _flow_successors
 
-from conftest import problem_for, random_instance, successor_lists
+from conftest import KINDS, complexes, problem_for, random_instance, successor_lists
 from oracles import closure_by_walk, flow_successors_by_closure
 
 
@@ -56,26 +51,6 @@ class TestMultiflow:
 
 
 @st.composite
-def complexes(draw, kind, d):
-    """A d-dimensional simplicial complex, barycentrically subdivided when
-    kind is "subdivided", or a d-dimensional cubical lattice patch with some
-    sites left out."""
-    if kind == "cube":
-        shape = draw(st.tuples(*[st.integers(2, 4 if d == 2 else 3)] * d))
-        sites = np.array(list(itertools.product(*map(range, shape))), dtype=float)
-        drop = draw(st.sets(st.integers(1, len(sites) - 1), max_size=len(sites) // 4))
-        return cubical_grid(np.delete(sites, sorted(drop), axis=0), 1.0)
-    n = draw(st.integers(d + 1, d + 3))
-    simplex = st.lists(st.integers(0, n - 1), min_size=1, max_size=d + 1, unique=True)
-    top = draw(st.permutations(range(n)))[: d + 1]  # one d-simplex at least
-    gens = [top] + draw(st.lists(simplex, max_size=3 if kind == "simplex" else 1))
-    K = simplicial_complex(np.random.default_rng(n).normal(size=(n, d)), gens)
-    if kind == "subdivided":
-        K, _ = barycentric_subdivision(K, np.zeros((len(K), d)))
-    return K
-
-
-@st.composite
 def matchings(draw, K):
     """Every cell critical; a maximal random matching with no critical cell
     named (the flow takes the matching as given); or a random partial
@@ -94,8 +69,6 @@ def matchings(draw, K):
     critical = () if mode == "no_critical" else np.flatnonzero(~used)
     return Matching(pairs=pairs, critical=critical, objective=0.0)
 
-
-KINDS = list(itertools.product(["simplex", "subdivided", "cube"], [2, 3]))
 
 
 class TestFlowSuccessors:

@@ -11,10 +11,12 @@ change that moves one must say why and re-record it.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from combidyn.cli import main
+from combidyn.pipeline import _report_text
 
 GOLDEN = [
     ("toy", ["--alpha", "0.75", "--gradient", "off"],
@@ -47,6 +49,9 @@ def test_report_digest(tmp_path, preset, flags, digest):
     assert main(["gen", "--preset", preset, "--out", str(field)]) == 0
     assert main(["run", str(field), *flags, "--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    # the writer renders the long lists itself, and must match json.dumps
+    doc = json.loads(report.read_text())
+    assert _report_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def _sha256(path) -> str:
@@ -64,6 +69,8 @@ def test_dowker_report_digest(tmp_path, monkeypatch):
     assert _sha256(tmp_path / "report.json") == (
         "95c8ac159c144a50fe07fb3090d2ef62fbfec66c7311e4c6db689ba510462946"
     )
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert _report_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_dot_and_arrows_digests(tmp_path):

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import combidyn.gradient
 from combidyn import (
@@ -11,6 +13,7 @@ from combidyn import (
     assign_vertex_average,
     build_cost_model,
     build_problem,
+    evaluate_matching,
     is_gradient,
     multiflow,
     preset_field,
@@ -21,8 +24,16 @@ from combidyn import (
 )
 from combidyn.dynamics import _sccs
 
-from conftest import problem_for, random_cubical_instance, random_simplicial_instance, to_csr
-from oracles import gradient_optimum, sccs_by_reachability
+from conftest import (
+    KINDS,
+    complexes,
+    problem_for,
+    random_cubical_instance,
+    random_simplicial_instance,
+    run_snippet,
+    to_csr,
+)
+from oracles import alpha_sweep_by_grid, gradient_optimum, sccs_by_reachability
 
 
 def cyclic_cells(K, m):
@@ -134,6 +145,153 @@ class TestSweep:
             alpha_sweep(K, model, alpha_grid=(2.5, 1.0))
         with pytest.raises(ValueError, match="within"):
             alpha_sweep(K, model, alpha_grid=(1.0, -0.1))
+
+
+NAN_GRID = """
+import math
+from combidyn import alpha_sweep, assign_vertex_average, build_cost_model, delaunay_2d, preset_field
+sample = preset_field("toy")
+K = delaunay_2d(sample.points)
+model = build_cost_model(K, assign_vertex_average(K, sample.vectors), 0.5)
+alpha_sweep(K, model, alpha_grid=(1.0, math.nan, 0.5))
+"""
+
+
+def traced_sweep(K, model):
+    """`alpha_sweep`'s answer, plus the alpha of every `solve_exact` call and
+    the verdict of every `is_gradient` call it made, in order."""
+    solved, tested = [], []
+
+    def solve(problem):
+        solved.append(float(problem.costs[problem.n_pairs]))  # the diagonal is the alpha
+        return solve_exact(problem)
+
+    def test(complex, matching):
+        tested.append(is_gradient(complex, matching))
+        return tested[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(combidyn.gradient, "solve_exact", solve)
+        mp.setattr(combidyn.gradient, "is_gradient", test)
+        alpha, m = alpha_sweep(K, model)
+    return alpha, m, solved, tested
+
+
+def assert_valid_sweep(K, model, alpha, m, solved, tested):
+    """The sweep's answer holds up on its own: no grid value solved twice,
+    every matching tested before the answer cyclic, and the answer either a
+    grid alpha with the gradient optimum `solve_exact` returns there, or the
+    all-critical fallback after the last grid value."""
+    grid = DEFAULT_ALPHA_GRID
+    assert len(set(solved)) == len(solved)
+    assert set(solved) <= set(grid)
+    assert not any(tested[:-1])
+    if alpha in grid:
+        assert tested[-1] is True
+        want = solve_exact(build_problem(replace(model, alpha=alpha), K))
+        assert np.array_equal(m.pairs, want.pairs)
+        assert m.objective == want.objective
+        assert is_gradient(K, m) is True
+    else:
+        assert grid[-1] in solved and not tested[-1]
+        assert alpha == all_critical_threshold(model)
+        assert m.pairs.tolist() == []
+
+
+def runs_are_contiguous(K, model):
+    """True when each matching `solve_exact` returns along the default grid
+    fills one run of consecutive grid values. Then the bisection finds every
+    change, and the sweep must agree with the grid walk."""
+    problem = build_problem(model, K)
+    pair_costs = problem.costs[: problem.n_pairs]
+    steps = []
+    for a in DEFAULT_ALPHA_GRID:
+        costs = np.concatenate([pair_costs, np.full(len(K), a)])
+        steps.append(tuple(solve_exact(replace(problem, costs=costs)).pairs.flat))
+    starts = [s for i, s in enumerate(steps) if i == 0 or s != steps[i - 1]]
+    return len(starts) == len(set(starts))
+
+
+@st.composite
+def sweep_models(draw, K):
+    """A cost model on K, most of them rich in exact ties: cosine costs of
+    random vectors, or of vectors half of which are zero (those pairs cost
+    2); or pair costs on the quarter grid 0, 0.25, ..., 2, where a pair
+    ties its two cells left critical at the grid alphas 0.25, 0.5, 0.75 and
+    1. Costs of exactly twice an arbitrary grid alpha are left out: on some
+    of them LAPJVsp itself never returns (`test_solver.py`,
+    `test_tied_costs_livelock`)."""
+    kind = draw(st.sampled_from(["field", "zero_vectors", "quarter_grid"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(len(K), K.barycenters.shape[1]))
+    if kind == "zero_vectors":
+        vectors[rng.random(len(K)) < 0.5] = 0.0
+    model = build_cost_model(K, vectors, 0.5)
+    if kind == "quarter_grid":
+        model = replace(model, pair_costs=0.25 * rng.integers(0, 9, len(model.pair_costs)))
+    return model
+
+
+class TestSweepSearch:
+    """The gallop-and-bisect sweep against the grid walk that solves every
+    grid value (`oracles.alpha_sweep_by_grid`)."""
+
+    @pytest.mark.parametrize("kind, d", KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_grid_walk(self, kind, d, data):
+        K = data.draw(complexes(kind, d))
+        model = data.draw(sweep_models(K))
+        alpha, m, solved, tested = traced_sweep(K, model)
+        assert_valid_sweep(K, model, alpha, m, solved, tested)
+        want_alpha, want = alpha_sweep_by_grid(K, model)
+        if alpha != want_alpha or not np.array_equal(m.pairs, want.pairs):
+            # only a tie can tell them apart: the solver returned some
+            # matching, then another, then the first one again
+            assert not runs_are_contiguous(K, model)
+
+    def test_tie_example(self):
+        # pairs (2, 5) and (5, 6) both cost 2, so the cyclic matching
+        # (0, 4), (1, 3), (2, 5) and the gradient one (0, 4), (1, 3), (5, 6)
+        # tie at every alpha. The solver returns the gradient one at 1.75
+        # only; the grid walk stops there, while the sweep never solves 1.75
+        # and stops at 1.0.
+        K = simplicial_complex(np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]), [(0, 1, 2)])
+        model = replace(
+            build_cost_model(K, np.ones((len(K), 2)), 0.5),
+            pair_costs=np.array([2.0, 1.5, 0.5, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]),
+        )
+        assert K.pairs.tolist() == [
+            [0, 3], [0, 4], [1, 3], [1, 5], [2, 4], [2, 5], [3, 6], [4, 6], [5, 6]
+        ]
+        alpha, m, solved, tested = traced_sweep(K, model)
+        assert (alpha, m.pairs.tolist()) == (1.0, [[0, 4], [1, 3]])
+        assert_valid_sweep(K, model, alpha, m, solved, tested)
+        assert 1.75 not in solved
+        want_alpha, want = alpha_sweep_by_grid(K, model)
+        assert (want_alpha, want.pairs.tolist()) == (1.75, [[0, 4], [1, 3], [5, 6]])
+        rival = solve_exact(build_problem(replace(model, alpha=1.76), K))
+        assert rival.pairs.tolist() == [[0, 4], [1, 3], [2, 5]]
+        assert is_gradient(K, rival) is False
+        priced = replace(model, alpha=1.75)
+        assert evaluate_matching(priced, rival) == evaluate_matching(priced, want)
+        assert not runs_are_contiguous(K, model)
+
+    @pytest.mark.parametrize("preset", ["toy", "grad_toy"])
+    def test_solve_count(self, preset, request):
+        _, K, vectors = request.getfixturevalue(preset)
+        _, _, solved, _ = traced_sweep(K, build_cost_model(K, vectors, 0.5))
+        assert len(set(solved)) == len(solved)
+        distinct = {tuple(solve_exact(problem_for(K, vectors, a)).pairs.flat) for a in solved}
+        per_matching = 2 * math.ceil(math.log2(len(DEFAULT_ALPHA_GRID))) + 1
+        assert len(solved) < per_matching * len(distinct)
+
+    def test_nan_grid_fails_fast(self):
+        # NaN passes every comparison-based check, and LAPJVsp never returns
+        # on a NaN diagonal; the child is killed if the sweep hangs
+        done = run_snippet(NAN_GRID, timeout=30)
+        assert done.returncode == 1
+        assert "ValueError: alpha grid must lie within [0, 2], got nan" in done.stderr
 
 
 class TestConstrainedSolve:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import combidyn.gradient
 from combidyn import (
@@ -25,6 +26,7 @@ from combidyn import (
     write_field_csv,
 )
 
+from combidyn.pipeline import _report_text
 from oracles import float_rows_by_loop
 
 
@@ -376,6 +378,60 @@ class TestExports:
         assert lines[0] == "lower,upper,from_x1,from_x2,to_x1,to_x2"
         assert len(lines) == 1 + 3
         assert lines[1].startswith("0,3,")
+
+
+_ids = st.integers(-(2**40), 2**40)
+# repr switches to exponent form below 1e-4 and from 1e16 on
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([1e-05, -2.5e-07, 1e16, 1.5e300, 0.0, -0.0, 5e-324]),
+)
+_scalars = st.one_of(st.none(), st.booleans(), _ids, _floats, st.text(max_size=4))
+_entry_values = st.one_of(
+    _ids, st.lists(_ids, max_size=5), st.lists(_floats, max_size=3), st.lists(_scalars, max_size=3), _scalars
+)
+
+
+@st.composite
+def report_documents(draw):
+    """Report-shaped documents: the three long lists hold the report's own
+    entries, or entries of other keys and values, or no dict at all."""
+    def long_list(entry):
+        return draw(st.lists(st.one_of(entry, entry, _entry_values), max_size=5))
+
+    pair = st.fixed_dictionaries({"lower": _ids, "upper": _ids})
+    cell = st.fixed_dictionaries({
+        "id": _ids, "dim": _ids, "vertices": st.lists(_ids, max_size=4),
+        "barycenter": st.lists(_floats, max_size=3),
+    })
+    other = st.dictionaries(st.text(max_size=6), _entry_values, max_size=4)
+    doc = {
+        "config_echo": draw(st.dictionaries(st.text(max_size=6), _scalars, max_size=4)),
+        "objective": draw(st.dictionaries(st.sampled_from(["total", "alpha", "matched"]), _floats)),
+        "matching": long_list(pair),
+        "critical": long_list(cell),
+        "scc": long_list(other),
+    }
+    if draw(st.booleans()):
+        doc["gradient"] = {"mode": "sweep", "is_gradient": draw(st.booleans())}
+    return doc
+
+
+class TestReportText:
+    """The report writer against `json.dumps(doc, indent=2)`, which it must
+    match byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_documents())
+    def test_matches_json_dumps(self, doc):
+        assert _report_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, {"matching": []}, {"critical": [{}]}, {1: [2]}, {"scc": [{1: 2}]}, {"scc": [[1, 2], {"a": [True]}]}],
+    )
+    def test_edge_documents(self, doc):
+        assert _report_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 # a report key, and how to remove it

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -30,6 +31,7 @@ from conftest import (
     random_cubical_instance,
     random_instance,
     random_simplicial_instance,
+    run_snippet,
 )
 from oracles import (
     assignment_matrix_by_coo,
@@ -41,6 +43,46 @@ from oracles import (
 
 TOY_ALPHA = 0.75
 TOY_OBJECTIVE = 1.6286796564403576  # 3 * (1 - 1/sqrt(2)) + alpha
+
+# Every pair of a 3x2x3 cubical lattice costs exactly twice some grid alpha,
+# and every cell alpha 1.23: LAPJVsp never returns. Costs scaled by 64 hang
+# too, costs scaled by 100 and rounded to integers do not, so it looks like
+# a floating-point livelock on near-tied reduced costs.
+LIVELOCK = """
+import itertools
+import numpy as np
+from combidyn import DEFAULT_ALPHA_GRID, MatchingProblem, cubical_grid, solve_exact
+K = cubical_grid(np.array(list(itertools.product(range(3), range(2), range(3))), float), 1.0)
+grid_index = [
+    116, 191, 191, 178, 134, 199, 163, 113, 135, 148, 140, 185, 156, 159, 137, 110,
+    184, 140, 111, 162, 128, 135, 183, 125, 189, 116, 161, 135, 197, 145, 148, 174,
+    117, 106, 189, 136, 199, 194, 166, 163, 194, 143, 154, 183, 112, 136, 102, 109,
+    176, 153, 104, 111, 169, 179, 155, 114, 192, 182, 172, 128, 122, 194, 139, 118,
+    130, 110, 169, 181, 163, 146, 110, 159, 111, 101, 102, 101, 186, 200, 155, 105,
+    174, 169, 113, 156, 157, 190, 190, 125, 127, 193, 147, 119, 172, 183, 138, 102,
+    137, 184, 118, 114, 157, 190, 174, 121, 116, 176, 128, 101, 185, 195, 175, 157,
+    186, 141, 162, 125, 119, 124, 198, 135, 106, 110, 175, 101, 147, 129, 173, 130,
+    131, 118, 194, 185, 121, 148, 116, 166, 132, 152, 124, 172, 143, 106, 172, 181,
+    105, 100, 178, 128, 188, 190, 107, 139, 174, 168, 161, 111, 158, 141, 118, 137,
+    163, 192, 195, 127, 109, 136, 126, 123, 148, 160,
+]
+pair_costs = 2.0 * np.array(DEFAULT_ALPHA_GRID)[grid_index]
+costs = np.concatenate([pair_costs, np.full(len(K), 1.23)])
+solve_exact(MatchingProblem(pairs=K.pairs, costs=costs, dims=K.dims))
+"""
+
+NAN_DIAGONAL = """
+from dataclasses import replace
+import numpy as np
+from combidyn import assign_vertex_average, build_cost_model, build_problem, delaunay_2d
+from combidyn import preset_field, solve_exact
+sample = preset_field("toy")
+K = delaunay_2d(sample.points)
+problem = build_problem(build_cost_model(K, assign_vertex_average(K, sample.vectors), 0.5), K)
+costs = problem.costs.copy()
+costs[problem.n_pairs:] = np.nan
+solve_exact(replace(problem, costs=costs))
+"""
 
 
 class TestProblem:
@@ -96,6 +138,32 @@ class TestSolve:
         assert m.pairs.tolist() == []
         assert m.critical.tolist() == [0]
         assert m.objective == pytest.approx(0.3)
+
+    def test_nan_costs_fail_fast(self):
+        # LAPJVsp never returns on NaN costs; the child is killed if it hangs
+        done = run_snippet(NAN_DIAGONAL, timeout=30)
+        assert done.returncode == 1
+        assert "ValueError: cost of variable 9 (diagonal of cell 0) is nan" in done.stderr
+
+    @pytest.mark.xfail(
+        raises=subprocess.TimeoutExpired,
+        strict=True,
+        reason="LAPJVsp livelocks on some exactly tied finite costs",
+    )
+    def test_tied_costs_livelock(self):
+        # a known solver hang, kept visible: the child is killed after the
+        # timeout; a fix makes this pass, and strict=True then fails it
+        done = run_snippet(LIVELOCK, timeout=6)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cost_named(self, toy, bad):
+        _, K, vectors = toy
+        p = problem_for(K, vectors, 0.5)
+        costs = p.costs.copy()
+        costs[[2, 5]] = bad
+        with pytest.raises(ValueError, match=rf"variable 2 \(pair \(1, 3\)\) is {bad}, not finite"):
+            solve_exact(replace(p, costs=costs))
 
     def test_backends_match_brute_force(self):
         rng = np.random.default_rng(7)
