@@ -60,6 +60,7 @@ from .pipeline import (
 from .solver import (
     Matching,
     MatchingProblem,
+    SearchFrontier,
     VerificationReport,
     Violation,
     assignment_objective,
@@ -92,6 +93,7 @@ __all__ = [
     "PipelineConfig",
     "PRESETS",
     "SccInfo",
+    "SearchFrontier",
     "VerificationReport",
     "Violation",
     "all_critical_threshold",

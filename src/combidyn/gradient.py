@@ -5,7 +5,8 @@ no nontrivial recurrence, i.e. the arrows admit a compatible Lyapunov order.
 This module decides that property, finds the alpha regime where the optimum
 becomes gradient, and solves the matching program under explicit no-cycle
 side constraints via lazy cut generation: each round forbids every cyclic
-component of the flow at once, one row per component.
+component of the flow at once, one row per component, and resumes one
+best-first branch-and-bound whose open nodes are kept across the rounds.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dynamics import _flow_successors, _sccs
 from .solver import (
     Matching,
     MatchingProblem,
+    SearchFrontier,
     build_problem,
     evaluate_matching,
     solve_branch_and_bound,
@@ -165,15 +167,20 @@ def solve_gradient_constrained(
     problem: MatchingProblem,
     complex: CellComplex,
     max_rounds: int = 10000,
+    max_nodes: int = 200_000,
 ) -> tuple[Matching, int]:
     """Cheapest gradient matching at the problem's own alpha.
 
     Lazy loop: solve, and while the flow has multi-cell strongly connected
     components, forbid each of them and solve again. Returns the matching and
     the number of re-solves. The first solve has no rows and goes to the
-    sparse assignment solver `solve_exact`; later ones go to HiGHS'
-    branch-and-cut (`solve_branch_and_bound`), whose choice among tied optima
-    is its own.
+    sparse assignment solver `solve_exact`; later ones go to the best-first
+    branch-and-bound `solve_branch_and_bound`. All rounds share one
+    `SearchFrontier`, seeded with the first solve, so each round resumes the
+    search where the last one stopped. Among tied optima the round returns
+    the first node in (bound, creation) order. `max_nodes` caps the search
+    nodes over all rounds; running out raises a RuntimeError naming the
+    round.
 
     A component's row says that at most all but one of the pairs with both
     cells inside it may be selected together. Inside a multi-cell component a
@@ -187,11 +194,21 @@ def solve_gradient_constrained(
     """
     cuts: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
+    frontier = None
     for rounds in range(max_rounds):
-        matching = solve_branch_and_bound(problem, tuple(cuts)) if cuts else solve_exact(problem)
+        if frontier is None:
+            matching = solve_exact(problem)
+        else:
+            try:
+                matching = solve_branch_and_bound(problem, tuple(cuts), frontier)
+            except RuntimeError as err:
+                raise RuntimeError(f"round {rounds}: {err}") from None
         components = _cyclic_components(complex, matching)
         if not components:
             return matching, rounds
+        if frontier is None:
+            frontier = SearchFrontier(max_nodes)
+            frontier.seed(problem, matching)
         for cells in components:
             inside = matching.pairs[np.isin(matching.pairs[:, 0], cells)]
             cut = frozenset(pair_rows(problem.pairs, problem.n_cells, inside).tolist())

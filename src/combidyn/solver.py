@@ -16,16 +16,17 @@ One exact solver per problem class:
   Polynomial; memory linear in the number of pairs and cells. The graph's
   shape depends only on the pairs and cell dimensions, so `build_problem`
   lays it out once and a solve only prices its edges.
-* solve_branch_and_bound, the program plus cycle-exclusion rows: a binary
-  integer program solved by HiGHS' branch-and-cut (`scipy.optimize.milp`)
-  with a relative gap of 0. Among equal optima it returns the one HiGHS'
-  deterministic search reaches, which follows no documented order.
-  `scipy.optimize` is imported on the first such solve: it takes about a
-  third of the package's import time, and only constraint mode needs it.
+* solve_branch_and_bound, the program plus cycle-exclusion rows: an exact
+  best-first branch-and-bound whose nodes forbid variables and are bounded by
+  LAPJVsp on the same assignment graph with those variables' edges left out.
+  Among equal optima it returns the first solution that violates no row, in
+  (bound, node creation) order. A `SearchFrontier` keeps the open nodes
+  between calls, so a call with more rows resumes the search.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +44,7 @@ __all__ = [
     "build_problem",
     "solve_exact",
     "solve_branch_and_bound",
+    "SearchFrontier",
     "Violation",
     "VerificationReport",
     "verify_matching",
@@ -196,15 +198,9 @@ def evaluate_matching(cost_model: CostModel, matching: Matching) -> float:
     return math.fsum(terms)
 
 
-def solve_exact(problem: MatchingProblem) -> Matching:
-    """Global minimizer of the plain matching program, by a sparse
-    minimum-weight perfect matching (LAPJVsp) on the problem's assignment
-    graph (see `AssignmentGraph`). Deterministic. A cost that is not finite
-    raises a ValueError naming its variable: LAPJVsp never returns on NaN.
-    """
-    n = problem.n_cells
-    if n == 0:
-        return Matching(pairs=(), critical=(), objective=0.0)
+def _check_finite(problem: MatchingProblem) -> None:
+    """Raise a ValueError naming the first variable whose cost is not finite:
+    LAPJVsp never returns on NaN."""
     bad = np.flatnonzero(~np.isfinite(problem.costs))
     if len(bad):
         v = int(bad[0])
@@ -214,72 +210,173 @@ def solve_exact(problem: MatchingProblem) -> Matching:
             else f"diagonal of cell {v - problem.n_pairs}"
         )
         raise ValueError(f"cost of variable {v} ({var}) is {problem.costs[v]}, not finite")
+
+
+def _critical_and_objective(problem: MatchingProblem, hit: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cells left critical by the pair selection `hit`, and its objective:
+    the selected variables' costs in variable order, summed exactly."""
+    lo, up = problem.pairs.T
+    critical = np.ones(problem.n_cells, dtype=bool)
+    critical[lo[hit]] = critical[up[hit]] = False
+    return critical, math.fsum(problem.costs[np.concatenate([hit, critical])].tolist())
+
+
+def _selection_matching(problem: MatchingProblem, hit: np.ndarray) -> Matching:
+    critical, objective = _critical_and_objective(problem, hit)
+    return Matching(problem.pairs[hit], np.flatnonzero(critical), objective)
+
+
+def solve_exact(problem: MatchingProblem) -> Matching:
+    """Global minimizer of the plain matching program, by a sparse
+    minimum-weight perfect matching (LAPJVsp) on the problem's assignment
+    graph (see `AssignmentGraph`). Deterministic. A cost that is not finite
+    raises a ValueError naming its variable: LAPJVsp never returns on NaN.
+    """
+    if problem.n_cells == 0:
+        return Matching(pairs=(), critical=(), objective=0.0)
+    _check_finite(problem)
     graph = problem.assignment_graph()
     _, col_of_row = min_weight_full_bipartite_matching(graph.weighted(problem.costs))
-    hit = col_of_row[graph.pair_row] == graph.pair_col
-    lo, up = problem.pairs.T
-    critical = np.ones(n, dtype=bool)
-    critical[lo[hit]] = critical[up[hit]] = False
-    chosen = np.concatenate([hit, critical])
-    return Matching(
-        problem.pairs[hit], np.flatnonzero(critical), math.fsum(problem.costs[chosen].tolist())
-    )
+    return _selection_matching(problem, col_of_row[graph.pair_row] == graph.pair_col)
+
+
+@dataclass(eq=False)
+class SearchFrontier:
+    """The open nodes of `solve_branch_and_bound`'s search on one problem,
+    kept between calls: a call with more rows resumes from them instead of
+    starting over. Rows only ever remove selections, so the open nodes still
+    cover every selection the new rows allow, and their bounds still hold.
+
+    A heap entry is (bound, created, forbidden, selected): a lower bound on
+    the node's selections, its creation counter, the ascending int32 indices
+    of the variables it forbids, and its optimal pair selection packed by
+    `np.packbits`, or None while the node is unsolved. `max_nodes` caps the
+    nodes created over the frontier's life; the search raises a RuntimeError
+    when it would create more.
+    """
+
+    max_nodes: int = 200_000
+    heap: list = field(default_factory=list, init=False)
+    created: int = field(default=0, init=False)
+
+    def seed(self, problem: MatchingProblem, root: Matching) -> None:
+        """Push `root`, `solve_exact`'s matching of `problem`, as the solved
+        root node, so the search does not solve it again."""
+        hit = np.zeros(problem.n_pairs, dtype=bool)
+        hit[pair_rows(problem.pairs, problem.n_cells, root.pairs)] = True
+        self.push(root.objective, np.empty(0, dtype=np.int32), np.packbits(hit))
+
+    def push(self, bound: float, forbidden: np.ndarray, selected: np.ndarray | None = None):
+        if self.created >= self.max_nodes:
+            raise RuntimeError(
+                f"branch-and-bound ran out of its budget of {self.max_nodes} nodes "
+                f"({self.created} created, {len(self.heap)} open)"
+            )
+        heapq.heappush(self.heap, (bound, self.created, forbidden, selected))
+        self.created += 1
 
 
 def solve_branch_and_bound(
-    problem: MatchingProblem, constraints: tuple[frozenset[int], ...] = ()
+    problem: MatchingProblem,
+    constraints: tuple[frozenset[int], ...] = (),
+    frontier: SearchFrontier | None = None,
 ) -> Matching:
-    """Exact optimum of the program plus cycle-exclusion rows, by HiGHS'
-    branch-and-cut.
+    """Exact optimum of the program plus cycle-exclusion rows, by best-first
+    branch-and-bound over the assignment graph of `solve_exact`.
 
     `constraints` are sets of pair-variable indices of which at most |set| - 1
-    may be selected together (cycle elimination rows). The relative gap is 0,
-    so HiGHS stops only at a proven optimum; the default 1e-4 would accept
-    worse answers. No time limit is set, so the result does not depend on the
-    speed of the machine. Among equal optima the choice is HiGHS' own,
-    deterministic but not lexicographic.
-    """
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    may be selected together (cycle elimination rows). A node forbids a set
+    of variables; its bound is the LAPJVsp optimum on the assignment graph
+    with their edges left out, the kept edges in their CSR order, and a node
+    with no full matching is dropped. Children carry their parent's bound and
+    are solved only when popped; nodes pop in (bound, creation) order. A
+    popped solution that selects every pair of some row is split on the
+    smallest such row (the first listed among equal sizes),
+    S = {s_1 < ... < s_k}, into k children: child j forbids s_j and fixes
+    s_1..s_{j-1}, where fixing a pair forbids every other variable at its two
+    cells. The first popped solution that violates no row is optimal, and
+    among equal optima it is the one returned.
 
+    `frontier` carries the open nodes from a previous call on the same
+    problem (and is left holding the returned node); without one the search
+    starts from the root.
+    """
     n = problem.n_cells
     if n == 0:
         return Matching(pairs=(), critical=(), objective=0.0)
-    cuts = [sorted(c) for c in constraints]
+    cuts = [np.array(sorted(c), dtype=np.int32) for c in constraints]
     for c in cuts:
-        if not c or c[0] < 0 or c[-1] >= problem.n_pairs:
+        if not len(c) or c[0] < 0 or c[-1] >= problem.n_pairs:
             raise ValueError("constraints must be non-empty sets of pair variable indices")
+    # checked once here, so that a ValueError from LAPJVsp means infeasible
+    _check_finite(problem)
+    if frontier is None:
+        frontier = SearchFrontier()
+    if frontier.created == 0:
+        frontier.push(-math.inf, np.empty(0, dtype=np.int32))
 
-    # row k lists the variables of cell k in ascending order: its pairs, then
-    # its diagonal; the cut rows follow
-    pair_var = np.arange(problem.n_pairs)
-    cell = np.concatenate([problem.pairs[:, 0], problem.pairs[:, 1], np.arange(n)])
-    col = np.concatenate([pair_var, pair_var, problem.n_pairs + np.arange(n)])
-    indices = np.concatenate(
-        [col[np.lexsort((col, cell))], np.array([v for c in cuts for v in c], dtype=np.intp)]
-    )
-    row_len = np.concatenate(
-        [np.bincount(cell, minlength=n), np.array([len(c) for c in cuts], dtype=np.intp)]
-    )
-    indptr = np.zeros(n + len(cuts) + 1, dtype=np.intp)
-    np.cumsum(row_len, out=indptr[1:])
-    A = csr_array((np.ones(len(indices)), indices, indptr), shape=(n + len(cuts), problem.m))
-    lower = np.concatenate([np.ones(n), np.full(len(cuts), -np.inf)])
-    upper = np.concatenate([np.ones(n), [len(c) - 1 for c in cuts]])
-    res = milp(
-        problem.costs,
-        constraints=LinearConstraint(A, lower, upper),
-        integrality=np.ones(problem.m),
-        bounds=Bounds(0, 1),
-        options={"mip_rel_gap": 0.0},
-    )
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS found no optimum: {res.message}")
-    chosen = res.x > 0.5
-    return Matching(
-        problem.pairs[chosen[: problem.n_pairs]],
-        np.flatnonzero(chosen[problem.n_pairs :]),
-        math.fsum(problem.costs[chosen].tolist()),
-    )
+    row_len = np.array([len(c) for c in cuts], dtype=np.intp)
+    row_vars = np.concatenate([np.empty(0, dtype=np.int32), *cuts])
+    row_of = np.repeat(np.arange(len(cuts)), row_len)
+    graph = problem.assignment_graph()
+    full = graph.weighted(problem.costs)
+    slot = np.empty(len(graph.order), dtype=np.intp)  # CSR slot of each edge
+    slot[graph.order] = np.arange(len(graph.order))
+    # the pair variables at cell c are at_cell[cell_ptr[c]:cell_ptr[c + 1]]
+    ends = problem.pairs.ravel()
+    at_cell = np.argsort(ends, kind="stable") // 2
+    cell_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=n), out=cell_ptr[1:])
+
+    def solve_node(forbidden: np.ndarray) -> np.ndarray | None:
+        """Pair selection of the node's LAPJVsp optimum, None if it has none."""
+        weighted = full
+        if len(forbidden):
+            keep = np.ones(len(slot), dtype=bool)
+            keep[slot[forbidden]] = False
+            indptr = np.concatenate([[0], np.cumsum(keep)])[graph.indptr]
+            weighted = csr_array((full.data[keep], full.indices[keep], indptr), shape=full.shape)
+        try:
+            _, col_of_row = min_weight_full_bipartite_matching(weighted)
+        except ValueError as err:
+            if "no full matching" in str(err):
+                return None
+            raise
+        return col_of_row[graph.pair_row] == graph.pair_col
+
+    def fixing(s: int) -> np.ndarray:
+        """Variables other than pair s at its two cells."""
+        lo, up = problem.pairs[s]
+        others = np.concatenate(
+            [at_cell[cell_ptr[lo] : cell_ptr[lo + 1]], at_cell[cell_ptr[up] : cell_ptr[up + 1]]]
+        )
+        return np.append(others[others != s], [problem.n_pairs + lo, problem.n_pairs + up])
+
+    heap = frontier.heap
+    while heap:
+        entry = heapq.heappop(heap)
+        bound, created, forbidden, selected = entry
+        if selected is None:
+            hit = solve_node(forbidden)
+            if hit is not None:
+                _, objective = _critical_and_objective(problem, hit)
+                heapq.heappush(heap, (objective, created, forbidden, np.packbits(hit)))
+            continue
+        hit = np.unpackbits(selected, count=problem.n_pairs).view(bool)
+        violated = np.bincount(row_of[hit[row_vars]], minlength=len(cuts)) == row_len
+        if not violated.any():
+            heapq.heappush(heap, entry)
+            return _selection_matching(problem, hit)
+        row = cuts[int(np.argmin(np.where(violated, row_len, np.iinfo(np.intp).max)))]
+        # a pair an ancestor fixed has lost its cells' diagonals; a child that
+        # forbids it leaves those cells no variable, so it is not made
+        was_fixed = np.isin(problem.n_pairs + problem.pairs[row, 0], forbidden)
+        parts = [forbidden]
+        for s, skip in zip(row.tolist(), was_fixed.tolist()):
+            if not skip:
+                frontier.push(bound, np.unique(np.concatenate([*parts, [s]])).astype(np.int32))
+            parts.append(fixing(s))
+    raise RuntimeError("no selection satisfies the rows")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ import time
 import numpy as np
 import pytest
 
+import combidyn.gradient
 from combidyn import (
     PipelineConfig,
+    SearchFrontier,
     all_critical_threshold,
     assign_vertex_average,
     assignment_objective,
@@ -282,3 +284,26 @@ def test_criterion_10_constraint_mode_on_predator_prey(tmp_path, cfg):
     export_report(analysis, report)
     ok, lines = verify_report(report, path)
     assert ok, lines
+
+
+def test_constraint_mode_on_intro_annulus(tmp_path, monkeypatch):
+    # the annulus needs 80 rounds of cuts; each resumes one search frontier
+    frontiers = []
+
+    class Recorded(SearchFrontier):
+        def __init__(self, *args):
+            super().__init__(*args)
+            frontiers.append(self)
+
+    monkeypatch.setattr(combidyn.gradient, "SearchFrontier", Recorded)
+    analysis, elapsed, _ = pipeline_on_preset(
+        tmp_path, "intro", complex_kind="cubical", side=0.44, alpha=0.5,
+        gradient_mode="constraints",
+    )
+    assert elapsed < 5.0
+    assert analysis.matching.objective == 107.82404860194904
+    assert analysis.constraint_rounds == 80
+    # the node count does not depend on the machine's speed
+    assert [f.created for f in frontiers] == [480]
+    assert analysis.document["gradient"]["is_gradient"] is True
+    assert analysis.recurrence.multi_cell() == []

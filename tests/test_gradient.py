@@ -309,8 +309,9 @@ class TestConstrainedSolve:
         _, K, vectors = grad_toy
         p = problem_for(K, vectors, 0.15)
         m, rounds = solve_gradient_constrained(p, K)
-        # {0: 3, 1: 5} and {0: 3, 2: 4} tie exactly; which one comes back is
-        # the MIP solver's choice
+        # {0: 3, 1: 5} and {0: 3, 2: 4} tie exactly; the search returns the
+        # first node in (bound, creation) order
+        assert m.pairs.tolist() == [[0, 3], [2, 4]]
         assert rounds == 1
         assert m.objective == gradient_optimum(K, p)
         assert m.objective == pytest.approx(1.00136, abs=1e-5)
@@ -327,6 +328,15 @@ class TestConstrainedSolve:
         with pytest.raises(RuntimeError, match="0 rounds"):
             solve_gradient_constrained(problem_for(K, vectors, 0.75), K, max_rounds=0)
 
+    def test_node_budget(self, toy):
+        _, K, vectors = toy
+        # the toy's one cut splits the root into three children; a budget of
+        # three nodes runs out at the last of them
+        with pytest.raises(RuntimeError, match=r"round 1: .*budget of 3 nodes \(3 created"):
+            solve_gradient_constrained(problem_for(K, vectors, 0.75), K, max_nodes=3)
+        m, _ = solve_gradient_constrained(problem_for(K, vectors, 0.75), K, max_nodes=4)
+        assert is_gradient(K, m) is True
+
     def test_two_components_cut_in_one_round(self):
         # two disjoint copies of the toy triangle: both cycles are cut at once
         sample = preset_field("toy")
@@ -340,22 +350,43 @@ class TestConstrainedSolve:
         assert is_gradient(K, m) is True
         assert m.objective == gradient_optimum(K, p)
 
-    def test_matches_gradient_oracle(self):
+    @staticmethod
+    def oracle_instances():
+        """300 seeded instances of at most 12 cells, one in four cubical."""
         rng = np.random.default_rng(41)
         alphas = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
-        cut = 0
         for trial in range(300):
             if trial % 4:
                 K, vectors = random_simplicial_instance(rng)
             else:
                 K, vectors = random_cubical_instance(rng, max_extent=2)
             alpha = alphas[trial % 7] if trial % 2 else float(rng.uniform(0.0, 2.0))
-            p = problem_for(K, vectors, alpha)
+            yield K, problem_for(K, vectors, alpha)
+
+    def test_matches_gradient_oracle(self):
+        cut = 0
+        for K, p in self.oracle_instances():
             m, rounds = solve_gradient_constrained(p, K)
             cut += rounds > 0
             assert is_gradient(K, m) is True
             assert m.objective == gradient_optimum(K, p)
         assert cut >= 40
+
+    def test_resumed_search_matches_fresh(self, monkeypatch):
+        # every round resumes the shared frontier; a fresh search with the
+        # same rows must reach the same optimum
+        search = combidyn.gradient.solve_branch_and_bound
+        calls = []
+
+        def both(problem, constraints, frontier):
+            resumed = search(problem, constraints, frontier)
+            calls.append(resumed.objective == search(problem, constraints).objective)
+            return resumed
+
+        monkeypatch.setattr(combidyn.gradient, "solve_branch_and_bound", both)
+        for K, p in self.oracle_instances():
+            solve_gradient_constrained(p, K)
+        assert len(calls) >= 40 and all(calls)
 
 
 class TestTarjan:

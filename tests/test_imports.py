@@ -1,8 +1,9 @@
-"""Constraint mode's HiGHS solver comes from `scipy.optimize`, which takes
-about a third of the package's import time. It is imported on the first
-constrained solve only, so runs in the other modes never load it; a top-level
-import of it anywhere in the package would fail here. Each check starts a
-fresh interpreter, since the test process itself has the module loaded."""
+"""No mode of the pipeline loads `scipy.optimize`, constraint mode included:
+constraint mode searches on the same sparse assignment solver as the other
+modes, and `scipy.optimize` would add about a third of the package's import
+time. A top-level import of it anywhere in the package would fail here. The
+check starts a fresh interpreter, since the test process itself has the
+module loaded (the tests' HiGHS oracle imports it)."""
 
 import json
 import math
@@ -45,7 +46,7 @@ print(json.dumps({
 """
 
 
-def test_highs_loaded_on_first_constrained_solve(tmp_path):
+def test_scipy_optimize_never_loaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path / "toy.csv")],
@@ -53,7 +54,7 @@ def test_highs_loaded_on_first_constrained_solve(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
-    assert out["loaded"] == {"import": False, "off": False, "sweep": False, "constraints": True}
+    assert out["loaded"] == {"import": False, "off": False, "sweep": False, "constraints": False}
     assert out["sweep"] == [0.14, []]
     matched, critical, rounds, objective, section = out["constraints"]
     assert matched == [[1, 5], [2, 4], [3, 6]]

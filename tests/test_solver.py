@@ -38,6 +38,7 @@ from oracles import (
     brute_force_optimum,
     dense_assignment_selection,
     matching_violations_by_loop,
+    milp_optimum,
     sparse_selection_by_coo,
 )
 
@@ -162,8 +163,9 @@ class TestSolve:
         p = problem_for(K, vectors, 0.5)
         costs = p.costs.copy()
         costs[[2, 5]] = bad
-        with pytest.raises(ValueError, match=rf"variable 2 \(pair \(1, 3\)\) is {bad}, not finite"):
-            solve_exact(replace(p, costs=costs))
+        for solve in (solve_exact, solve_branch_and_bound):
+            with pytest.raises(ValueError, match=rf"variable 2 \(pair \(1, 3\)\) is {bad}, not finite"):
+                solve(replace(p, costs=costs))
 
     def test_backends_match_brute_force(self):
         rng = np.random.default_rng(7)
@@ -413,6 +415,31 @@ class TestConstraints:
             assert verify_matching(K, m).ok
             chosen = {p.pair_var(lo, up) for lo, up in m.pairs.tolist()}
             assert all(not cut <= chosen for cut in cuts)
+
+    @pytest.mark.parametrize("extent", [3, 4])
+    def test_matches_milp_oracle_on_lattices(self, extent):
+        # 25 and 49 cells, too many to enumerate: HiGHS is the reference.
+        # Each round cuts a random part of the last optimum, so the row binds,
+        # and adds one random row, which may be slack
+        rng = np.random.default_rng(43 + extent)
+        pts = np.array([(i, j) for i in range(extent) for j in range(extent)], dtype=float)
+        K = cubical_grid(pts, side=1.0)
+        for _ in range(10):
+            p = problem_for(K, assign_vertex_average(K, rng.normal(size=(len(pts), 2))),
+                            float(rng.uniform(0.0, 1.5)))
+            cuts = []
+            m = solve_exact(p)
+            for _ in range(4):
+                chosen = selection(p, m)[: len(m.pairs)]
+                if chosen:
+                    size = min(int(rng.integers(1, 7)), len(chosen))
+                    cuts.append(frozenset(rng.choice(chosen, size=size, replace=False).tolist()))
+                size = int(rng.integers(1, 5))
+                cuts.append(frozenset(rng.choice(p.n_pairs, size=size, replace=False).tolist()))
+                m = solve_branch_and_bound(p, constraints=tuple(cuts))
+                assert m.objective == milp_optimum(p, cuts)
+                assert verify_matching(K, m).ok
+                assert all(not cut <= set(selection(p, m)) for cut in cuts)
 
     def test_recursion_limit_untouched(self, toy):
         _, K, vectors = toy
