@@ -14,6 +14,7 @@ from combidyn import (
     assign_vertex_average,
     build_cost_model,
     build_problem,
+    classify_recurrence,
     delaunay_2d,
     evaluate_matching,
     is_gradient,
@@ -21,7 +22,6 @@ from combidyn import (
     preset_field,
     solve_exact,
     solve_gradient_constrained,
-    strongly_connected_components,
 )
 
 
@@ -34,7 +34,7 @@ def setup(preset):
 def show_solution(K, vectors, alpha):
     model = build_cost_model(K, vectors, alpha=alpha)
     matching = solve_exact(build_problem(model, K))
-    recurrence = strongly_connected_components(multiflow(K, matching))
+    recurrence = classify_recurrence(multiflow(K, matching))
     cyclic = [list(s.cells) for s in recurrence.multi_cell()]
     arrows = ", ".join(f"{lo}: {up}" for lo, up in matching.pairs.tolist())
     print(f"  alpha={alpha}: objective {matching.objective:.6f}, "

@@ -29,14 +29,7 @@ from .datagen import (
     preset_field,
     write_field_csv,
 )
-from .dynamics import (
-    CycleReport,
-    FlowGraph,
-    SccInfo,
-    classify_recurrence,
-    multiflow,
-    strongly_connected_components,
-)
+from .dynamics import CycleReport, FlowGraph, SccInfo, classify_recurrence, multiflow
 from .gradient import (
     DEFAULT_ALPHA_GRID,
     all_critical_threshold,
@@ -132,7 +125,6 @@ __all__ = [
     "solve_branch_and_bound",
     "solve_exact",
     "solve_gradient_constrained",
-    "strongly_connected_components",
     "verify_matching",
     "verify_report",
     "write_field_csv",

@@ -2,8 +2,9 @@
 
 Every cell gets a successor set: a critical cell maps to its whole closure,
 sorted, a matched lower cell to its partner, and a matched upper cell to its
-other codim-1 faces. Recurrence is read off the strongly connected components
-of that relation; critical cells are exactly the singletons with a self-loop.
+other codim-1 faces. `classify_recurrence` reads recurrence off the strongly
+connected components of that relation; critical cells are exactly the
+singletons with a self-loop.
 The matching comes in as arrays (`Matching.pairs`, `Matching.critical`) and
 the flow is arrays too.
 """
@@ -24,7 +25,6 @@ __all__ = [
     "SccInfo",
     "CycleReport",
     "multiflow",
-    "strongly_connected_components",
     "classify_recurrence",
 ]
 
@@ -33,7 +33,7 @@ __all__ = [
 class FlowGraph:
     """CSR flow: cell c flows to `succ_idx[succ_ptr[c]:succ_ptr[c + 1]]`.
     `critical` is the matching's critical cells, ascending. `scc_id`, each
-    cell's component, is set by `strongly_connected_components`."""
+    cell's component, is set by `classify_recurrence`."""
 
     succ_ptr: np.ndarray
     succ_idx: np.ndarray
@@ -109,7 +109,7 @@ class SccInfo:
 class CycleReport:
     sccs: list[SccInfo]
     n_components: int
-    critical_census: dict[int, int] | None = None
+    critical_census: dict[int, int]  # dimension -> number of critical cells
 
     def multi_cell(self) -> list[SccInfo]:
         return [s for s in self.sccs if s.size > 1]
@@ -118,16 +118,24 @@ class CycleReport:
         return [s for s in self.sccs if s.is_critical_singleton]
 
 
-def strongly_connected_components(flow: FlowGraph) -> CycleReport:
-    """SCCs of the flow, reported deterministically: components are numbered
-    by their smallest cell id. Only recurrent components (more than one cell,
-    or a critical self-loop) get an SccInfo entry; `scc_id` on the flow graph
-    is filled for every cell."""
+def classify_recurrence(flow: FlowGraph) -> CycleReport:
+    """SCCs of the flow plus a per-dimension census of its critical cells.
+
+    Components are numbered by their smallest cell id. Only recurrent
+    components (more than one cell, or a critical self-loop) get an SccInfo
+    entry; `scc_id` on the flow graph is filled for every cell. Checks the
+    structural fact the construction guarantees: no multi-cell component
+    contains a critical cell.
+    """
     labels, order, bounds = _sccs(flow.succ_ptr, flow.succ_idx)
     flow.scc_id = labels
     sizes = np.diff(bounds)
+    held = labels[flow.critical]
+    multi = held[sizes[held] > 1]
+    if len(multi):
+        raise AssertionError(f"critical cell inside multi-cell component {multi.min()}")
     recurrent = sizes > 1
-    recurrent[labels[flow.critical]] = True
+    recurrent[held] = True
     # successors that stay inside their cell's component, per cell
     source = np.repeat(np.arange(len(flow)), np.diff(flow.succ_ptr))
     inner = source[labels[source] == labels[flow.succ_idx]]
@@ -150,24 +158,5 @@ def strongly_connected_components(flow: FlowGraph) -> CycleReport:
                 is_critical_singleton=len(cells) == 1,
             )
         )
-    return CycleReport(sccs=infos, n_components=len(sizes))
-
-
-def classify_recurrence(flow: FlowGraph, matching: Matching) -> CycleReport:
-    """SCC decomposition plus a per-dimension census of critical cells.
-
-    Sanity-checks the structural facts the construction guarantees: critical
-    cells are exactly the self-loop singletons, and no multi-cell component
-    contains a critical cell.
-    """
-    if not np.array_equal(matching.critical, flow.critical):
-        raise ValueError("flow graph and matching disagree on the critical set")
-    report = strongly_connected_components(flow)
-    held = flow.scc_id[flow.critical]
-    multi = held[np.bincount(flow.scc_id)[held] > 1]
-    if len(multi):
-        raise AssertionError(f"critical cell inside multi-cell component {multi.min()}")
     dims, counts = np.unique(flow.dims[flow.critical], return_counts=True)
-    report.critical_census = dict(zip(dims.tolist(), counts.tolist()))
-    return report
-
+    return CycleReport(infos, len(sizes), dict(zip(dims.tolist(), counts.tolist())))

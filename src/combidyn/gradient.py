@@ -2,11 +2,13 @@
 
 A matching is a discrete gradient field exactly when the flow it induces has
 no nontrivial recurrence, i.e. the arrows admit a compatible Lyapunov order.
-This module decides that property, finds the alpha regime where the optimum
-becomes gradient, and solves the matching program under explicit no-cycle
-side constraints via lazy cut generation: each round forbids every cyclic
-component of the flow at once, one row per component, and resumes one
-best-first branch-and-bound whose open nodes are kept across the rounds.
+This module decides that property, finds the first alpha on the fixed grid
+`DEFAULT_ALPHA_GRID` where the optimum becomes gradient, and solves the
+matching program under explicit no-cycle side constraints via lazy cut
+generation: each round forbids every cyclic component of the flow at once,
+one row per component, and resumes one best-first branch-and-bound whose open
+nodes are kept across the rounds. Neither mode takes a tuning parameter; the
+search's one budget is `solver.MAX_SEARCH_NODES`.
 """
 
 from __future__ import annotations
@@ -73,13 +75,9 @@ def all_critical_threshold(cost_model: CostModel) -> float:
     return t
 
 
-def alpha_sweep(
-    complex: CellComplex,
-    cost_model: CostModel,
-    alpha_grid: tuple[float, ...] | None = None,
-) -> tuple[float, Matching]:
-    """Walk alpha downward and return the first grid value whose optimal
-    matching is gradient, together with that matching.
+def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Matching]:
+    """Walk alpha down `DEFAULT_ALPHA_GRID` and return the first grid value
+    whose optimal matching is gradient, together with that matching.
 
     Pair costs do not depend on alpha, so the sweep builds the program and
     its assignment graph once from `cost_model`, and re-prices only the
@@ -101,20 +99,12 @@ def alpha_sweep(
     inside such a run ties the matching there with equal c and k, and is not
     seen. Without ties this is the answer of testing every grid value.
 
-    If the pairs still have not changed at the last grid value (on the
-    default grid only when alpha 0 ties the all-critical matching with a
-    cycle of zero-cost pairs), fall back to the all-critical matching at its
+    If the pairs still have not changed at alpha 0, the last grid value
+    (only when alpha 0 ties the all-critical matching with a cycle of
+    zero-cost pairs), fall back to the all-critical matching at its
     threshold alpha.
     """
-    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
-    if not grid:
-        raise ValueError("alpha grid is empty")
-    for a in grid:
-        if not 0.0 <= a <= 2.0:  # also false for NaN
-            raise ValueError(f"alpha grid must lie within [0, 2], got {a!r}")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be strictly descending")
-
+    grid = DEFAULT_ALPHA_GRID
     problem = build_problem(cost_model, complex)
     pair_costs = problem.costs[: problem.n_pairs]
     solved: dict[int, Matching] = {}  # grid index -> the solver's matching there
@@ -163,12 +153,7 @@ def _first_change(differs, k: int, last: int) -> int | None:
     return None
 
 
-def solve_gradient_constrained(
-    problem: MatchingProblem,
-    complex: CellComplex,
-    max_rounds: int = 10000,
-    max_nodes: int = 200_000,
-) -> tuple[Matching, int]:
+def solve_gradient_constrained(problem: MatchingProblem, complex: CellComplex) -> tuple[Matching, int]:
     """Cheapest gradient matching at the problem's own alpha.
 
     Lazy loop: solve, and while the flow has multi-cell strongly connected
@@ -178,9 +163,10 @@ def solve_gradient_constrained(
     branch-and-bound `solve_branch_and_bound`. All rounds share one
     `SearchFrontier`, seeded with the first solve, so each round resumes the
     search where the last one stopped. Among tied optima the round returns
-    the first node in (bound, creation) order. `max_nodes` caps the search
-    nodes over all rounds; running out raises a RuntimeError naming the
-    round.
+    the first node in (bound, creation) order. The node budget
+    `MAX_SEARCH_NODES` also bounds the rounds: each round's node violates the
+    rows cut from its matching, so no node is returned twice and rounds <=
+    nodes created + 1. Running out raises a RuntimeError naming the round.
 
     A component's row says that at most all but one of the pairs with both
     cells inside it may be selected together. Inside a multi-cell component a
@@ -192,28 +178,21 @@ def solve_gradient_constrained(
     matching. A component that is one simple cycle gives the classic cycle
     inequality.
     """
-    cuts: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    frontier = None
-    for rounds in range(max_rounds):
-        if frontier is None:
-            matching = solve_exact(problem)
-        else:
-            try:
-                matching = solve_branch_and_bound(problem, tuple(cuts), frontier)
-            except RuntimeError as err:
-                raise RuntimeError(f"round {rounds}: {err}") from None
-        components = _cyclic_components(complex, matching)
-        if not components:
-            return matching, rounds
-        if frontier is None:
-            frontier = SearchFrontier(max_nodes)
-            frontier.seed(problem, matching)
+    matching = solve_exact(problem)
+    frontier = SearchFrontier()
+    frontier.seed(problem, matching)
+    cuts: dict[frozenset[int], None] = {}  # the rows so far, in the order they were cut
+    rounds = 0
+    while components := _cyclic_components(complex, matching):
         for cells in components:
             inside = matching.pairs[np.isin(matching.pairs[:, 0], cells)]
             cut = frozenset(pair_rows(problem.pairs, problem.n_cells, inside).tolist())
-            if cut in seen:
+            if cut in cuts:
                 raise RuntimeError("cycle constraint repeated; solver is not separating")
-            seen.add(cut)
-            cuts.append(cut)
-    raise RuntimeError(f"no gradient matching found within {max_rounds} rounds")
+            cuts[cut] = None
+        rounds += 1
+        try:
+            matching = solve_branch_and_bound(problem, tuple(cuts), frontier)
+        except RuntimeError as err:
+            raise RuntimeError(f"round {rounds}: {err}") from None
+    return matching, rounds

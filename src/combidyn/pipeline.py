@@ -11,6 +11,7 @@ alpha, side and radius keep full precision, so `verify` rebuilds exactly what
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -185,11 +186,22 @@ def _float_table(path, rows: list[list[str]], width: int) -> np.ndarray:
     return table
 
 
+def _csv_rows(path: Path) -> list[list[str]]:
+    """The rows of a UTF-8 CSV file, whatever the locale. A byte sequence that
+    is not UTF-8 raises a ParseError naming its line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
 def read_field_csv(path) -> FieldSample:
     """Read `x1..xd,v1..vd` rows. d is inferred from the header."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_rows(path)
     if not rows:
         raise ParseError(path, 1, "empty input file")
     header = [h.strip() for h in rows[0]]
@@ -208,8 +220,7 @@ def read_field_csv(path) -> FieldSample:
 def read_landmarks_csv(path) -> np.ndarray:
     """Read `y1..yd` landmark rows."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_rows(path)
     if not rows:
         raise ParseError(path, 1, "empty landmark file")
     header = [h.strip() for h in rows[0]]
@@ -227,8 +238,7 @@ def read_relation_csv(path) -> np.ndarray:
     """Read a headerless 0/1 matrix: one row per data point, one column per
     landmark."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_rows(path)
     out = []
     width = None
     for ln, row in enumerate(rows, start=1):
@@ -315,7 +325,7 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
             matching = solve_exact(problem)
 
     flow = multiflow(complex, matching)
-    recurrence = classify_recurrence(flow, matching)
+    recurrence = classify_recurrence(flow)
     analysis = Analysis(
         config=config,
         sample=sample,
@@ -489,6 +499,12 @@ def export_arrows(analysis: Analysis, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# the JSON type of each config_echo value, as `PipelineConfig.echo` writes it;
+# the nullable ones may also be null
+_ECHO_TYPES = dict(complex=str, alpha=float, subdivide=int, gradient=str, snap=bool)
+_ECHO_NULLABLE = dict(side=float, radius=float, landmarks=str, relation=str)
+
+
 def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     """Re-derive everything checkable from a serialized report: rebuild the
     complex from the echoed config, re-verify the matching axioms, check the
@@ -498,30 +514,38 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     analysis to confirm the critical, SCC and gradient sections round-trip.
 
     `gradient.constraint_rounds` is not checked: it could only be re-derived
-    by solving again. A report that lacks a key, or whose `matching` or
-    `critical` is not a list, raises ValueError naming the report and the key."""
-    doc = json.loads(Path(report_path).read_text())
+    by solving again. A report that is not JSON, lacks a key, or holds a value
+    of the wrong JSON type where one is read raises ValueError naming the
+    report and the key."""
+    try:
+        doc = json.loads(Path(report_path).read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{report_path}: {exc}") from None
 
-    def need(node, key, at="", kind=None):
+    def need(node, key, at="", kind=None, nullable=False):
         if not isinstance(node, dict) or key not in node:
             raise ValueError(f"{report_path}: report has no {at}{key}")
-        if kind is not None and not isinstance(node[key], kind):
+        value = node[key]
+        # json makes exact types: an int passes as a float, a bool only as a bool
+        fits = type(value) is kind or (kind is float and type(value) is int)
+        if kind is not None and not fits and not (nullable and value is None):
             raise ValueError(f"{report_path}: report has no {kind.__name__} {at}{key}")
-        return node[key]
+        return value
 
-    try:
-        config = PipelineConfig.from_echo(need(doc, "config_echo"))
-    except KeyError as exc:
-        raise ValueError(f"{report_path}: report has no config_echo.{exc.args[0]}") from None
+    echo = need(doc, "config_echo", kind=dict)
+    for key, kind in (_ECHO_TYPES | _ECHO_NULLABLE).items():
+        need(echo, key, "config_echo.", kind, nullable=key in _ECHO_NULLABLE)
+    config = PipelineConfig.from_echo(echo)
     reported_counts = need(need(doc, "complex"), "counts", "complex.")
     objective = need(doc, "objective")
-    total, alpha = need(objective, "total", "objective."), need(objective, "alpha", "objective.")
+    total = need(objective, "total", "objective.", float)
+    alpha = need(objective, "alpha", "objective.", float)
     pairs = [
-        (need(e, "lower", f"matching[{i}]."), need(e, "upper", f"matching[{i}]."))
+        (need(e, "lower", f"matching[{i}].", int), need(e, "upper", f"matching[{i}].", int))
         for i, e in enumerate(need(doc, "matching", kind=list))
     ]
     critical_entries = need(doc, "critical", kind=list)
-    critical = [need(e, "id", f"critical[{i}].") for i, e in enumerate(critical_entries)]
+    critical = [need(e, "id", f"critical[{i}].", int) for i, e in enumerate(critical_entries)]
     problem, scc = need(doc, "problem"), need(doc, "scc")
 
     sample = read_field_csv(input_path)
@@ -583,7 +607,7 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     # the pairs passed verify_matching above, so the unchecked flow is safe
     ptr, idx = _flow_successors(complex, matching)
     flow = FlowGraph(succ_ptr=ptr, succ_idx=idx, dims=complex.dims, critical=matching.critical)
-    recurrence = classify_recurrence(flow, matching)
+    recurrence = classify_recurrence(flow)
     good = _scc_entries(recurrence) == scc
     ok &= good
     lines.append(f"recurrence round-trip ({len(recurrence.sccs)} components): {'PASS' if good else 'FAIL'}")
@@ -598,7 +622,7 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     if config.gradient_mode == "off":
         good = section is None
     else:
-        good = section is not None and (section.get("mode"), section.get("is_gradient")) == (
+        good = isinstance(section, dict) and (section.get("mode"), section.get("is_gradient")) == (
             config.gradient_mode, not recurrence.multi_cell()
         )
     ok &= good

@@ -21,7 +21,8 @@ One exact solver per problem class:
   LAPJVsp on the same assignment graph with those variables' edges left out.
   Among equal optima it returns the first solution that violates no row, in
   (bound, node creation) order. A `SearchFrontier` keeps the open nodes
-  between calls, so a call with more rows resumes the search.
+  between calls, so a call with more rows resumes the search, up to
+  `MAX_SEARCH_NODES` nodes in all.
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ def solve_exact(problem: MatchingProblem) -> Matching:
     return _selection_matching(problem, col_of_row[graph.pair_row] == graph.pair_col)
 
 
+MAX_SEARCH_NODES = 200_000  # nodes one `SearchFrontier` may create, read at each push
+
+
 @dataclass(eq=False)
 class SearchFrontier:
     """The open nodes of `solve_branch_and_bound`'s search on one problem,
@@ -250,12 +254,10 @@ class SearchFrontier:
     A heap entry is (bound, created, forbidden, selected): a lower bound on
     the node's selections, its creation counter, the ascending int32 indices
     of the variables it forbids, and its optimal pair selection packed by
-    `np.packbits`, or None while the node is unsolved. `max_nodes` caps the
-    nodes created over the frontier's life; the search raises a RuntimeError
-    when it would create more.
+    `np.packbits`, or None while the node is unsolved. The search raises a
+    RuntimeError when it would create more than `MAX_SEARCH_NODES` nodes.
     """
 
-    max_nodes: int = 200_000
     heap: list = field(default_factory=list, init=False)
     created: int = field(default=0, init=False)
 
@@ -267,9 +269,9 @@ class SearchFrontier:
         self.push(root.objective, np.empty(0, dtype=np.int32), np.packbits(hit))
 
     def push(self, bound: float, forbidden: np.ndarray, selected: np.ndarray | None = None):
-        if self.created >= self.max_nodes:
+        if self.created >= MAX_SEARCH_NODES:
             raise RuntimeError(
-                f"branch-and-bound ran out of its budget of {self.max_nodes} nodes "
+                f"branch-and-bound ran out of its budget of {MAX_SEARCH_NODES} nodes "
                 f"({self.created} created, {len(self.heap)} open)"
             )
         heapq.heappush(self.heap, (bound, self.created, forbidden, selected))

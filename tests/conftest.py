@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import combidyn.gradient
 from combidyn import (
     CellComplex,
     assign_vertex_average,
@@ -105,6 +106,20 @@ def random_instance(rng: np.random.Generator, small: bool = False):
 
 def problem_for(complex: CellComplex, vectors, alpha: float):
     return build_problem(build_cost_model(complex, vectors, alpha), complex)
+
+
+def recorded_frontiers(monkeypatch) -> list:
+    """Every `SearchFrontier` that `solve_gradient_constrained` makes from now
+    on, in order, so a test can read its node count."""
+    made = []
+
+    class Recorded(combidyn.gradient.SearchFrontier):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(combidyn.gradient, "SearchFrontier", Recorded)
+    return made
 
 
 def to_csr(succ):

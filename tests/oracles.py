@@ -258,16 +258,15 @@ def gradient_optimum(complex, problem):
     raise AssertionError("no gradient selection; the all-critical one always is")
 
 
-def alpha_sweep_by_grid(complex, cost_model, alpha_grid=None):
+def alpha_sweep_by_grid(complex, cost_model):
     """`gradient.alpha_sweep` by solving every grid value in turn: the first
     grid alpha whose `solve_exact` optimum is gradient, with that matching,
     testing acyclicity only when the pairs differ from the step before, and
     the all-critical matching at its threshold when no grid value works."""
-    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
     problem = build_problem(cost_model, complex)
     pair_costs = problem.costs[: problem.n_pairs]
     cyclic = None  # pairs of the last matching found not gradient
-    for alpha in grid:
+    for alpha in DEFAULT_ALPHA_GRID:
         costs = np.concatenate([pair_costs, np.full(problem.n_cells, alpha)])
         matching = solve_exact(replace(problem, costs=costs))
         if cyclic is not None and np.array_equal(matching.pairs, cyclic):

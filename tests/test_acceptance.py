@@ -11,10 +11,8 @@ import time
 import numpy as np
 import pytest
 
-import combidyn.gradient
 from combidyn import (
     PipelineConfig,
-    SearchFrontier,
     all_critical_threshold,
     assign_vertex_average,
     assignment_objective,
@@ -38,7 +36,12 @@ from combidyn import (
     write_field_csv,
 )
 
-from conftest import problem_for, random_instance, random_simplicial_instance
+from conftest import (
+    problem_for,
+    random_instance,
+    random_simplicial_instance,
+    recorded_frontiers,
+)
 from oracles import brute_force_optimum, euler_characteristic
 
 
@@ -126,7 +129,7 @@ def test_criterion_05_gradient_recovery(grad_toy):
     m15 = solve_exact(problem_for(K, vectors, 0.15))
     assert is_gradient(K, m15) is False
     cycle_dims = {
-        s.dims_present for s in classify_recurrence(multiflow(K, m15), m15).multi_cell()
+        s.dims_present for s in classify_recurrence(multiflow(K, m15)).multi_cell()
     }
     assert (0, 1) in cycle_dims  # recurrent vertex-edge cycle
 
@@ -288,14 +291,7 @@ def test_criterion_10_constraint_mode_on_predator_prey(tmp_path, cfg):
 
 def test_constraint_mode_on_intro_annulus(tmp_path, monkeypatch):
     # the annulus needs 80 rounds of cuts; each resumes one search frontier
-    frontiers = []
-
-    class Recorded(SearchFrontier):
-        def __init__(self, *args):
-            super().__init__(*args)
-            frontiers.append(self)
-
-    monkeypatch.setattr(combidyn.gradient, "SearchFrontier", Recorded)
+    frontiers = recorded_frontiers(monkeypatch)
     analysis, elapsed, _ = pipeline_on_preset(
         tmp_path, "intro", complex_kind="cubical", side=0.44, alpha=0.5,
         gradient_mode="constraints",
@@ -305,5 +301,6 @@ def test_constraint_mode_on_intro_annulus(tmp_path, monkeypatch):
     assert analysis.constraint_rounds == 80
     # the node count does not depend on the machine's speed
     assert [f.created for f in frontiers] == [480]
+    assert analysis.constraint_rounds <= frontiers[0].created
     assert analysis.document["gradient"]["is_gradient"] is True
     assert analysis.recurrence.multi_cell() == []

@@ -9,7 +9,6 @@ from combidyn import (
     classify_recurrence,
     multiflow,
     solve_exact,
-    strongly_connected_components,
 )
 from combidyn.dynamics import _flow_successors
 
@@ -105,7 +104,7 @@ class TestRecurrence:
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.75))
         flow = multiflow(K, m)
-        report = classify_recurrence(flow, m)
+        report = classify_recurrence(flow)
         assert report.n_components == 2
         assert flow.scc_id.tolist() == [0, 0, 0, 0, 0, 0, 1]
 
@@ -128,7 +127,7 @@ class TestRecurrence:
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.05))
         flow = multiflow(K, m)
-        report = classify_recurrence(flow, m)
+        report = classify_recurrence(flow)
         assert report.n_components == 7
         assert len(report.critical_singletons()) == 7
         assert report.multi_cell() == []
@@ -137,18 +136,10 @@ class TestRecurrence:
     def test_grad_toy_cycle_dims(self, grad_toy):
         _, K, vectors = grad_toy
         m = solve_exact(problem_for(K, vectors, 0.15))
-        report = classify_recurrence(multiflow(K, m), m)
+        report = classify_recurrence(multiflow(K, m))
         cyclic = report.multi_cell()
         assert cyclic
         assert all(s.d == 0 and s.dims_present == (0, 1) for s in cyclic)
-
-    def test_matching_mismatch_rejected(self, toy):
-        _, K, vectors = toy
-        m = solve_exact(problem_for(K, vectors, 0.75))
-        flow = multiflow(K, m)
-        other = Matching(pairs=m.pairs, critical=(), objective=0.0)
-        with pytest.raises(ValueError, match="disagree"):
-            classify_recurrence(flow, other)
 
     def test_component_numbering_is_by_smallest_cell(self):
         rng = np.random.default_rng(5)
@@ -156,7 +147,7 @@ class TestRecurrence:
             K, vectors, alpha = random_instance(rng)
             m = solve_exact(problem_for(K, vectors, alpha))
             flow = multiflow(K, m)
-            report = strongly_connected_components(flow)
+            report = classify_recurrence(flow)
             assert flow.scc_id is not None
             mins = {}
             for c, cid in enumerate(flow.scc_id.tolist()):
@@ -170,7 +161,7 @@ class TestRecurrence:
             K, vectors, alpha = random_instance(rng)
             m = solve_exact(problem_for(K, vectors, alpha))
             flow = multiflow(K, m)
-            report = classify_recurrence(flow, m)
+            report = classify_recurrence(flow)
             succ = successor_lists(flow.succ_ptr, flow.succ_idx)
             singles = {s.cells[0] for s in report.critical_singletons()}
             assert singles == set(m.critical)

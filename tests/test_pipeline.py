@@ -98,6 +98,14 @@ class TestReadFieldCsv:
         with pytest.raises(ParseError, match="no data rows"):
             read_field_csv(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"x1,x2,v1,v2\n0,0,1,0\n1,0,0,\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            read_field_csv(path)
+        assert exc.value.line == 3
+        assert str(path) in str(exc.value)
+
     def test_parse_error_is_value_error(self):
         err = ParseError("in.csv", 7, "boom")
         assert isinstance(err, ValueError)
@@ -121,6 +129,14 @@ class TestReadLandmarksCsv:
         path.write_text("y1,y2\n")
         with pytest.raises(ParseError, match="no landmark rows"):
             read_landmarks_csv(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "lm.csv"
+        path.write_bytes(b"y1,y2\n0,0\n1,\xe9\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            read_landmarks_csv(path)
+        assert exc.value.line == 3
+        assert str(path) in str(exc.value)
 
 
 # entries whose parse must match float(): whitespace, underscores, signs,
@@ -215,6 +231,14 @@ class TestReadRelationCsv:
         path.write_text("\n")
         with pytest.raises(ParseError, match="empty"):
             read_relation_csv(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "rel.csv"
+        path.write_bytes(b"1,0\n\x80,1\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            read_relation_csv(path)
+        assert exc.value.line == 2
+        assert str(path) in str(exc.value)
 
 
 class TestConfigValidation:
@@ -451,6 +475,21 @@ MISSING_KEYS = [
     ("list critical", lambda d: d.__setitem__("critical", None)),
 ]
 
+# a report value of a JSON type the check cannot read, and how to set it
+MALFORMED_VALUES = [
+    ("dict config_echo", lambda d: d.__setitem__("config_echo", [1])),
+    ("float config_echo.alpha", lambda d: d["config_echo"].__setitem__("alpha", "x")),
+    ("float config_echo.side", lambda d: d["config_echo"].__setitem__("side", "1")),
+    ("int config_echo.subdivide", lambda d: d["config_echo"].__setitem__("subdivide", 1.5)),
+    ("bool config_echo.snap", lambda d: d["config_echo"].__setitem__("snap", "false")),
+    ("str config_echo.complex", lambda d: d["config_echo"].__setitem__("complex", None)),
+    ("float objective.alpha", lambda d: d["objective"].__setitem__("alpha", "x")),
+    ("float objective.total", lambda d: d["objective"].__setitem__("total", "107.8")),
+    ("int matching[0].lower", lambda d: d["matching"][0].__setitem__("lower", "a")),
+    ("int matching[2].upper", lambda d: d["matching"][2].__setitem__("upper", True)),
+    ("int critical[0].id", lambda d: d["critical"][0].__setitem__("id", "a")),
+]
+
 
 class TestVerifyReport:
     def run_and_export(self, toy_csv, tmp_path, **kwargs):
@@ -507,6 +546,22 @@ class TestVerifyReport:
             verify_report(report, toy_csv)
         assert str(info.value) == f"{report}: report has no {key}"
 
+    @pytest.mark.parametrize("key, mutate", MALFORMED_VALUES, ids=[k for k, _ in MALFORMED_VALUES])
+    def test_malformed_value_names_report_and_key(self, toy_csv, tmp_path, key, mutate):
+        report = self.run_and_export(toy_csv, tmp_path)
+        self.tamper(report, mutate)
+        with pytest.raises(ValueError) as info:
+            verify_report(report, toy_csv)
+        assert str(info.value) == f"{report}: report has no {key}"
+
+    @pytest.mark.parametrize("content", [b"", b"not json", b'{"config_echo": \xff}'])
+    def test_unreadable_report_names_report(self, toy_csv, tmp_path, content):
+        report = tmp_path / "report.json"
+        report.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            verify_report(report, toy_csv)
+        assert str(info.value).startswith(f"{report}: ")
+
     def test_tampered_counts(self, toy_csv, tmp_path):
         report = self.run_and_export(toy_csv, tmp_path)
         self.tamper(report, lambda d: d["complex"]["counts"].__setitem__("2", 5))
@@ -534,9 +589,10 @@ class TestVerifyReport:
             ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("is_gradient", False)),
             ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("mode", "sweep")),
             ("constraints", "gradient section", lambda d: d.pop("gradient")),
+            ("constraints", "gradient section", lambda d: d.__setitem__("gradient", [])),
         ],
         ids=["m", "N", "matched", "critical", "cosine_sum", "section_added",
-             "is_gradient", "mode", "section_dropped"],
+             "is_gradient", "mode", "section_dropped", "section_not_object"],
     )
     def test_tampered_derived_sections(self, toy_csv, tmp_path, mode, line, mutate):
         report = self.run_and_export(toy_csv, tmp_path, gradient_mode=mode)
