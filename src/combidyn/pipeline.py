@@ -187,11 +187,12 @@ def _float_table(path, rows: list[list[str]], width: int) -> np.ndarray:
 
 
 def _csv_rows(path: Path) -> list[list[str]]:
-    """The rows of a UTF-8 CSV file, whatever the locale. A byte sequence that
-    is not UTF-8 raises a ParseError naming its line."""
+    """The rows of a UTF-8 CSV file, whatever the locale; a leading byte-order
+    mark, as spreadsheets write it, is dropped. A byte sequence that is not
+    UTF-8 raises a ParseError naming its line."""
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(path, line, f"not UTF-8: {exc.reason} at byte {exc.start}") from None

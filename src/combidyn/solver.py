@@ -19,6 +19,8 @@ One exact solver per problem class:
 * solve_branch_and_bound, the program plus cycle-exclusion rows: an exact
   best-first branch-and-bound whose nodes forbid variables and are bounded by
   LAPJVsp on the same assignment graph with those variables' edges left out.
+  A split node's children are solved together, as the blocks of one
+  block-diagonal graph per LAPJVsp call, up to `MAX_BATCH_ROWS` rows a call.
   Among equal optima it returns the first solution that violates no row, in
   (bound, node creation) order. A `SearchFrontier` keeps the open nodes
   between calls, so a call with more rows resumes the search, up to
@@ -243,6 +245,18 @@ def solve_exact(problem: MatchingProblem) -> Matching:
 
 MAX_SEARCH_NODES = 200_000  # nodes one `SearchFrontier` may create, read at each push
 
+# Rows one LAPJVsp call may hold when a node's children are solved together.
+# scipy's fixed cost per call, about 150 us of sparse-array construction and
+# checks, dominates small graphs, but past some 2,000 rows one call on a
+# union of blocks costs more than a call per block. Measured on a 2-core
+# host, six children in one call against six calls: 25-225 rows each,
+# 0.22-0.47 ms against 0.92-1.20 ms; 961 rows each (cubical `intro`),
+# 3.42 ms against 2.67 ms. Whole searches on 12x12 and 16x16 `intro`
+# lattices: 529 cells, 0.64 s with a call per child against 0.46-0.48 s with
+# three to five per call; 961 cells, 11.6 s against 12.6-12.9 s with two or
+# three. This cap gives three per call at 529 cells and one at 961.
+MAX_BATCH_ROWS = 1_600
+
 
 @dataclass(eq=False)
 class SearchFrontier:
@@ -251,24 +265,25 @@ class SearchFrontier:
     starting over. Rows only ever remove selections, so the open nodes still
     cover every selection the new rows allow, and their bounds still hold.
 
-    A heap entry is (bound, created, forbidden, selected): a lower bound on
-    the node's selections, its creation counter, the ascending int32 indices
-    of the variables it forbids, and its optimal pair selection packed by
-    `np.packbits`, or None while the node is unsolved. The search raises a
-    RuntimeError when it would create more than `MAX_SEARCH_NODES` nodes.
+    Every node is solved when it is made. A heap entry is (bound, created,
+    forbidden, selected): the node's LAPJVsp optimum, a lower bound on its
+    selections; its creation counter; the mask of the m variables it
+    forbids; and its optimal pair selection, both masks packed by
+    `np.packbits`. The search raises a RuntimeError when it would create more
+    than `MAX_SEARCH_NODES` nodes.
     """
 
     heap: list = field(default_factory=list, init=False)
     created: int = field(default=0, init=False)
 
     def seed(self, problem: MatchingProblem, root: Matching) -> None:
-        """Push `root`, `solve_exact`'s matching of `problem`, as the solved
-        root node, so the search does not solve it again."""
+        """Push `root`, `solve_exact`'s matching of `problem`, as the root
+        node, so the search does not solve it again."""
         hit = np.zeros(problem.n_pairs, dtype=bool)
         hit[pair_rows(problem.pairs, problem.n_cells, root.pairs)] = True
-        self.push(root.objective, np.empty(0, dtype=np.int32), np.packbits(hit))
+        self.push(root.objective, np.packbits(np.zeros(problem.m, dtype=bool)), np.packbits(hit))
 
-    def push(self, bound: float, forbidden: np.ndarray, selected: np.ndarray | None = None):
+    def push(self, bound: float, forbidden: np.ndarray, selected: np.ndarray):
         if self.created >= MAX_SEARCH_NODES:
             raise RuntimeError(
                 f"branch-and-bound ran out of its budget of {MAX_SEARCH_NODES} nodes "
@@ -289,19 +304,30 @@ def solve_branch_and_bound(
     `constraints` are sets of pair-variable indices of which at most |set| - 1
     may be selected together (cycle elimination rows). A node forbids a set
     of variables; its bound is the LAPJVsp optimum on the assignment graph
-    with their edges left out, the kept edges in their CSR order, and a node
-    with no full matching is dropped. Children carry their parent's bound and
-    are solved only when popped; nodes pop in (bound, creation) order. A
-    popped solution that selects every pair of some row is split on the
-    smallest such row (the first listed among equal sizes),
-    S = {s_1 < ... < s_k}, into k children: child j forbids s_j and fixes
-    s_1..s_{j-1}, where fixing a pair forbids every other variable at its two
-    cells. The first popped solution that violates no row is optimal, and
-    among equal optima it is the one returned.
+    with their edges left out, the kept edges in their CSR order. Nodes pop
+    in (bound, creation) order. A popped solution that selects every pair of
+    some row is split on the smallest such row (the first listed among equal
+    sizes), S = {s_1 < ... < s_k}, into k children: child j forbids s_j and
+    fixes s_1..s_{j-1}, where fixing a pair forbids every other variable at
+    its two cells. The first popped solution that violates no row is optimal,
+    and among equal optima it is the one returned.
+
+    A node's children are solved as soon as it is split, and pushed with
+    their own bounds. They go to LAPJVsp as the blocks of one block-diagonal
+    graph, each keeping its edges in CSR order, in as few calls as
+    `MAX_BATCH_ROWS` allows, since a call's fixed cost outweighs a small
+    graph. LAPJVsp's shortest paths never leave a block, and on every case
+    tried each block got the matching a call on its own returns.
+
+    Every child has a full matching. The pairs fixed along its path are all
+    selected by its parent's solution, so they are disjoint; they are the
+    only variables left at their cells, and every other cell keeps its
+    diagonal. A child that would forbid a pair an ancestor fixed would leave
+    that pair's cells no variable, so it is not made.
 
     `frontier` carries the open nodes from a previous call on the same
     problem (and is left holding the returned node); without one the search
-    starts from the root.
+    starts from `solve_exact`'s root.
     """
     n = problem.n_cells
     if n == 0:
@@ -310,74 +336,76 @@ def solve_branch_and_bound(
     for c in cuts:
         if not len(c) or c[0] < 0 or c[-1] >= problem.n_pairs:
             raise ValueError("constraints must be non-empty sets of pair variable indices")
-    # checked once here, so that a ValueError from LAPJVsp means infeasible
-    _check_finite(problem)
     if frontier is None:
         frontier = SearchFrontier()
     if frontier.created == 0:
-        frontier.push(-math.inf, np.empty(0, dtype=np.int32))
+        frontier.seed(problem, solve_exact(problem))
 
     row_len = np.array([len(c) for c in cuts], dtype=np.intp)
     row_vars = np.concatenate([np.empty(0, dtype=np.int32), *cuts])
     row_of = np.repeat(np.arange(len(cuts)), row_len)
     graph = problem.assignment_graph()
-    full = graph.weighted(problem.costs)
-    slot = np.empty(len(graph.order), dtype=np.intp)  # CSR slot of each edge
-    slot[graph.order] = np.arange(len(graph.order))
+    weights = graph.weighted(problem.costs).data  # in CSR order
+    edges = len(weights)
+    var_slot = np.empty(edges, dtype=np.intp)  # CSR slot of each variable's edge
+    var_slot[graph.order] = np.arange(edges)
+    var_slot = var_slot[: problem.m]
+    per_call = max(1, MAX_BATCH_ROWS // n)
     # the pair variables at cell c are at_cell[cell_ptr[c]:cell_ptr[c + 1]]
     ends = problem.pairs.ravel()
     at_cell = np.argsort(ends, kind="stable") // 2
     cell_ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(ends, minlength=n), out=cell_ptr[1:])
 
-    def solve_node(forbidden: np.ndarray) -> np.ndarray | None:
-        """Pair selection of the node's LAPJVsp optimum, None if it has none."""
-        weighted = full
-        if len(forbidden):
-            keep = np.ones(len(slot), dtype=bool)
-            keep[slot[forbidden]] = False
-            indptr = np.concatenate([[0], np.cumsum(keep)])[graph.indptr]
-            weighted = csr_array((full.data[keep], full.indices[keep], indptr), shape=full.shape)
-        try:
-            _, col_of_row = min_weight_full_bipartite_matching(weighted)
-        except ValueError as err:
-            if "no full matching" in str(err):
-                return None
-            raise
-        return col_of_row[graph.pair_row] == graph.pair_col
-
-    def fixing(s: int) -> np.ndarray:
-        """Variables other than pair s at its two cells."""
-        lo, up = problem.pairs[s]
-        others = np.concatenate(
-            [at_cell[cell_ptr[lo] : cell_ptr[lo + 1]], at_cell[cell_ptr[up] : cell_ptr[up + 1]]]
+    def solve(forbid: np.ndarray) -> np.ndarray:
+        """Pair selections, (k, n_pairs), of the LAPJVsp optima of the graph
+        with each row of `forbid`, (k, m), left out."""
+        k = len(forbid)
+        keep = np.ones((k, edges), dtype=bool)
+        keep[:, var_slot] = ~forbid
+        offset = n * np.arange(k)[:, None]
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        starts = (edges * np.arange(k)[:, None] + graph.indptr[:-1]).ravel()
+        union = csr_array(
+            (
+                np.broadcast_to(weights, keep.shape)[keep],
+                (graph.indices + offset)[keep],
+                kept[np.append(starts, k * edges)],
+            ),
+            shape=(k * n, k * n),
         )
-        return np.append(others[others != s], [problem.n_pairs + lo, problem.n_pairs + up])
+        _, col_of_row = min_weight_full_bipartite_matching(union)
+        return col_of_row.reshape(k, n)[:, graph.pair_row] - offset == graph.pair_col
 
     heap = frontier.heap
     while heap:
         entry = heapq.heappop(heap)
-        bound, created, forbidden, selected = entry
-        if selected is None:
-            hit = solve_node(forbidden)
-            if hit is not None:
-                _, objective = _critical_and_objective(problem, hit)
-                heapq.heappush(heap, (objective, created, forbidden, np.packbits(hit)))
-            continue
+        _, _, forbidden, selected = entry
         hit = np.unpackbits(selected, count=problem.n_pairs).view(bool)
         violated = np.bincount(row_of[hit[row_vars]], minlength=len(cuts)) == row_len
         if not violated.any():
             heapq.heappush(heap, entry)
             return _selection_matching(problem, hit)
         row = cuts[int(np.argmin(np.where(violated, row_len, np.iinfo(np.intp).max)))]
-        # a pair an ancestor fixed has lost its cells' diagonals; a child that
-        # forbids it leaves those cells no variable, so it is not made
-        was_fixed = np.isin(problem.n_pairs + problem.pairs[row, 0], forbidden)
-        parts = [forbidden]
-        for s, skip in zip(row.tolist(), was_fixed.tolist()):
-            if not skip:
-                frontier.push(bound, np.unique(np.concatenate([*parts, [s]])).astype(np.int32))
-            parts.append(fixing(s))
+        # the node's forbidden variables, then those of each pair fixed so far
+        mask = np.unpackbits(forbidden, count=problem.m).view(bool)
+        children = []
+        for s in row.tolist():
+            lo, up = problem.pairs[s]
+            # a pair an ancestor fixed has lost its lower cell's diagonal
+            if not mask[problem.n_pairs + lo]:
+                children.append(mask.copy())
+                children[-1][s] = True
+            # fixing s forbids every other variable at its two cells
+            mask[at_cell[cell_ptr[lo] : cell_ptr[lo + 1]]] = True
+            mask[at_cell[cell_ptr[up] : cell_ptr[up + 1]]] = True
+            mask[[problem.n_pairs + lo, problem.n_pairs + up]] = True
+            mask[s] = False
+        for i in range(0, len(children), per_call):
+            group = children[i : i + per_call]
+            for child, child_hit in zip(group, solve(np.array(group))):
+                _, objective = _critical_and_objective(problem, child_hit)
+                frontier.push(objective, np.packbits(child), np.packbits(child_hit))
     raise RuntimeError("no selection satisfies the rows")
 
 

@@ -15,6 +15,7 @@ from combidyn import (
     build_cost_model,
     build_problem,
     classify_recurrence,
+    cubical_grid,
     evaluate_matching,
     is_gradient,
     multiflow,
@@ -23,6 +24,7 @@ from combidyn import (
     solve_exact,
     solve_gradient_constrained,
 )
+from combidyn.datagen import GridSpec
 from combidyn.dynamics import _sccs
 
 from conftest import (
@@ -347,6 +349,55 @@ class TestConstrainedSolve:
             # no round returns a node twice, so the node budget bounds the rounds
             assert rounds <= frontiers[-1].created
         assert cut >= 40
+
+    def test_children_solved_together(self, monkeypatch):
+        # a noisy rotational field on a 3x3 lattice (25 cells): one round
+        # splits three nodes into 20 children, and each split is one LAPJVsp
+        # call, so the search makes 4 calls (with the root's) for 21 nodes
+        points = GridSpec((-1.0, -1.0), 1.0, (3, 3)).points()
+        vectors = np.stack([-points[:, 1], points[:, 0]], axis=1)
+        vectors += 0.1 * np.random.default_rng(0).standard_normal(points.shape)
+        K = cubical_grid(points, 1.0)
+        frontiers = recorded_frontiers(monkeypatch)
+        rows = []
+        lapjvsp = combidyn.solver.min_weight_full_bipartite_matching
+
+        def counted(graph):
+            rows.append(graph.shape[0])
+            return lapjvsp(graph)
+
+        monkeypatch.setattr(combidyn.solver, "min_weight_full_bipartite_matching", counted)
+        p = problem_for(K, assign_vertex_average(K, vectors), 0.7)
+        m, rounds = solve_gradient_constrained(p, K)
+        assert (m.objective, rounds, frontiers[0].created) == (2.474080549748288, 1, 21)
+        assert len(rows) == 4 < frontiers[0].created
+        assert sum(rows) == 21 * len(K)
+
+    def test_every_child_has_a_full_matching(self, monkeypatch):
+        # why a child is never infeasible: the pairs fixed along its path are
+        # disjoint and the only variable left at their cells, and every other
+        # cell keeps its diagonal, so together they select each cell once
+        masks = []
+        push = combidyn.solver.SearchFrontier.push
+
+        def recorded(frontier, bound, forbidden, selected):
+            masks.append(forbidden)
+            push(frontier, bound, forbidden, selected)
+
+        monkeypatch.setattr(combidyn.solver.SearchFrontier, "push", recorded)
+        children = 0
+        for K, p in self.oracle_instances():
+            masks.clear()
+            solve_gradient_constrained(p, K)
+            lo, up = p.pairs.T
+            for packed in masks[1:]:  # the first is the root
+                forbid = np.unpackbits(packed, count=p.m).view(bool)
+                diagonal = ~forbid[p.n_pairs :]
+                fixed = ~forbid[: p.n_pairs] & ~diagonal[lo] & ~diagonal[up]
+                cover = diagonal + np.bincount(p.pairs[fixed].ravel(), minlength=p.n_cells)
+                assert (cover == 1).all()
+                children += 1
+        assert children == 353
 
     def test_resumed_search_matches_fresh(self, monkeypatch):
         # every round resumes the shared frontier; a fresh search with the

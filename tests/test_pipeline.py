@@ -241,6 +241,26 @@ class TestReadRelationCsv:
         assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_field_csv, "x1,x2,v1,v2\n0,0,1,0\n1,0.5,0,-1\n"),
+        (read_landmarks_csv, "y1,y2\n0,0\n1,0.25\n"),
+        (read_relation_csv, "1,0\n0,1\n"),
+    ],
+)
+def test_byte_order_mark_is_dropped(tmp_path, read, text):
+    # spreadsheets save "CSV UTF-8" with a leading EF BB BF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    def arrays(out):
+        return (out.points, out.vectors) if isinstance(out, FieldSample) else (out,)
+
+    for got, want in zip(arrays(read(marked)), arrays(read(plain)), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestConfigValidation:
     def test_defaults_pass(self):
         PipelineConfig().validate(point_dim=2)

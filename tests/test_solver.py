@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from combidyn import (
     DEFAULT_ALPHA_GRID,
@@ -462,6 +465,53 @@ class TestConstraints:
             solve_branch_and_bound(p, constraints=(frozenset({p.n_pairs}),))
         with pytest.raises(ValueError):
             solve_branch_and_bound(p, constraints=(frozenset({-1}),))
+
+
+@st.composite
+def bipartite_blocks(draw):
+    """2-7 random sparse bipartite graphs, 1-40 rows each, as CSR arrays with
+    columns ascending in each row. Each has a perfect matching, and all are
+    priced from one family: tied integers 5-9, uniform floats, or odd
+    eighths. None of these is twice a grid alpha, the family that makes
+    LAPJVsp livelock (`test_tied_costs_livelock`)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["integer", "uniform", "eighth"]))
+    blocks = []
+    for r in draw(st.lists(st.integers(1, 40), min_size=2, max_size=7)):
+        edge = rng.random((r, r)) < rng.uniform(0.0, 0.4)
+        edge[np.arange(r), rng.permutation(r)] = True
+        rows, cols = np.nonzero(edge)
+        costs = {
+            "integer": lambda k: rng.integers(5, 10, k).astype(float),
+            "uniform": lambda k: rng.uniform(0.01, 2.0, k),
+            "eighth": lambda k: (2 * rng.integers(0, 16, k) + 1) / 8,
+        }[family](len(rows))
+        blocks.append(csr_array((costs, (rows, cols)), shape=(r, r)))
+    return blocks
+
+
+class TestBlockUnion:
+    """`solve_branch_and_bound` solves a node's children as the blocks of one
+    block-diagonal graph; LAPJVsp must return each block's own matching."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_blocks())
+    def test_each_block_gets_its_own_matching(self, blocks):
+        sizes = [b.shape[0] for b in blocks]
+        first_row = np.cumsum([0, *sizes])
+        first_edge = np.cumsum([0, *[b.nnz for b in blocks]])
+        union = csr_array(
+            (
+                np.concatenate([b.data for b in blocks]),
+                np.concatenate([b.indices + r for b, r in zip(blocks, first_row)]),
+                np.concatenate([[0], *[b.indptr[1:] + e for b, e in zip(blocks, first_edge)]]),
+            ),
+            shape=(first_row[-1], first_row[-1]),
+        )
+        _, col_of_row = min_weight_full_bipartite_matching(union)
+        for b, r in zip(blocks, first_row):
+            _, own = min_weight_full_bipartite_matching(b)
+            assert np.array_equal(col_of_row[r : r + b.shape[0]] - r, own)
 
 
 class TestVerify:
