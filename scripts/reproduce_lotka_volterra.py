@@ -2,10 +2,13 @@
 
 Samples the two-species model on a 9x9 grid over [20,100]x[10,70], triangulates
 it, and solves at alpha=0.95. Both recurrent components should circle the
-interior equilibrium at (60, 40). The same field is then solved in constraint
-mode, which excludes cyclic components until the cheapest matching at that
-alpha is gradient: no multi-cell component may remain. Both written reports
-are round-tripped through the verifier before the script reports success.
+interior equilibrium at (60, 40). The triangulation is then subdivided once
+(the paper's first extension) and solved at the same alpha: its components
+should circle the same equilibrium at a finer resolution. Last, the plain
+field is solved in constraint mode, which excludes cyclic components until
+the cheapest matching at that alpha is gradient: no multi-cell component may
+remain. All three written reports are round-tripped through the verifier
+before the script reports success.
 """
 
 import argparse
@@ -36,13 +39,16 @@ def main():
         PipelineConfig(complex_kind="delaunay2d", alpha=args.alpha), field_csv
     )
 
-    print(f"complex: {analysis.complex.counts_by_dim()}, m={analysis.document['problem']['m']}")
-    print(f"objective: {analysis.matching.objective:.6f} at alpha={args.alpha}")
-    for info in analysis.recurrence.multi_cell():
-        center = np.mean([analysis.complex.barycenters[c] for c in info.cells], axis=0)
-        print(f"  scc {info.id}: {info.size} cells, d={info.d}, "
-              f"center ({center[0]:.1f}, {center[1]:.1f})")
+    summarize(analysis, args.alpha)
     ok = verified(analysis, args.out / "report.json", field_csv)
+
+    fine = run_pipeline(
+        PipelineConfig(complex_kind="delaunay2d", alpha=args.alpha, subdivide=1), field_csv
+    )
+    print()
+    print("subdivided once:")
+    summarize(fine, args.alpha)
+    ok &= verified(fine, args.out / "report_subdivided.json", field_csv)
 
     gradient = run_pipeline(
         PipelineConfig(complex_kind="delaunay2d", alpha=args.alpha, gradient_mode="constraints"),
@@ -56,6 +62,15 @@ def main():
     ok &= verified(gradient, args.out / "report_gradient.json", field_csv)
     print("verify: PASS" if ok else "verify: FAIL")
     return 0 if ok else 1
+
+
+def summarize(analysis, alpha) -> None:
+    print(f"complex: {analysis.complex.counts_by_dim()}, m={analysis.document['problem']['m']}")
+    print(f"objective: {analysis.matching.objective:.6f} at alpha={alpha}")
+    for info in analysis.recurrence.multi_cell():
+        center = np.mean([analysis.complex.barycenters[c] for c in info.cells], axis=0)
+        print(f"  scc {info.id}: {info.size} cells, d={info.d}, "
+              f"center ({center[0]:.1f}, {center[1]:.1f})")
 
 
 def verified(analysis, report, field_csv) -> bool:

@@ -320,13 +320,12 @@ def snap_to_lattice(sample: FieldSample, side: float) -> FieldSample:
     vecs = np.asarray(sample.vectors, dtype=float)
     # every point is rounded, so no tolerance applies
     origin, idx, _ = _lattice_indices(pts, side, tol_factor=math.inf)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(map(tuple, idx)):
-        groups.setdefault(key, []).append(i)
-    keys = sorted(groups)
-    new_pts = np.array([origin + np.array(k) * side for k in keys])
-    new_vecs = np.array([vecs[groups[k]].mean(axis=0) for k in keys])
-    return FieldSample(new_pts, new_vecs)
+    sites, site_of = np.unique(idx, axis=0, return_inverse=True)
+    site_of = site_of.reshape(-1)
+    # summed from 0.0 in input order, as numpy's mean sums each group
+    sums = np.zeros((len(sites), vecs.shape[1]))
+    np.add.at(sums, site_of, vecs)
+    return FieldSample(origin + sites * side, sums / np.bincount(site_of)[:, None])
 
 
 @dataclass(frozen=True)

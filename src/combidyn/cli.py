@@ -76,17 +76,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = PipelineConfig(
-        complex_kind=args.complex,
-        alpha=args.alpha,
-        subdivide=args.subdivide,
-        gradient_mode=args.gradient,
-        side=args.side,
-        radius=args.radius,
-        landmarks=args.landmarks,
-        relation=args.relation,
-        snap=args.snap,
-    )
+    # the config flags are named after their config_echo keys
+    config = PipelineConfig.from_echo(vars(args))
     analysis = run_pipeline(config, args.input)
 
     counts = analysis.complex.counts_by_dim()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -155,23 +156,17 @@ def _preset_sink() -> FieldSample:
     return FieldSample(pts, _rhs_sink(pts))
 
 
-def _preset_lorenz() -> FieldSample:
-    return gen_lorenz_trajectory(n=1000)
-
-
-def _preset_lorenz_desk() -> FieldSample:
-    # CI-sized trajectory; dt chosen small enough that Euler stays bounded.
-    return gen_lorenz_trajectory(dt=0.02, n=300)
-
-
 PRESETS = {
     "toy": _preset_toy,
     "grad_toy": _preset_grad_toy,
     "intro": _preset_intro,
     "lotka_volterra": _preset_lotka_volterra,
     "sink": _preset_sink,
-    "lorenz": _preset_lorenz,
-    "lorenz_desk": _preset_lorenz_desk,
+    # the two trajectories take dt and n overrides; lorenz keeps
+    # gen_lorenz_trajectory's defaults
+    "lorenz": gen_lorenz_trajectory,
+    # CI-sized trajectory; dt chosen small enough that Euler stays bounded
+    "lorenz_desk": partial(gen_lorenz_trajectory, dt=0.02, n=300),
 }
 
 
@@ -180,13 +175,9 @@ def preset_field(name: str, **overrides) -> FieldSample:
         make = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}") from None
-    if overrides:
-        if name not in ("lorenz", "lorenz_desk"):
-            raise ValueError(f"preset {name!r} takes no overrides")
-        base = dict(dt=0.02 if name == "lorenz_desk" else 0.2, n=300 if name == "lorenz_desk" else 1000)
-        base.update(overrides)
-        return gen_lorenz_trajectory(**base)
-    return make()
+    if overrides and name not in ("lorenz", "lorenz_desk"):
+        raise ValueError(f"preset {name!r} takes no overrides")
+    return make(**overrides)
 
 
 def write_field_csv(path, sample: FieldSample) -> None:

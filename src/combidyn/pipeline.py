@@ -116,31 +116,32 @@ class PipelineConfig:
             raise ValueError("--snap only applies to cubical complexes")
 
     def echo(self) -> dict:
-        return {
-            "complex": self.complex_kind,
-            "alpha": float(self.alpha),
-            "subdivide": self.subdivide,
-            "gradient": self.gradient_mode,
-            "side": None if self.side is None else float(self.side),
-            "radius": None if self.radius is None else float(self.radius),
-            "landmarks": self.landmarks,
-            "relation": self.relation,
-            "snap": self.snap,
-        }
+        return {key: _typed(getattr(self, name), kind) for key, (name, kind) in _CONFIG_KEYS.items()}
 
     @classmethod
     def from_echo(cls, echo: dict) -> "PipelineConfig":
-        return cls(
-            complex_kind=echo["complex"],
-            alpha=float(echo["alpha"]),
-            subdivide=int(echo["subdivide"]),
-            gradient_mode=echo["gradient"],
-            side=None if echo["side"] is None else float(echo["side"]),
-            radius=None if echo["radius"] is None else float(echo["radius"]),
-            landmarks=echo["landmarks"],
-            relation=echo["relation"],
-            snap=bool(echo["snap"]),
-        )
+        """The config a report's `config_echo` names. `run`'s flags are the
+        echo keys, so its parsed arguments (`vars(args)`) work as well."""
+        return cls(**{name: _typed(echo[key], kind) for key, (name, kind) in _CONFIG_KEYS.items()})
+
+
+# config_echo key, which is also the `run` flag -> (PipelineConfig field, JSON
+# type); the fields that default to None echo null when unset
+_CONFIG_KEYS = {
+    "complex": ("complex_kind", str),
+    "alpha": ("alpha", float),
+    "subdivide": ("subdivide", int),
+    "gradient": ("gradient_mode", str),
+    "side": ("side", float),
+    "radius": ("radius", float),
+    "landmarks": ("landmarks", str),
+    "relation": ("relation", str),
+    "snap": ("snap", bool),
+}
+
+
+def _typed(value, kind):
+    return None if value is None else kind(value)
 
 
 def _sig9(x: float) -> float:
@@ -263,6 +264,9 @@ def read_relation_csv(path) -> np.ndarray:
 
 @dataclass
 class Analysis:
+    """A solved field. `recurrence` and the report `document` are derived
+    from the flow on construction, so `run` and `verify` share one writer."""
+
     config: PipelineConfig
     sample: FieldSample
     complex: CellComplex
@@ -270,10 +274,17 @@ class Analysis:
     cost_model: CostModel
     matching: Matching
     flow: FlowGraph
-    recurrence: CycleReport
-    alpha_effective: float
     constraint_rounds: int = 0  # re-solves of the constrained loop
-    document: dict = field(default_factory=dict)
+    recurrence: CycleReport = field(init=False)
+    document: dict = field(init=False)
+
+    def __post_init__(self):
+        self.recurrence = classify_recurrence(self.flow)
+        self.document = build_report_document(self)
+
+    @property
+    def alpha_effective(self) -> float:
+        return self.cost_model.alpha
 
 
 def _build_complex(config: PipelineConfig, sample: FieldSample):
@@ -317,8 +328,7 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
         alpha_eff, matching = alpha_sweep(complex, base)
         cost_model = replace(base, alpha=alpha_eff)
     else:
-        alpha_eff = config.alpha
-        cost_model = build_cost_model(complex, vectors, alpha_eff)
+        cost_model = build_cost_model(complex, vectors, config.alpha)
         problem = build_problem(cost_model, complex)
         if config.gradient_mode == "constraints":
             matching, rounds = solve_gradient_constrained(problem, complex)
@@ -326,40 +336,24 @@ def run_pipeline(config: PipelineConfig, input_path) -> Analysis:
             matching = solve_exact(problem)
 
     flow = multiflow(complex, matching)
-    recurrence = classify_recurrence(flow)
-    analysis = Analysis(
-        config=config,
-        sample=sample,
-        complex=complex,
-        vectors=vectors,
-        cost_model=cost_model,
-        matching=matching,
-        flow=flow,
-        recurrence=recurrence,
-        alpha_effective=alpha_eff,
-        constraint_rounds=rounds,
-    )
-    analysis.document = build_report_document(analysis)
-    return analysis
+    return Analysis(config, sample, complex, vectors, cost_model, matching, flow, rounds)
 
 
 def build_report_document(analysis: Analysis) -> dict:
-    complex = analysis.complex
-    matching = analysis.matching
-    n_matched, cosine_sum, n_critical = objective_decomposition(matching, analysis.cost_model)
+    complex, matching, cost_model = analysis.complex, analysis.matching, analysis.cost_model
+    n_matched, cosine_sum, n_critical = objective_decomposition(matching, cost_model)
 
     doc: dict = {
         "config_echo": analysis.config.echo(),
-        "complex": {
-            "counts": {str(d): n for d, n in sorted(complex.counts_by_dim().items())}
-        },
-        "problem": _problem_size(analysis.cost_model),
+        "complex": {"counts": _counts(complex)},
+        # N cells, and m variables: one per admissible pair plus one diagonal per cell
+        "problem": {"N": cost_model.n_cells, "m": len(cost_model.pairs) + cost_model.n_cells},
         "objective": {
             "total": _sig9(matching.objective),
             "matched": n_matched,
             "cosine_sum": _sig9(cosine_sum),
             "critical": n_critical,
-            "alpha": float(analysis.alpha_effective),
+            "alpha": float(cost_model.alpha),
         },
         "matching": [{"lower": lo, "upper": up} for lo, up in matching.pairs.tolist()],
         "critical": [_cell_entry(complex, c) for c in matching.critical.tolist()],
@@ -375,10 +369,8 @@ def build_report_document(analysis: Analysis) -> dict:
     return doc
 
 
-def _problem_size(cost_model: CostModel) -> dict:
-    """The program's size: N cells, and m variables, one per admissible pair
-    plus one diagonal per cell."""
-    return {"N": cost_model.n_cells, "m": len(cost_model.pairs) + cost_model.n_cells}
+def _counts(complex: CellComplex) -> dict:
+    return {str(d): n for d, n in sorted(complex.counts_by_dim().items())}
 
 
 def _cell_entry(complex: CellComplex, cell_id: int) -> dict:
@@ -404,8 +396,7 @@ def _scc_entries(recurrence: CycleReport) -> list[dict]:
 
 
 def export_report(analysis: Analysis, path) -> None:
-    doc = analysis.document or build_report_document(analysis)
-    Path(path).write_text(_report_text(doc))
+    Path(path).write_text(_report_text(analysis.document))
 
 
 # report sections with one entry per pair, critical cell or component
@@ -500,19 +491,15 @@ def export_arrows(analysis: Analysis, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# the JSON type of each config_echo value, as `PipelineConfig.echo` writes it;
-# the nullable ones may also be null
-_ECHO_TYPES = dict(complex=str, alpha=float, subdivide=int, gradient=str, snap=bool)
-_ECHO_NULLABLE = dict(side=float, radius=float, landmarks=str, relation=str)
-
-
 def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
-    """Re-derive everything checkable from a serialized report: rebuild the
-    complex from the echoed config, re-verify the matching axioms, check the
+    """Re-check a serialized report against its input: rebuild the complex
+    from the echoed config, re-verify the matching axioms and check the
     reported alpha (the echoed one, or in sweep mode a default grid value or
-    the all-critical threshold), recompute the objective and its
-    decomposition at that alpha and the problem size, and re-run the flow
-    analysis to confirm the critical, SCC and gradient sections round-trip.
+    the all-critical threshold). The reported matching, priced at that alpha,
+    then goes through the same `Analysis` that `run` builds, and the objective,
+    problem, recurrence, critical and gradient sections must equal the ones
+    its document holds. Nothing is solved, so the solver is trusted no further
+    than the axioms.
 
     `gradient.constraint_rounds` is not checked: it could only be re-derived
     by solving again. A report that is not JSON, lacks a key, or holds a value
@@ -534,13 +521,13 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
         return value
 
     echo = need(doc, "config_echo", kind=dict)
-    for key, kind in (_ECHO_TYPES | _ECHO_NULLABLE).items():
-        need(echo, key, "config_echo.", kind, nullable=key in _ECHO_NULLABLE)
+    for key, (name, kind) in _CONFIG_KEYS.items():
+        need(echo, key, "config_echo.", kind, nullable=getattr(PipelineConfig, name) is None)
     config = PipelineConfig.from_echo(echo)
     reported_counts = need(need(doc, "complex"), "counts", "complex.")
     objective = need(doc, "objective")
     total = need(objective, "total", "objective.", float)
-    alpha = need(objective, "alpha", "objective.", float)
+    alpha = float(need(objective, "alpha", "objective.", float))
     pairs = [
         (need(e, "lower", f"matching[{i}].", int), need(e, "upper", f"matching[{i}].", int))
         for i, e in enumerate(need(doc, "matching", kind=list))
@@ -548,85 +535,52 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     critical_entries = need(doc, "critical", kind=list)
     critical = [need(e, "id", f"critical[{i}].", int) for i, e in enumerate(critical_entries)]
     problem, scc = need(doc, "problem"), need(doc, "scc")
+    section = doc.get("gradient")
 
     sample = read_field_csv(input_path)
     config.validate(sample.dim)
     complex, vectors = _build_complex(config, sample)
-
     lines: list[str] = []
-    ok = True
 
-    counts = {str(d): n for d, n in sorted(complex.counts_by_dim().items())}
-    good = counts == reported_counts
-    ok &= good
-    lines.append(f"complex rebuild ({sum(counts.values())} cells): {'PASS' if good else 'FAIL'}")
+    def check(text: str, good: bool, failure: str = "FAIL") -> bool:
+        lines.append(f"{text}: {'PASS' if good else failure}")
+        return good
 
-    rep = verify_matching(complex, pairs, critical)
-    ok &= rep.ok
-    lines.append(
-        f"matching axioms ({len(pairs)} pairs, {len(critical)} critical): "
-        f"{'PASS' if rep.ok else 'FAIL (' + ', '.join(sorted(rep.kinds())) + ')'}"
-    )
-    if not rep.ok:
+    counts = _counts(complex)
+    ok = check(f"complex rebuild ({sum(counts.values())} cells)", counts == reported_counts)
+    matching = Matching(pairs, critical, 0.0)
+    rep = verify_matching(complex, matching)
+    failure = f"FAIL ({', '.join(sorted(rep.kinds()))})"
+    if not check(f"matching axioms ({len(pairs)} pairs, {len(critical)} critical)", rep.ok, failure):
         return False, lines
-    matching = Matching(pairs, critical, float(total))
 
-    alpha = float(alpha)
     model = build_cost_model(complex, vectors, alpha)
     if config.gradient_mode == "sweep":
         good = alpha in DEFAULT_ALPHA_GRID or alpha == all_critical_threshold(model)
     else:
         good = alpha == config.alpha
-    ok &= good
-    lines.append(
-        f"objective alpha ({_fmt9(alpha)}, mode {config.gradient_mode}): {'PASS' if good else 'FAIL'}"
-    )
+    ok &= check(f"objective alpha ({_fmt9(alpha)}, mode {config.gradient_mode})", good)
 
-    recomputed = evaluate_matching(model, matching)
-    good = _sig9(recomputed) == total
-    ok &= good
-    lines.append(
-        f"objective recomputation ({_fmt9(recomputed)} vs {_fmt9(total)}): "
-        f"{'PASS' if good else 'FAIL'}"
-    )
-
-    n_matched, cosine_sum, n_critical = objective_decomposition(matching, model)
-    good = (objective.get("matched"), objective.get("cosine_sum"), objective.get("critical")) == (
-        n_matched, _sig9(cosine_sum), n_critical
-    )
-    ok &= good
-    lines.append(
-        f"objective decomposition ({n_matched} matched, {n_critical} critical): "
-        f"{'PASS' if good else 'FAIL'}"
-    )
-
-    size = _problem_size(model)
-    good = problem == size
-    ok &= good
-    lines.append(f"problem size (N={size['N']}, m={size['m']}): {'PASS' if good else 'FAIL'}")
-
+    matching = replace(matching, objective=evaluate_matching(model, matching))
     # the pairs passed verify_matching above, so the unchecked flow is safe
     ptr, idx = _flow_successors(complex, matching)
     flow = FlowGraph(succ_ptr=ptr, succ_idx=idx, dims=complex.dims, critical=matching.critical)
-    recurrence = classify_recurrence(flow)
-    good = _scc_entries(recurrence) == scc
-    ok &= good
-    lines.append(f"recurrence round-trip ({len(recurrence.sccs)} components): {'PASS' if good else 'FAIL'}")
+    # the reported rounds are taken as given (see the docstring)
+    rounds = section.get("constraint_rounds") if isinstance(section, dict) else 0
+    redone = Analysis(config, sample, complex, vectors, model, matching, flow, rounds).document
 
-    redone = [_cell_entry(complex, c) for c in matching.critical.tolist()]
-    good = redone == critical_entries
-    ok &= good
-    lines.append(f"critical census round-trip: {'PASS' if good else 'FAIL'}")
-
-    # is_gradient reads the same flow graph: acyclic iff no multi-cell component
-    section = doc.get("gradient")
-    if config.gradient_mode == "off":
-        good = section is None
-    else:
-        good = isinstance(section, dict) and (section.get("mode"), section.get("is_gradient")) == (
-            config.gradient_mode, not recurrence.multi_cell()
-        )
-    ok &= good
-    lines.append(f"gradient section (mode {config.gradient_mode}): {'PASS' if good else 'FAIL'}")
-
+    mine = redone["objective"]
+    ok &= check(
+        f"objective recomputation ({_fmt9(matching.objective)} vs {_fmt9(total)})", mine["total"] == total
+    )
+    split = ("matched", "cosine_sum", "critical")
+    ok &= check(
+        f"objective decomposition ({mine['matched']} matched, {mine['critical']} critical)",
+        [objective.get(k) for k in split] == [mine[k] for k in split],
+    )
+    size = redone["problem"]
+    ok &= check(f"problem size (N={size['N']}, m={size['m']})", problem == size)
+    ok &= check(f"recurrence round-trip ({len(redone['scc'])} components)", scc == redone["scc"])
+    ok &= check("critical census round-trip", critical_entries == redone["critical"])
+    ok &= check(f"gradient section (mode {config.gradient_mode})", section == redone.get("gradient"))
     return bool(ok), lines

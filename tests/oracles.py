@@ -491,3 +491,19 @@ def float_rows_by_loop(path, rows, width):
             raise ParseError(path, ln, "non-finite value")
         out.append(vals)
     return np.asarray(out, dtype=float).reshape(-1, width)
+
+
+def snap_by_site_dict(points, vectors, side):
+    """`snap_to_lattice` by a per-point loop: group points by rounded lattice
+    site in a dict, emit sites in sorted order, and average each group with
+    `mean(axis=0)`. Returns (site points, mean vectors)."""
+    points = np.asarray(points, dtype=float)
+    vectors = np.asarray(vectors, dtype=float)
+    origin = points.min(axis=0)
+    idx = np.rint((points - origin) / side).astype(np.int64)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(map(tuple, idx.tolist())):
+        groups.setdefault(key, []).append(i)
+    keys = sorted(groups)
+    sites = np.array([origin + np.array(k) * side for k in keys])
+    return sites, np.array([vectors[groups[k]].mean(axis=0) for k in keys])

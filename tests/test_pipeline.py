@@ -610,9 +610,19 @@ class TestVerifyReport:
             ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("mode", "sweep")),
             ("constraints", "gradient section", lambda d: d.pop("gradient")),
             ("constraints", "gradient section", lambda d: d.__setitem__("gradient", [])),
+            ("off", "critical census", lambda d: d["critical"][0].__setitem__("dim", 1)),
+            ("constraints", "critical census", lambda d: d["critical"][0].__setitem__("dim", 1)),
+            ("off", "critical census", lambda d: d["critical"][0].__setitem__("vertices", [0, 1])),
+            ("off", "critical census", lambda d: d["critical"][0].__setitem__("barycenter", [1.0, 0.3])),
+            ("off", "recurrence round-trip", lambda d: d["scc"][0].__setitem__("cells", [0, 1, 2, 3, 4, 6])),
+            ("constraints", "recurrence round-trip", lambda d: d["scc"][0].__setitem__("cells", [1])),
+            ("off", "recurrence round-trip", lambda d: d["scc"][0].__setitem__("d", 1)),
+            ("off", "recurrence round-trip", lambda d: d["scc"][0].__setitem__("self_intersections", 1)),
         ],
         ids=["m", "N", "matched", "critical", "cosine_sum", "section_added",
-             "is_gradient", "mode", "section_dropped", "section_not_object"],
+             "is_gradient", "mode", "section_dropped", "section_not_object",
+             "critical_dim", "critical_dim_constraints", "critical_vertices", "critical_barycenter",
+             "scc_cells", "scc_cells_constraints", "scc_d", "scc_self_intersections"],
     )
     def test_tampered_derived_sections(self, toy_csv, tmp_path, mode, line, mutate):
         report = self.run_and_export(toy_csv, tmp_path, gradient_mode=mode)
