@@ -45,23 +45,37 @@ class FlowGraph:
         return len(self.dims)
 
 
-def _flow_successors(complex: CellComplex, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-    """CSR successors (ptr, idx) of every cell, in the order the module
-    docstring gives, faces ascending. The matching is taken as given;
-    `multiflow` is the checked entry point."""
+def _gradient_arrows(complex: CellComplex, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """The matching's arrows as (source, target) arrays: each matched lower
+    cell to its partner, then each matched upper cell to its codim-1 faces
+    other than its partner, ascending."""
     n = len(complex)
     lower, upper = matching.pairs.T
     partner = np.full(n, -1, dtype=np.intp)
     partner[upper] = lower
     owner = np.repeat(np.arange(n), np.diff(complex.face_ptr))
     spread = (partner[owner] >= 0) & (complex.face_idx != partner[owner])
-    closed_cell, closed_face = complex.closures(matching.critical)
-    rows = np.concatenate([lower, owner[spread], closed_cell])
-    cols = np.concatenate([upper, complex.face_idx[spread], closed_face])
+    return np.concatenate([lower, owner[spread]]), np.concatenate([upper, complex.face_idx[spread]])
+
+
+def _successor_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (ptr, idx) of the arcs rows[k] -> cols[k] on n nodes; each node's
+    successors keep the order they were listed in."""
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    # a stable sort keeps each cell's successors in the order they were listed
     return ptr, cols[np.argsort(rows, kind="stable")]
+
+
+def _flow_successors(complex: CellComplex, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """CSR successors (ptr, idx) of every cell, in the order the module
+    docstring gives, faces ascending: the gradient arrows, then each
+    critical cell's closure. The matching is taken as given; `multiflow` is
+    the checked entry point."""
+    rows, cols = _gradient_arrows(complex, matching)
+    closed_cell, closed_face = complex.closures(matching.critical)
+    return _successor_csr(
+        len(complex), np.concatenate([rows, closed_cell]), np.concatenate([cols, closed_face])
+    )
 
 
 def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
@@ -82,7 +96,8 @@ def _sccs(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     is order[bounds[k]:bounds[k + 1]].
     """
     n = len(ptr) - 1
-    graph = csr_matrix((np.ones(len(idx), dtype=np.int8), idx, ptr), shape=(n, n))
+    # float64 weights: scipy's graph check copies any other dtype to float64
+    graph = csr_matrix((np.ones(len(idx)), idx, ptr), shape=(n, n))
     n_comp, raw = connected_components(graph, directed=True, connection="strong")
     # first[k] is the smallest node of scipy's component k
     _, first = np.unique(raw, return_index=True)
@@ -144,7 +159,10 @@ def classify_recurrence(flow: FlowGraph) -> CycleReport:
     infos: list[SccInfo] = []
     for cid in np.flatnonzero(recurrent).tolist():
         cells = order[bounds[cid] : bounds[cid + 1]]
-        dims_present = tuple(np.unique(flow.dims[cells]).tolist())
+        if len(cells) == 1:
+            dims_present = (int(flow.dims[cells[0]]),)
+        else:
+            dims_present = tuple(np.unique(flow.dims[cells]).tolist())
         infos.append(
             SccInfo(
                 id=cid,

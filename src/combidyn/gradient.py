@@ -23,11 +23,13 @@ from .complexes import CellComplex, pair_rows
 # build_cost_model is unused here but stays a module attribute: perfbench/spans.py
 # traces the layers through this module's globals
 from .costs import CostModel, build_cost_model  # noqa: F401
-from .dynamics import _flow_successors, _sccs
+from .dynamics import _gradient_arrows, _sccs, _successor_csr
 from .solver import (
     Matching,
     MatchingProblem,
     SearchFrontier,
+    _check_finite,
+    _selection_matching,
     build_problem,
     evaluate_matching,
     solve_branch_and_bound,
@@ -55,8 +57,17 @@ def is_gradient(complex: CellComplex, matching: Matching) -> bool:
 
 def _cyclic_components(complex: CellComplex, matching: Matching) -> list[np.ndarray]:
     """Cells of every multi-cell strongly connected component of the flow,
-    ascending, components in the order of their smallest cell."""
-    _, order, bounds = _sccs(*_flow_successors(complex, matching))
+    ascending, components in the order of their smallest cell.
+
+    Read off the gradient arrows alone, without the arcs from a critical
+    cell into its closure. A path climbs only along a lower-to-partner
+    arrow, one dimension, onto a matched upper cell, and every arc out of
+    that cell leads down. So a path out of a critical cell c never climbs
+    above c's dimension, and at that dimension reaches only matched upper
+    cells, never c. Every critical cell is a singleton component, and
+    dropping its out-arcs leaves every multi-cell component as it was."""
+    arrows = _gradient_arrows(complex, matching)
+    _, order, bounds = _sccs(*_successor_csr(len(complex), *arrows))
     return [order[bounds[k] : bounds[k + 1]] for k in np.flatnonzero(np.diff(bounds) > 1)]
 
 
@@ -80,9 +91,12 @@ def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Mat
     whose optimal matching is gradient, together with that matching.
 
     Pair costs do not depend on alpha, so the sweep builds the program and
-    its assignment graph once from `cost_model`, and re-prices only the
-    diagonals at each grid value; `replace` carries the graph to each solve.
-    The model's own alpha is not used.
+    its assignment graph once from `cost_model`, checks every cost it can
+    price (the pair costs and the grid) once, and at each grid value prices
+    the graph with new diagonals and reads LAPJVsp's pair selection back
+    (`AssignmentGraph.select`). Steps are compared by their selections; a
+    `Matching` is built only where acyclicity is tested. The model's own
+    alpha is not used.
 
     A matching M costs c(M) + alpha * k(M), linear in alpha, and the optimum
     is the lower envelope of these lines, so a matching the solver returns at
@@ -107,22 +121,28 @@ def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Mat
     grid = DEFAULT_ALPHA_GRID
     problem = build_problem(cost_model, complex)
     pair_costs = problem.costs[: problem.n_pairs]
-    solved: dict[int, Matching] = {}  # grid index -> the solver's matching there
+    graph = problem.assignment_graph()
+    selected: dict[int, np.ndarray] = {}  # grid index -> the solver's pair selection there
 
-    def solve(k: int) -> Matching:
-        if k not in solved:
-            costs = np.concatenate([pair_costs, np.full(problem.n_cells, grid[k])])
-            solved[k] = solve_exact(replace(problem, costs=costs))
-        return solved[k]
+    def costs(k: int) -> np.ndarray:
+        return np.concatenate([pair_costs, np.full(problem.n_cells, grid[k])])
 
+    def select(k: int) -> np.ndarray:
+        if k not in selected:
+            selected[k] = graph.select(costs(k))
+        return selected[k]
+
+    # LAPJVsp never returns on NaN, so every cost the sweep can price is
+    # checked before the first solve: the pair costs, then the grid
+    bad = [j for j, a in enumerate(grid) if not math.isfinite(a)]
+    _check_finite(replace(problem, costs=costs(bad[0] if bad else 0)))
     k = 0
     while True:
-        matching = solve(k)
+        hit = select(k)
+        matching = _selection_matching(replace(problem, costs=costs(k)), hit)
         if is_gradient(complex, matching):
             return grid[k], matching
-        k = _first_change(
-            lambda j: not np.array_equal(solve(j).pairs, matching.pairs), k, len(grid) - 1
-        )
+        k = _first_change(lambda j: not np.array_equal(select(j), hit), k, len(grid) - 1)
         if k is None:
             break
 

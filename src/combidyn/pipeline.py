@@ -510,14 +510,19 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{report_path}: {exc}") from None
 
+    def path(at) -> str:
+        return at if isinstance(at, str) else f"{at[0]}[{at[1]}]."
+
     def need(node, key, at="", kind=None, nullable=False):
+        # `at` prefixes the key path: a string, or (list, index) for a list
+        # entry, formatted only when the key or its type is wrong
         if not isinstance(node, dict) or key not in node:
-            raise ValueError(f"{report_path}: report has no {at}{key}")
+            raise ValueError(f"{report_path}: report has no {path(at)}{key}")
         value = node[key]
         # json makes exact types: an int passes as a float, a bool only as a bool
         fits = type(value) is kind or (kind is float and type(value) is int)
         if kind is not None and not fits and not (nullable and value is None):
-            raise ValueError(f"{report_path}: report has no {kind.__name__} {at}{key}")
+            raise ValueError(f"{report_path}: report has no {kind.__name__} {path(at)}{key}")
         return value
 
     echo = need(doc, "config_echo", kind=dict)
@@ -529,11 +534,11 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     total = need(objective, "total", "objective.", float)
     alpha = float(need(objective, "alpha", "objective.", float))
     pairs = [
-        (need(e, "lower", f"matching[{i}].", int), need(e, "upper", f"matching[{i}].", int))
+        (need(e, "lower", ("matching", i), int), need(e, "upper", ("matching", i), int))
         for i, e in enumerate(need(doc, "matching", kind=list))
     ]
     critical_entries = need(doc, "critical", kind=list)
-    critical = [need(e, "id", f"critical[{i}].", int) for i, e in enumerate(critical_entries)]
+    critical = [need(e, "id", ("critical", i), int) for i, e in enumerate(critical_entries)]
     problem, scc = need(doc, "problem"), need(doc, "scc")
     section = doc.get("gradient")
 

@@ -61,7 +61,9 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class AssignmentGraph:
     """The sparse bipartite graph `solve_exact` hands to LAPJVsp, laid out
-    once per problem; a solve only prices its edges.
+    once per problem; a solve only prices its edges. `select` prices it and
+    reads LAPJVsp's pair selection back; the branch-and-bound prices fresh
+    arrays from `weighted` and cuts edges out of them.
 
     Rows are even-parity cells plus one dummy per odd cell; columns are odd
     cells plus one dummy per even cell. Edges: each admissible pair, each cell
@@ -84,6 +86,7 @@ class AssignmentGraph:
     order: np.ndarray  # (2 * n_pairs + n_cells,) edge of each CSR slot
     indices: np.ndarray
     indptr: np.ndarray
+    _priced: csr_array | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, pairs: np.ndarray, dims: np.ndarray) -> "AssignmentGraph":
@@ -105,15 +108,35 @@ class AssignmentGraph:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(pairs, dims, r, c, order, cols[order], indptr)
 
-    def weighted(self, costs: np.ndarray) -> csr_array:
-        """The graph with variable k's edge at costs[k] and the dummy pairs at 0."""
+    def _weights(self, costs: np.ndarray) -> np.ndarray:
+        """Edge weights in CSR order: variable k's edge at costs[k], the dummy
+        pairs at 0."""
         weights = np.concatenate([np.asarray(costs, dtype=float), np.zeros(len(self.pair_row))])
         weights = weights[self.order]
         # scipy drops explicit zeros; the smallest subnormal is absorbed by any
         # sum with a normal float, so it keeps the edge without moving a cost
         weights[weights == 0.0] = np.nextafter(0.0, 1.0)
+        return weights
+
+    def weighted(self, costs: np.ndarray) -> csr_array:
+        """The graph with variable k's edge at costs[k] and the dummy pairs
+        at 0, in new arrays."""
         n = len(self.indptr) - 1
-        return csr_array((weights, self.indices, self.indptr), shape=(n, n))
+        return csr_array((self._weights(costs), self.indices, self.indptr), shape=(n, n))
+
+    def select(self, costs: np.ndarray) -> np.ndarray:
+        """Pair selection, a boolean mask over `pairs`, of LAPJVsp's optimum
+        on the graph priced by `costs` (one per variable). The costs must be
+        finite: LAPJVsp never returns on NaN. The graph keeps one priced CSR
+        array and re-prices it in place on later calls, which skips scipy's
+        sparse-array construction and checks; calls on one graph must not
+        overlap."""
+        if self._priced is None:
+            object.__setattr__(self, "_priced", self.weighted(costs))
+        else:
+            self._priced.data[:] = self._weights(costs)
+        _, col_of_row = min_weight_full_bipartite_matching(self._priced)
+        return col_of_row[self.pair_row] == self.pair_col
 
 
 @dataclass
@@ -235,12 +258,8 @@ def solve_exact(problem: MatchingProblem) -> Matching:
     graph (see `AssignmentGraph`). Deterministic. A cost that is not finite
     raises a ValueError naming its variable: LAPJVsp never returns on NaN.
     """
-    if problem.n_cells == 0:
-        return Matching(pairs=(), critical=(), objective=0.0)
     _check_finite(problem)
-    graph = problem.assignment_graph()
-    _, col_of_row = min_weight_full_bipartite_matching(graph.weighted(problem.costs))
-    return _selection_matching(problem, col_of_row[graph.pair_row] == graph.pair_col)
+    return _selection_matching(problem, problem.assignment_graph().select(problem.costs))
 
 
 MAX_SEARCH_NODES = 200_000  # nodes one `SearchFrontier` may create, read at each push

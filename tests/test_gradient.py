@@ -14,6 +14,7 @@ from combidyn import (
     assign_vertex_average,
     build_cost_model,
     build_problem,
+    Matching,
     classify_recurrence,
     cubical_grid,
     evaluate_matching,
@@ -23,9 +24,11 @@ from combidyn import (
     simplicial_complex,
     solve_exact,
     solve_gradient_constrained,
+    verify_matching,
 )
 from combidyn.datagen import GridSpec
-from combidyn.dynamics import _sccs
+from combidyn.dynamics import _flow_successors, _sccs
+from combidyn.gradient import _cyclic_components
 
 from conftest import (
     KINDS,
@@ -34,6 +37,7 @@ from conftest import (
     random_cubical_instance,
     random_simplicial_instance,
     recorded_frontiers,
+    successor_lists,
     to_csr,
 )
 from oracles import alpha_sweep_by_grid, gradient_optimum, sccs_by_reachability
@@ -135,6 +139,26 @@ class TestSweep:
         changed = [s for i, s in enumerate(steps) if i == 0 or s != steps[i - 1]]
         assert calls == changed == [[[0, 3], [1, 5], [2, 4]], []]
 
+    @pytest.mark.parametrize("where", ["grid", "pair"])
+    def test_non_finite_cost_raises_before_any_solve(self, toy, monkeypatch, where):
+        # LAPJVsp never returns on NaN, so the sweep checks every cost it can
+        # price before its first selection; a selection here fails the test
+        _, K, vectors = toy
+        model = build_cost_model(K, vectors, 0.5)
+        if where == "grid":
+            monkeypatch.setattr(combidyn.gradient, "DEFAULT_ALPHA_GRID", (2.0, 1.0, math.nan))
+            message = r"variable 9 \(diagonal of cell 0\) is nan, not finite"
+        else:
+            costs = model.pair_costs.copy()
+            costs[2] = math.nan
+            model = replace(model, pair_costs=costs)
+            message = r"variable 2 \(pair \(1, 3\)\) is nan, not finite"
+        selections = []
+        monkeypatch.setattr(combidyn.solver.AssignmentGraph, "select", lambda g, c: selections.append(c))
+        with pytest.raises(ValueError, match=message):
+            alpha_sweep(K, model)
+        assert selections == []
+
     def test_default_grid_shape(self):
         assert DEFAULT_ALPHA_GRID[0] == 2.0
         assert DEFAULT_ALPHA_GRID[-1] == 0.0
@@ -143,20 +167,22 @@ class TestSweep:
 
 
 def traced_sweep(K, model):
-    """`alpha_sweep`'s answer, plus the alpha of every `solve_exact` call and
-    the verdict of every `is_gradient` call it made, in order."""
+    """`alpha_sweep`'s answer, plus the alpha of every LAPJVsp selection
+    (`AssignmentGraph.select`) and the verdict of every `is_gradient` call it
+    made, in order."""
     solved, tested = [], []
+    select = combidyn.solver.AssignmentGraph.select
 
-    def solve(problem):
-        solved.append(float(problem.costs[problem.n_pairs]))  # the diagonal is the alpha
-        return solve_exact(problem)
+    def solve(graph, costs):
+        solved.append(float(costs[len(graph.pairs)]))  # the diagonal is the alpha
+        return select(graph, costs)
 
     def test(complex, matching):
         tested.append(is_gradient(complex, matching))
         return tested[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(combidyn.gradient, "solve_exact", solve)
+        mp.setattr(combidyn.solver.AssignmentGraph, "select", solve)
         mp.setattr(combidyn.gradient, "is_gradient", test)
         alpha, m = alpha_sweep(K, model)
     return alpha, m, solved, tested
@@ -414,6 +440,55 @@ class TestConstrainedSolve:
         for K, p in self.oracle_instances():
             solve_gradient_constrained(p, K)
         assert len(calls) >= 40 and all(calls)
+
+
+class TestSelection:
+    def test_solve_exact_builds_its_selection(self):
+        # solve_exact is LAPJVsp's raw selection turned into a Matching: the
+        # same pairs, the uncovered cells critical, the selected variables'
+        # costs summed exactly
+        for K, p in TestConstrainedSolve.oracle_instances():
+            hit = p.assignment_graph().select(p.costs)
+            critical = np.setdiff1d(np.arange(p.n_cells), p.pairs[hit])
+            chosen = np.concatenate([np.flatnonzero(hit), p.n_pairs + critical])
+            want = Matching(p.pairs[hit], critical, math.fsum(p.costs[chosen].tolist()))
+            got = solve_exact(p)
+            assert np.array_equal(got.pairs, want.pairs)
+            assert np.array_equal(got.critical, want.critical)
+            assert got.objective.hex() == want.objective.hex()
+
+
+@st.composite
+def valid_matchings(draw, K):
+    """A random partial matching of K, from none to a maximal one, with every
+    unmatched cell critical."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sampled_from([0.0, 0.75, 1.0]))
+    used = np.zeros(len(K), dtype=bool)
+    pairs = []
+    for lo, up in K.pairs[rng.permutation(len(K.pairs))].tolist():
+        if not used[lo] and not used[up] and rng.random() < keep:
+            pairs.append((lo, up))
+            used[lo] = used[up] = True
+    return Matching(pairs=pairs, critical=np.flatnonzero(~used), objective=0.0)
+
+
+class TestGradientArrows:
+    """`is_gradient` reads the gradient arrows only; the full flow, closure
+    arcs of the critical cells included, must have the same multi-cell
+    components (by reachability, `oracles.sccs_by_reachability`)."""
+
+    @pytest.mark.parametrize("kind, d", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_flow(self, kind, d, data):
+        K = data.draw(complexes(kind, d))
+        m = data.draw(valid_matchings(K))
+        assert verify_matching(K, m).ok
+        full = sccs_by_reachability(successor_lists(*_flow_successors(K, m)))
+        multi = [c for c in full if len(c) > 1]
+        assert is_gradient(K, m) is (not multi)
+        assert [tuple(c.tolist()) for c in _cyclic_components(K, m)] == multi
 
 
 class TestTarjan:
