@@ -120,8 +120,7 @@ def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Mat
     """
     grid = DEFAULT_ALPHA_GRID
     problem = build_problem(cost_model, complex)
-    pair_costs = problem.costs[: problem.n_pairs]
-    graph = problem.assignment_graph()
+    pairs, pair_costs, graph = problem.pairs, problem.costs[: problem.n_pairs], problem.graph
     selected: dict[int, np.ndarray] = {}  # grid index -> the solver's pair selection there
 
     def costs(k: int) -> np.ndarray:
@@ -135,11 +134,11 @@ def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Mat
     # LAPJVsp never returns on NaN, so every cost the sweep can price is
     # checked before the first solve: the pair costs, then the grid
     bad = [j for j, a in enumerate(grid) if not math.isfinite(a)]
-    _check_finite(replace(problem, costs=costs(bad[0] if bad else 0)))
+    _check_finite(pairs, costs(bad[0] if bad else 0))
     k = 0
     while True:
         hit = select(k)
-        matching = _selection_matching(replace(problem, costs=costs(k)), hit)
+        matching = _selection_matching(pairs, costs(k), hit)
         if is_gradient(complex, matching):
             return grid[k], matching
         k = _first_change(lambda j: not np.array_equal(select(j), hit), k, len(grid) - 1)

@@ -356,7 +356,7 @@ def build_report_document(analysis: Analysis) -> dict:
             "alpha": float(cost_model.alpha),
         },
         "matching": [{"lower": lo, "upper": up} for lo, up in matching.pairs.tolist()],
-        "critical": [_cell_entry(complex, c) for c in matching.critical.tolist()],
+        "critical": _critical_entries(complex, matching.critical),
         "scc": _scc_entries(analysis.recurrence),
     }
     if analysis.config.gradient_mode != "off":
@@ -373,13 +373,15 @@ def _counts(complex: CellComplex) -> dict:
     return {str(d): n for d, n in sorted(complex.counts_by_dim().items())}
 
 
-def _cell_entry(complex: CellComplex, cell_id: int) -> dict:
-    return {
-        "id": cell_id,
-        "dim": int(complex.dims[cell_id]),
-        "vertices": list(complex.vertex_ids(cell_id)),
-        "barycenter": [_sig9(x) for x in complex.barycenters[cell_id]],
-    }
+def _critical_entries(complex: CellComplex, critical: np.ndarray) -> list[dict]:
+    """Report entries of the critical cells, read off their slices of the
+    vertex CSR arrays and their barycenter rows."""
+    ptr, idx = complex.vert_ptr, complex.vert_idx
+    cells = np.column_stack([critical, complex.dims[critical], ptr[critical], ptr[critical + 1]]).tolist()
+    return [
+        {"id": c, "dim": d, "vertices": idx[a:b].tolist(), "barycenter": [_sig9(x) for x in xs]}
+        for (c, d, a, b), xs in zip(cells, complex.barycenters[critical].tolist())
+    ]
 
 
 def _scc_entries(recurrence: CycleReport) -> list[dict]:
@@ -501,10 +503,11 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     its document holds. Nothing is solved, so the solver is trusted no further
     than the axioms.
 
-    `gradient.constraint_rounds` is not checked: it could only be re-derived
-    by solving again. A report that is not JSON, lacks a key, or holds a value
-    of the wrong JSON type where one is read raises ValueError naming the
-    report and the key."""
+    `gradient.constraint_rounds` could only be re-derived by solving again, so
+    in constraint mode any JSON int >= 0 is taken as given; in sweep mode it
+    must be 0. Any other value fails the gradient line. Otherwise a report
+    that is not JSON, lacks a key, or holds a value of the wrong JSON type
+    where one is read raises ValueError naming the report and the key."""
     try:
         doc = json.loads(Path(report_path).read_bytes())
     except ValueError as exc:  # not JSON, or not UTF-8
@@ -570,9 +573,11 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     # the pairs passed verify_matching above, so the unchecked flow is safe
     ptr, idx = _flow_successors(complex, matching)
     flow = FlowGraph(succ_ptr=ptr, succ_idx=idx, dims=complex.dims, critical=matching.critical)
-    # the reported rounds are taken as given (see the docstring)
-    rounds = section.get("constraint_rounds") if isinstance(section, dict) else 0
-    redone = Analysis(config, sample, complex, vectors, model, matching, flow, rounds).document
+    # constraint mode's reported rounds are taken as given (see the docstring)
+    rounds = section.get("constraint_rounds") if isinstance(section, dict) else None
+    counted = type(rounds) is int and rounds >= 0  # json makes exact types; a bool is no count
+    derived = rounds if counted and config.gradient_mode == "constraints" else 0
+    redone = Analysis(config, sample, complex, vectors, model, matching, flow, derived).document
 
     mine = redone["objective"]
     ok &= check(
@@ -587,5 +592,6 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     ok &= check(f"problem size (N={size['N']}, m={size['m']})", problem == size)
     ok &= check(f"recurrence round-trip ({len(redone['scc'])} components)", scc == redone["scc"])
     ok &= check("critical census round-trip", critical_entries == redone["critical"])
-    ok &= check(f"gradient section (mode {config.gradient_mode})", section == redone.get("gradient"))
+    good = section == redone.get("gradient") and (counted or config.gradient_mode == "off")
+    ok &= check(f"gradient section (mode {config.gradient_mode})", good)
     return bool(ok), lines

@@ -14,8 +14,8 @@ One exact solver per problem class:
   perfect matching on a sparse bipartite graph with one dummy per cell for the
   stay-critical option, solved by scipy's LAPJVsp (Jonker & Volgenant 1987).
   Polynomial; memory linear in the number of pairs and cells. The graph's
-  shape depends only on the pairs and cell dimensions, so `build_problem`
-  lays it out once and a solve only prices its edges.
+  shape depends only on the pairs and cell dimensions, so a `MatchingProblem`
+  lays it out once, on construction, and a solve only prices its edges.
 * solve_branch_and_bound, the program plus cycle-exclusion rows: an exact
   best-first branch-and-bound whose nodes forbid variables and are bounded by
   LAPJVsp on the same assignment graph with those variables' edges left out.
@@ -25,6 +25,10 @@ One exact solver per problem class:
   (bound, node creation) order. A `SearchFrontier` keeps the open nodes
   between calls, so a call with more rows resumes the search, up to
   `MAX_SEARCH_NODES` nodes in all.
+
+`AssignmentGraph.select` is the one LAPJVsp call and the only code that knows
+the graph's CSR layout; given `forbid`, a mask of variables per row, it solves
+one graph per row, with those variables' edges left out.
 """
 
 from __future__ import annotations
@@ -60,10 +64,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AssignmentGraph:
-    """The sparse bipartite graph `solve_exact` hands to LAPJVsp, laid out
-    once per problem; a solve only prices its edges. `select` prices it and
-    reads LAPJVsp's pair selection back; the branch-and-bound prices fresh
-    arrays from `weighted` and cuts edges out of them.
+    """The sparse bipartite graph every solver hands to LAPJVsp, laid out
+    once per problem; a solve only prices its edges. `select` is the one
+    place that prices it and calls LAPJVsp.
 
     Rows are even-parity cells plus one dummy per odd cell; columns are odd
     cells plus one dummy per even cell. Edges: each admissible pair, each cell
@@ -71,22 +74,18 @@ class AssignmentGraph:
     each other at cost 0, so the dummies of a matched pair cover one another.
     Listed in that order, edge k < m carries variable k's cost; `order` sorts
     them into CSR order (rows ascending, columns ascending within a row), the
-    order `indices` and `indptr` describe. LAPJVsp's choice among tied optima
-    depends on that order, so it is the one scipy's COO-to-CSR conversion
-    gives.
-
-    The layout depends only on the problem's `pairs` and `dims`; it keeps
-    those arrays to tell whether it still fits a problem.
+    order `indices` and `indptr` describe, and `slot` is its inverse, the CSR
+    slot of each edge. LAPJVsp's choice among tied optima depends on that
+    order, so it is the one scipy's COO-to-CSR conversion gives.
     """
 
-    pairs: np.ndarray
-    dims: np.ndarray
     pair_row: np.ndarray  # (n_pairs,) row of each pair's even cell
     pair_col: np.ndarray  # (n_pairs,) column of its odd cell
     order: np.ndarray  # (2 * n_pairs + n_cells,) edge of each CSR slot
+    slot: np.ndarray  # (2 * n_pairs + n_cells,) CSR slot of each edge
     indices: np.ndarray
     indptr: np.ndarray
-    _priced: csr_array | None = field(default=None, init=False, repr=False)
+    _priced: object = field(default=None, init=False, repr=False)  # what `select` re-prices
 
     @classmethod
     def build(cls, pairs: np.ndarray, dims: np.ndarray) -> "AssignmentGraph":
@@ -104,9 +103,11 @@ class AssignmentGraph:
         rows = np.concatenate([r, np.where(even, pos, ne + pos), ne + c])
         cols = np.concatenate([c, np.where(even, no + pos, pos), no + r])
         order = np.lexsort((cols, rows))  # no edge is listed twice
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order))
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(pairs, dims, r, c, order, cols[order], indptr)
+        return cls(r, c, order, slot, cols[order], indptr)
 
     def _weights(self, costs: np.ndarray) -> np.ndarray:
         """Edge weights in CSR order: variable k's edge at costs[k], the dummy
@@ -118,25 +119,65 @@ class AssignmentGraph:
         weights[weights == 0.0] = np.nextafter(0.0, 1.0)
         return weights
 
-    def weighted(self, costs: np.ndarray) -> csr_array:
-        """The graph with variable k's edge at costs[k] and the dummy pairs
-        at 0, in new arrays."""
-        n = len(self.indptr) - 1
-        return csr_array((self._weights(costs), self.indices, self.indptr), shape=(n, n))
+    def select(self, costs: np.ndarray, forbid: np.ndarray | None = None) -> np.ndarray:
+        """Pair selection, a boolean mask over the pairs, of LAPJVsp's optimum
+        on the graph priced by `costs`, one per variable and finite: LAPJVsp
+        never returns on NaN. The graph keeps one priced CSR array and
+        re-prices it in place, which skips scipy's sparse-array construction
+        and checks; calls on one graph must not overlap.
 
-    def select(self, costs: np.ndarray) -> np.ndarray:
-        """Pair selection, a boolean mask over `pairs`, of LAPJVsp's optimum
-        on the graph priced by `costs` (one per variable). The costs must be
-        finite: LAPJVsp never returns on NaN. The graph keeps one priced CSR
-        array and re-prices it in place on later calls, which skips scipy's
-        sparse-array construction and checks; calls on one graph must not
-        overlap."""
-        if self._priced is None:
-            object.__setattr__(self, "_priced", self.weighted(costs))
-        else:
-            self._priced.data[:] = self._weights(costs)
-        _, col_of_row = min_weight_full_bipartite_matching(self._priced)
-        return col_of_row[self.pair_row] == self.pair_col
+        With `forbid`, a (k, m) mask of variables, it returns (k, n_pairs):
+        row j is the selection with row j's variables' edges left out, the
+        kept edges in their CSR order. The k graphs are the blocks of one
+        block-diagonal graph per call, up to `MAX_BATCH_ROWS` rows a call.
+        LAPJVsp's shortest paths never leave a block, and on every case tried
+        each block got the matching a call on its own returns."""
+        n = len(self.indptr) - 1
+        if forbid is None:
+            if self._priced is None:
+                priced = csr_array((self._weights(costs), self.indices, self.indptr), shape=(n, n))
+                object.__setattr__(self, "_priced", priced)
+            else:
+                self._priced.data[:] = self._weights(costs)
+            _, col_of_row = min_weight_full_bipartite_matching(self._priced)
+            return col_of_row[self.pair_row] == self.pair_col
+        weights = self._weights(costs)
+        edges = len(weights)
+        per_call = max(1, MAX_BATCH_ROWS // max(n, 1))
+        hits = []
+        for i in range(0, len(forbid), per_call):
+            block = forbid[i : i + per_call]
+            k = len(block)
+            keep = np.ones((k, edges), dtype=bool)
+            keep[:, self.slot[: block.shape[1]]] = ~block
+            offset = n * np.arange(k)[:, None]
+            kept = np.concatenate([[0], np.cumsum(keep)])
+            starts = (edges * np.arange(k)[:, None] + self.indptr[:-1]).ravel()
+            union = csr_array(
+                (
+                    np.broadcast_to(weights, keep.shape)[keep],
+                    (self.indices + offset)[keep],
+                    kept[np.append(starts, k * edges)],
+                ),
+                shape=(k * n, k * n),
+            )
+            _, col_of_row = min_weight_full_bipartite_matching(union)
+            hits.append(col_of_row.reshape(k, n)[:, self.pair_row] - offset == self.pair_col)
+        return np.concatenate(hits)
+
+
+# Rows one LAPJVsp call may hold when `AssignmentGraph.select` solves several
+# masked graphs together. scipy's fixed cost per call, about 150 us of
+# sparse-array construction and checks, dominates small graphs, but past some
+# 2,000 rows one call on a union of blocks costs more than a call per block.
+# Measured on a 2-core host, six children in one call against six calls:
+# 25-225 rows each, 0.22-0.47 ms against 0.92-1.20 ms; 961 rows each
+# (cubical `intro`), 3.42 ms against 2.67 ms. Whole searches on 12x12 and
+# 16x16 `intro` lattices: 529 cells, 0.64 s with a call per child against
+# 0.46-0.48 s with three to five per call; 961 cells, 11.6 s against
+# 12.6-12.9 s with two or three. This cap gives three per call at 529 cells
+# and one at 961.
+MAX_BATCH_ROWS = 1_600
 
 
 @dataclass
@@ -145,16 +186,17 @@ class MatchingProblem:
     order, then one diagonal (stay critical) per cell; `costs` prices them in
     that order.
 
-    `graph` is the assignment graph `solve_exact` prices. `build_problem`
-    lays it out and `dataclasses.replace` carries it, so problems that differ
-    only in costs share it. A problem without one, or whose `pairs` or `dims`
-    are not the arrays it was laid out for, gets a new one per solve.
+    `graph` is the assignment graph of `pairs` and `dims`, laid out on
+    construction, so no problem carries another problem's layout.
     """
 
     pairs: np.ndarray  # (n_pairs, 2)
     costs: np.ndarray  # (n_pairs + n_cells,)
     dims: np.ndarray  # (n_cells,)
-    graph: AssignmentGraph | None = field(default=None, repr=False, compare=False)
+    graph: AssignmentGraph = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.graph = AssignmentGraph.build(self.pairs, self.dims)
 
     @property
     def n_pairs(self) -> int:
@@ -177,13 +219,6 @@ class MatchingProblem:
             raise KeyError((lower, upper))
         return row
 
-    def assignment_graph(self) -> AssignmentGraph:
-        """`graph` when it fits `pairs` and `dims`, else a new layout."""
-        g = self.graph
-        if g is not None and g.pairs is self.pairs and g.dims is self.dims:
-            return g
-        return AssignmentGraph.build(self.pairs, self.dims)
-
 
 def build_problem(cost_model: CostModel, complex: CellComplex) -> MatchingProblem:
     n = len(complex)
@@ -193,7 +228,6 @@ def build_problem(cost_model: CostModel, complex: CellComplex) -> MatchingProble
         pairs=cost_model.pairs,
         costs=np.concatenate([cost_model.pair_costs, np.full(n, cost_model.alpha)]),
         dims=complex.dims,
-        graph=AssignmentGraph.build(cost_model.pairs, complex.dims),
     )
 
 
@@ -224,32 +258,28 @@ def evaluate_matching(cost_model: CostModel, matching: Matching) -> float:
     return math.fsum(terms)
 
 
-def _check_finite(problem: MatchingProblem) -> None:
+def _check_finite(pairs: np.ndarray, costs: np.ndarray) -> None:
     """Raise a ValueError naming the first variable whose cost is not finite:
     LAPJVsp never returns on NaN."""
-    bad = np.flatnonzero(~np.isfinite(problem.costs))
+    bad = np.flatnonzero(~np.isfinite(costs))
     if len(bad):
         v = int(bad[0])
-        var = (
-            f"pair {tuple(problem.pairs[v].tolist())}"
-            if v < problem.n_pairs
-            else f"diagonal of cell {v - problem.n_pairs}"
-        )
-        raise ValueError(f"cost of variable {v} ({var}) is {problem.costs[v]}, not finite")
+        var = f"pair {tuple(pairs[v].tolist())}" if v < len(pairs) else f"diagonal of cell {v - len(pairs)}"
+        raise ValueError(f"cost of variable {v} ({var}) is {costs[v]}, not finite")
 
 
-def _critical_and_objective(problem: MatchingProblem, hit: np.ndarray) -> tuple[np.ndarray, float]:
+def _critical_and_objective(pairs: np.ndarray, costs: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, float]:
     """Cells left critical by the pair selection `hit`, and its objective:
     the selected variables' costs in variable order, summed exactly."""
-    lo, up = problem.pairs.T
-    critical = np.ones(problem.n_cells, dtype=bool)
+    lo, up = pairs.T
+    critical = np.ones(len(costs) - len(pairs), dtype=bool)
     critical[lo[hit]] = critical[up[hit]] = False
-    return critical, math.fsum(problem.costs[np.concatenate([hit, critical])].tolist())
+    return critical, math.fsum(costs[np.concatenate([hit, critical])].tolist())
 
 
-def _selection_matching(problem: MatchingProblem, hit: np.ndarray) -> Matching:
-    critical, objective = _critical_and_objective(problem, hit)
-    return Matching(problem.pairs[hit], np.flatnonzero(critical), objective)
+def _selection_matching(pairs: np.ndarray, costs: np.ndarray, hit: np.ndarray) -> Matching:
+    critical, objective = _critical_and_objective(pairs, costs, hit)
+    return Matching(pairs[hit], np.flatnonzero(critical), objective)
 
 
 def solve_exact(problem: MatchingProblem) -> Matching:
@@ -258,23 +288,11 @@ def solve_exact(problem: MatchingProblem) -> Matching:
     graph (see `AssignmentGraph`). Deterministic. A cost that is not finite
     raises a ValueError naming its variable: LAPJVsp never returns on NaN.
     """
-    _check_finite(problem)
-    return _selection_matching(problem, problem.assignment_graph().select(problem.costs))
+    _check_finite(problem.pairs, problem.costs)
+    return _selection_matching(problem.pairs, problem.costs, problem.graph.select(problem.costs))
 
 
 MAX_SEARCH_NODES = 200_000  # nodes one `SearchFrontier` may create, read at each push
-
-# Rows one LAPJVsp call may hold when a node's children are solved together.
-# scipy's fixed cost per call, about 150 us of sparse-array construction and
-# checks, dominates small graphs, but past some 2,000 rows one call on a
-# union of blocks costs more than a call per block. Measured on a 2-core
-# host, six children in one call against six calls: 25-225 rows each,
-# 0.22-0.47 ms against 0.92-1.20 ms; 961 rows each (cubical `intro`),
-# 3.42 ms against 2.67 ms. Whole searches on 12x12 and 16x16 `intro`
-# lattices: 529 cells, 0.64 s with a call per child against 0.46-0.48 s with
-# three to five per call; 961 cells, 11.6 s against 12.6-12.9 s with two or
-# three. This cap gives three per call at 529 cells and one at 961.
-MAX_BATCH_ROWS = 1_600
 
 
 @dataclass(eq=False)
@@ -331,12 +349,8 @@ def solve_branch_and_bound(
     its two cells. The first popped solution that violates no row is optimal,
     and among equal optima it is the one returned.
 
-    A node's children are solved as soon as it is split, and pushed with
-    their own bounds. They go to LAPJVsp as the blocks of one block-diagonal
-    graph, each keeping its edges in CSR order, in as few calls as
-    `MAX_BATCH_ROWS` allows, since a call's fixed cost outweighs a small
-    graph. LAPJVsp's shortest paths never leave a block, and on every case
-    tried each block got the matching a call on its own returns.
+    A node's children are solved together as soon as it is split, by one
+    masked `AssignmentGraph.select`, and pushed with their own bounds.
 
     Every child has a full matching. The pairs fixed along its path are all
     selected by its parent's solution, so they are disjoint; they are the
@@ -349,8 +363,6 @@ def solve_branch_and_bound(
     starts from `solve_exact`'s root.
     """
     n = problem.n_cells
-    if n == 0:
-        return Matching(pairs=(), critical=(), objective=0.0)
     cuts = [np.array(sorted(c), dtype=np.int32) for c in constraints]
     for c in cuts:
         if not len(c) or c[0] < 0 or c[-1] >= problem.n_pairs:
@@ -363,38 +375,11 @@ def solve_branch_and_bound(
     row_len = np.array([len(c) for c in cuts], dtype=np.intp)
     row_vars = np.concatenate([np.empty(0, dtype=np.int32), *cuts])
     row_of = np.repeat(np.arange(len(cuts)), row_len)
-    graph = problem.assignment_graph()
-    weights = graph.weighted(problem.costs).data  # in CSR order
-    edges = len(weights)
-    var_slot = np.empty(edges, dtype=np.intp)  # CSR slot of each variable's edge
-    var_slot[graph.order] = np.arange(edges)
-    var_slot = var_slot[: problem.m]
-    per_call = max(1, MAX_BATCH_ROWS // n)
     # the pair variables at cell c are at_cell[cell_ptr[c]:cell_ptr[c + 1]]
     ends = problem.pairs.ravel()
     at_cell = np.argsort(ends, kind="stable") // 2
     cell_ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(ends, minlength=n), out=cell_ptr[1:])
-
-    def solve(forbid: np.ndarray) -> np.ndarray:
-        """Pair selections, (k, n_pairs), of the LAPJVsp optima of the graph
-        with each row of `forbid`, (k, m), left out."""
-        k = len(forbid)
-        keep = np.ones((k, edges), dtype=bool)
-        keep[:, var_slot] = ~forbid
-        offset = n * np.arange(k)[:, None]
-        kept = np.concatenate([[0], np.cumsum(keep)])
-        starts = (edges * np.arange(k)[:, None] + graph.indptr[:-1]).ravel()
-        union = csr_array(
-            (
-                np.broadcast_to(weights, keep.shape)[keep],
-                (graph.indices + offset)[keep],
-                kept[np.append(starts, k * edges)],
-            ),
-            shape=(k * n, k * n),
-        )
-        _, col_of_row = min_weight_full_bipartite_matching(union)
-        return col_of_row.reshape(k, n)[:, graph.pair_row] - offset == graph.pair_col
 
     heap = frontier.heap
     while heap:
@@ -404,7 +389,7 @@ def solve_branch_and_bound(
         violated = np.bincount(row_of[hit[row_vars]], minlength=len(cuts)) == row_len
         if not violated.any():
             heapq.heappush(heap, entry)
-            return _selection_matching(problem, hit)
+            return _selection_matching(problem.pairs, problem.costs, hit)
         row = cuts[int(np.argmin(np.where(violated, row_len, np.iinfo(np.intp).max)))]
         # the node's forbidden variables, then those of each pair fixed so far
         mask = np.unpackbits(forbidden, count=problem.m).view(bool)
@@ -420,11 +405,11 @@ def solve_branch_and_bound(
             mask[at_cell[cell_ptr[up] : cell_ptr[up + 1]]] = True
             mask[[problem.n_pairs + lo, problem.n_pairs + up]] = True
             mask[s] = False
-        for i in range(0, len(children), per_call):
-            group = children[i : i + per_call]
-            for child, child_hit in zip(group, solve(np.array(group))):
-                _, objective = _critical_and_objective(problem, child_hit)
-                frontier.push(objective, np.packbits(child), np.packbits(child_hit))
+        if not children:
+            continue
+        for child, child_hit in zip(children, problem.graph.select(problem.costs, np.array(children))):
+            _, objective = _critical_and_objective(problem.pairs, problem.costs, child_hit)
+            frontier.push(objective, np.packbits(child), np.packbits(child_hit))
     raise RuntimeError("no selection satisfies the rows")
 
 

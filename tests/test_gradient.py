@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -154,7 +155,7 @@ class TestSweep:
             model = replace(model, pair_costs=costs)
             message = r"variable 2 \(pair \(1, 3\)\) is nan, not finite"
         selections = []
-        monkeypatch.setattr(combidyn.solver.AssignmentGraph, "select", lambda g, c: selections.append(c))
+        monkeypatch.setattr(combidyn.solver.AssignmentGraph, "select", lambda g, c, forbid=None: selections.append(c))
         with pytest.raises(ValueError, match=message):
             alpha_sweep(K, model)
         assert selections == []
@@ -173,9 +174,9 @@ def traced_sweep(K, model):
     solved, tested = [], []
     select = combidyn.solver.AssignmentGraph.select
 
-    def solve(graph, costs):
-        solved.append(float(costs[len(graph.pairs)]))  # the diagonal is the alpha
-        return select(graph, costs)
+    def solve(graph, costs, forbid=None):
+        solved.append(float(costs[len(graph.pair_row)]))  # the diagonal is the alpha
+        return select(graph, costs, forbid)
 
     def test(complex, matching):
         tested.append(is_gradient(complex, matching))
@@ -448,7 +449,7 @@ class TestSelection:
         # same pairs, the uncovered cells critical, the selected variables'
         # costs summed exactly
         for K, p in TestConstrainedSolve.oracle_instances():
-            hit = p.assignment_graph().select(p.costs)
+            hit = p.graph.select(p.costs)
             critical = np.setdiff1d(np.arange(p.n_cells), p.pairs[hit])
             chosen = np.concatenate([np.flatnonzero(hit), p.n_pairs + critical])
             want = Matching(p.pairs[hit], critical, math.fsum(p.costs[chosen].tolist()))
@@ -456,6 +457,31 @@ class TestSelection:
             assert np.array_equal(got.pairs, want.pairs)
             assert np.array_equal(got.critical, want.critical)
             assert got.objective.hex() == want.objective.hex()
+
+    def test_every_lapjvsp_call_is_in_select(self, monkeypatch):
+        # AssignmentGraph.select is the one place that calls LAPJVsp, for
+        # the plain solve, the sweep and the branch-and-bound alike
+        select = combidyn.solver.AssignmentGraph.select.__code__
+        lapjvsp = combidyn.solver.min_weight_full_bipartite_matching
+        callers = []
+
+        def recorded(graph):
+            callers.append(sys._getframe(1).f_code)
+            return lapjvsp(graph)
+
+        monkeypatch.setattr(combidyn.solver, "min_weight_full_bipartite_matching", recorded)
+        frontiers = recorded_frontiers(monkeypatch)
+        points = GridSpec((-1.0, -1.0), 1.0, (3, 3)).points()
+        vectors = np.stack([-points[:, 1], points[:, 0]], axis=1)
+        vectors += 0.1 * np.random.default_rng(0).standard_normal(points.shape)
+        K = cubical_grid(points, 1.0)
+        vectors = assign_vertex_average(K, vectors)
+        solve_exact(problem_for(K, vectors, 0.7))
+        alpha_sweep(K, build_cost_model(K, vectors, 0.7))
+        _, rounds = solve_gradient_constrained(problem_for(K, vectors, 0.7), K)
+        assert rounds == 1 and frontiers[0].created > 1
+        assert len(callers) > 5
+        assert all(code is select for code in callers)
 
 
 @st.composite

@@ -610,6 +610,14 @@ class TestVerifyReport:
             ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("mode", "sweep")),
             ("constraints", "gradient section", lambda d: d.pop("gradient")),
             ("constraints", "gradient section", lambda d: d.__setitem__("gradient", [])),
+            ("sweep", "gradient section", lambda d: d["gradient"].__setitem__("constraint_rounds", 7)),
+            ("sweep", "gradient section", lambda d: d["gradient"].__setitem__("constraint_rounds", False)),
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("constraint_rounds", -3)),
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("constraint_rounds", "many")),
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("constraint_rounds", 1.5)),
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("constraint_rounds", None)),
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("constraint_rounds", True)),
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("constraint_rounds", 0.0)),
             ("off", "critical census", lambda d: d["critical"][0].__setitem__("dim", 1)),
             ("constraints", "critical census", lambda d: d["critical"][0].__setitem__("dim", 1)),
             ("off", "critical census", lambda d: d["critical"][0].__setitem__("vertices", [0, 1])),
@@ -621,6 +629,8 @@ class TestVerifyReport:
         ],
         ids=["m", "N", "matched", "critical", "cosine_sum", "section_added",
              "is_gradient", "mode", "section_dropped", "section_not_object",
+             "sweep_rounds", "sweep_rounds_bool", "rounds_negative", "rounds_string",
+             "rounds_fraction", "rounds_null", "rounds_bool", "rounds_float",
              "critical_dim", "critical_dim_constraints", "critical_vertices", "critical_barycenter",
              "scc_cells", "scc_cells_constraints", "scc_d", "scc_self_intersections"],
     )

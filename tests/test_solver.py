@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+import combidyn.solver
 from combidyn import (
     DEFAULT_ALPHA_GRID,
     CostModel,
@@ -301,11 +302,22 @@ def assert_same_solve(p):
 
 
 class TestAssignmentGraph:
-    """The graph `build_problem` lays out once against the COO matrix built
-    per call (`oracles.sparse_selection_by_coo`): LAPJVsp breaks ties by edge
-    order, so equal optima are not enough; the selections must be equal."""
+    """The graph a `MatchingProblem` lays out on construction against the
+    COO matrix built per call (`oracles.sparse_selection_by_coo`): LAPJVsp
+    breaks ties by edge order, so equal optima are not enough; the
+    selections must be equal."""
 
-    def test_matrix_is_the_coo_matrix(self):
+    def test_matrix_is_the_coo_matrix(self, monkeypatch):
+        # the CSR array `select` prices and hands to LAPJVsp, on its first
+        # call (even trials) and re-priced in place (odd trials)
+        priced = []
+        lapjvsp = combidyn.solver.min_weight_full_bipartite_matching
+
+        def recorded(graph):
+            priced.append(graph)
+            return lapjvsp(graph)
+
+        monkeypatch.setattr(combidyn.solver, "min_weight_full_bipartite_matching", recorded)
         rng = np.random.default_rng(61)
         for trial in range(60):
             _, p = random_problem(rng)
@@ -316,7 +328,9 @@ class TestAssignmentGraph:
                 costs = np.concatenate([p.costs[perm], p.costs[p.n_pairs :]])
                 p = MatchingProblem(pairs=p.pairs[perm], costs=costs, dims=p.dims)
                 assert_same_solve(p)
-            got = p.assignment_graph().weighted(p.costs)
+            priced.clear()
+            p.graph.select(p.costs)
+            (got,) = priced
             want, _, _ = assignment_matrix_by_coo(p)
             for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
                 assert a.dtype == b.dtype
@@ -344,22 +358,18 @@ class TestAssignmentGraph:
         assert seen_zero_cost and seen_zero_alpha and seen_two_alpha
 
     def test_sweep_grid_through_replace(self):
-        # the alpha sweep re-prices the diagonals with dataclasses.replace,
-        # which carries the graph
+        # the problems of the alpha sweep's grid, made by dataclasses.replace
         rng = np.random.default_rng(73)
         for _ in range(8):
             _, p = random_problem(rng)
             for alpha in DEFAULT_ALPHA_GRID:
                 costs = np.concatenate([p.costs[: p.n_pairs], np.full(p.n_cells, alpha)])
-                q = replace(p, costs=costs)
-                assert q.assignment_graph() is p.graph
-                assert_same_solve(q)
+                assert_same_solve(replace(p, costs=costs))
 
     def test_hand_built_problem(self, toy):
         _, K, vectors = toy
         built = problem_for(K, vectors, TOY_ALPHA)
         p = MatchingProblem(pairs=K.pairs, costs=built.costs, dims=K.dims)
-        assert p.graph is None
         assert_same_solve(p)
         assert same_matching(solve_exact(p), solve_exact(built))
 
@@ -376,14 +386,48 @@ class TestAssignmentGraph:
             pa = problem_for(A, rng.normal(size=(len(A), 2)), 0.4)
             pb = problem_for(B, rng.normal(size=(len(B), 2)), 0.4)
             q = replace(pa, pairs=pb.pairs, dims=pb.dims, costs=pb.costs)
-            assert q.graph is pa.graph
-            assert q.assignment_graph() is not pa.graph
             assert_same_solve(q)
             assert same_matching(solve_exact(q), solve_exact(pb))
-        # an equal copy of the pairs is a different array: laid out anew
         copy = replace(pa, pairs=pa.pairs.copy())
-        assert copy.assignment_graph() is not pa.graph
         assert same_matching(solve_exact(copy), solve_exact(pa))
+
+    def test_masked_select_is_select_without_the_pairs(self, monkeypatch):
+        # row j of a masked select is the plain select of the problem without
+        # row j's forbidden pairs: a cell's row and column do not depend on
+        # the pairs, so the kept edges keep their CSR order; a small
+        # MAX_BATCH_ROWS splits the rows over several LAPJVsp calls
+        rng = np.random.default_rng(83)
+        sizes = []  # rows of each LAPJVsp call
+        lapjvsp = combidyn.solver.min_weight_full_bipartite_matching
+
+        def counted(graph):
+            sizes.append(graph.shape[0])
+            return lapjvsp(graph)
+
+        monkeypatch.setattr(combidyn.solver, "min_weight_full_bipartite_matching", counted)
+        split = 0
+        for _ in range(40):
+            _, p = random_problem(rng)
+            per_call = int(rng.integers(1, 4))
+            monkeypatch.setattr(combidyn.solver, "MAX_BATCH_ROWS", per_call * p.n_cells)
+            k = int(rng.integers(1, 8))
+            forbid = np.zeros((k, p.m), dtype=bool)
+            forbid[:, : p.n_pairs] = rng.random((k, p.n_pairs)) < rng.uniform(0.0, 0.6)
+            sizes.clear()
+            got = p.graph.select(p.costs, forbid)
+            assert got.shape == (k, p.n_pairs)
+            assert len(sizes) == -(-k // per_call) and sum(sizes) == k * p.n_cells
+            split += len(sizes) > 1
+            for row, hit in zip(forbid[:, : p.n_pairs], got):
+                keep = ~row
+                q = MatchingProblem(
+                    pairs=p.pairs[keep],
+                    costs=np.concatenate([p.costs[: p.n_pairs][keep], p.costs[p.n_pairs :]]),
+                    dims=p.dims,
+                )
+                assert not hit[row].any()
+                assert np.array_equal(hit[keep], q.graph.select(q.costs))
+        assert split >= 20
 
 
 class TestConstraints:
@@ -455,6 +499,11 @@ class TestConstraints:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(saved)
+
+    def test_zero_cells(self):
+        p = MatchingProblem(pairs=np.empty((0, 2), dtype=np.intp), costs=np.empty(0), dims=np.empty(0, dtype=np.intp))
+        for m in (solve_exact(p), solve_branch_and_bound(p)):
+            assert (m.pairs.shape, m.critical.shape, m.objective) == ((0, 2), (0,), 0.0)
 
     def test_constraint_validation(self, toy):
         _, K, vectors = toy
