@@ -18,7 +18,6 @@ from combidyn import (
     delaunay_2d,
     evaluate_matching,
     is_gradient,
-    multiflow,
     preset_field,
     solve_exact,
     solve_gradient_constrained,
@@ -34,7 +33,7 @@ def setup(preset):
 def show_solution(K, vectors, alpha):
     model = build_cost_model(K, vectors, alpha=alpha)
     matching = solve_exact(build_problem(model, K))
-    recurrence = classify_recurrence(multiflow(K, matching))
+    recurrence = classify_recurrence(K, matching)
     cyclic = [list(s.cells) for s in recurrence.multi_cell()]
     arrows = ", ".join(f"{lo}: {up}" for lo, up in matching.pairs.tolist())
     print(f"  alpha={alpha}: objective {matching.objective:.6f}, "

@@ -29,14 +29,8 @@ from .datagen import (
     preset_field,
     write_field_csv,
 )
-from .dynamics import CycleReport, FlowGraph, SccInfo, classify_recurrence, multiflow
-from .gradient import (
-    DEFAULT_ALPHA_GRID,
-    all_critical_threshold,
-    alpha_sweep,
-    is_gradient,
-    solve_gradient_constrained,
-)
+from .dynamics import CycleReport, FlowGraph, SccInfo, classify_recurrence, is_gradient, multiflow
+from .gradient import DEFAULT_ALPHA_GRID, all_critical_threshold, alpha_sweep, solve_gradient_constrained
 from .pipeline import (
     Analysis,
     ParseError,

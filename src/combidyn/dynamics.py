@@ -2,11 +2,11 @@
 
 Every cell gets a successor set: a critical cell maps to its whole closure,
 sorted, a matched lower cell to its partner, and a matched upper cell to its
-other codim-1 faces. `classify_recurrence` reads recurrence off the strongly
-connected components of that relation; critical cells are exactly the
-singletons with a self-loop.
-The matching comes in as arrays (`Matching.pairs`, `Matching.critical`) and
-the flow is arrays too.
+other codim-1 faces; `multiflow` builds it. `is_gradient`,
+`cyclic_components` and `classify_recurrence` read recurrence off one
+strongly connected component pass over the gradient arrows alone (`_arrows`),
+which have the flow's components. The matching comes in as arrays
+(`Matching.pairs`, `Matching.critical`) and the flow is arrays too.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ __all__ = [
     "SccInfo",
     "CycleReport",
     "multiflow",
+    "is_gradient",
+    "cyclic_components",
     "classify_recurrence",
 ]
 
@@ -32,30 +34,15 @@ __all__ = [
 @dataclass
 class FlowGraph:
     """CSR flow: cell c flows to `succ_idx[succ_ptr[c]:succ_ptr[c + 1]]`.
-    `critical` is the matching's critical cells, ascending. `scc_id`, each
-    cell's component, is set by `classify_recurrence`."""
+    `critical` is the matching's critical cells, ascending."""
 
     succ_ptr: np.ndarray
     succ_idx: np.ndarray
     dims: np.ndarray
     critical: np.ndarray
-    scc_id: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.dims)
-
-
-def _gradient_arrows(complex: CellComplex, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-    """The matching's arrows as (source, target) arrays: each matched lower
-    cell to its partner, then each matched upper cell to its codim-1 faces
-    other than its partner, ascending."""
-    n = len(complex)
-    lower, upper = matching.pairs.T
-    partner = np.full(n, -1, dtype=np.intp)
-    partner[upper] = lower
-    owner = np.repeat(np.arange(n), np.diff(complex.face_ptr))
-    spread = (partner[owner] >= 0) & (complex.face_idx != partner[owner])
-    return np.concatenate([lower, owner[spread]]), np.concatenate([upper, complex.face_idx[spread]])
 
 
 def _successor_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,25 +53,49 @@ def _successor_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarr
     return ptr, cols[np.argsort(rows, kind="stable")]
 
 
+def _arrows(complex: CellComplex, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """CSR successors (ptr, idx) of the gradient arrows: each matched lower
+    cell to its partner, each matched upper cell to its other codim-1 faces,
+    ascending. The flow adds the arcs from each critical cell into its
+    closure, which change no strongly connected component: a path climbs only
+    along a lower-to-partner arrow, one dimension, onto a matched upper cell,
+    and every arc out of that cell leads down, so a path out of a critical
+    cell c never climbs above c's dimension, and at that dimension reaches
+    only matched upper cells, never c. The matching is taken as given."""
+    n = len(complex)
+    lower, upper = matching.pairs.T
+    partner = np.full(n, -1, dtype=np.intp)
+    partner[upper] = lower
+    owner = np.repeat(np.arange(n), np.diff(complex.face_ptr))
+    spread = (partner[owner] >= 0) & (complex.face_idx != partner[owner])
+    rows = np.concatenate([lower, owner[spread]])
+    return _successor_csr(n, rows, np.concatenate([upper, complex.face_idx[spread]]))
+
+
 def _flow_successors(complex: CellComplex, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
     """CSR successors (ptr, idx) of every cell, in the order the module
     docstring gives, faces ascending: the gradient arrows, then each
     critical cell's closure. The matching is taken as given; `multiflow` is
     the checked entry point."""
-    rows, cols = _gradient_arrows(complex, matching)
+    ptr, idx = _arrows(complex, matching)
     closed_cell, closed_face = complex.closures(matching.critical)
-    return _successor_csr(
-        len(complex), np.concatenate([rows, closed_cell]), np.concatenate([cols, closed_face])
-    )
+    rows = np.concatenate([np.repeat(np.arange(len(complex)), np.diff(ptr)), closed_cell])
+    return _successor_csr(len(complex), rows, np.concatenate([idx, closed_face]))
 
 
 def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
-    report = verify_matching(complex, matching)
-    if not report.ok:
-        first = report.violations[0]
-        raise ValueError(f"matching is not valid: {first.kind}: {first.detail}")
+    verify_matching(complex, matching).raise_if_invalid()
     ptr, idx = _flow_successors(complex, matching)
     return FlowGraph(succ_ptr=ptr, succ_idx=idx, dims=complex.dims, critical=matching.critical)
+
+
+def _strong_components(ptr: np.ndarray, idx: np.ndarray) -> tuple[int, np.ndarray]:
+    """scipy's strong components of a CSR graph: their count and each node's
+    component, in scipy's numbering."""
+    n = len(ptr) - 1
+    # float64 weights: scipy's graph check copies any other dtype to float64
+    graph = csr_matrix((np.ones(len(idx)), idx, ptr), shape=(n, n))
+    return connected_components(graph, directed=True, connection="strong")
 
 
 def _sccs(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,10 +106,7 @@ def _sccs(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     sorted by (component, node), and offsets into that order, so component k
     is order[bounds[k]:bounds[k + 1]].
     """
-    n = len(ptr) - 1
-    # float64 weights: scipy's graph check copies any other dtype to float64
-    graph = csr_matrix((np.ones(len(idx)), idx, ptr), shape=(n, n))
-    n_comp, raw = connected_components(graph, directed=True, connection="strong")
+    n_comp, raw = _strong_components(ptr, idx)
     # first[k] is the smallest node of scipy's component k
     _, first = np.unique(raw, return_index=True)
     rank = np.empty(n_comp, dtype=np.intp)
@@ -107,6 +115,22 @@ def _sccs(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     bounds = np.zeros(n_comp + 1, dtype=np.intp)
     np.cumsum(np.bincount(labels, minlength=n_comp), out=bounds[1:])
     return labels, np.argsort(labels, kind="stable"), bounds
+
+
+def is_gradient(complex: CellComplex, matching: Matching) -> bool:
+    """Decide acyclicity of the induced flow: True when no strongly connected
+    component has more than one cell, that is when there are as many
+    components as cells. Self-loops of single-cell components do not count:
+    in the flow those are the critical cells."""
+    n_comp, _ = _strong_components(*_arrows(complex, matching))
+    return n_comp == len(complex)
+
+
+def cyclic_components(complex: CellComplex, matching: Matching) -> list[np.ndarray]:
+    """Cells of every multi-cell strongly connected component of the flow,
+    ascending, components in the order of their smallest cell."""
+    _, order, bounds = _sccs(*_arrows(complex, matching))
+    return [order[bounds[k] : bounds[k + 1]] for k in np.flatnonzero(np.diff(bounds) > 1)]
 
 
 @dataclass
@@ -125,6 +149,7 @@ class CycleReport:
     sccs: list[SccInfo]
     n_components: int
     critical_census: dict[int, int]  # dimension -> number of critical cells
+    scc_id: np.ndarray  # (N,) each cell's component
 
     def multi_cell(self) -> list[SccInfo]:
         return [s for s in self.sccs if s.size > 1]
@@ -133,36 +158,33 @@ class CycleReport:
         return [s for s in self.sccs if s.is_critical_singleton]
 
 
-def classify_recurrence(flow: FlowGraph) -> CycleReport:
+def classify_recurrence(complex: CellComplex, matching: Matching) -> CycleReport:
     """SCCs of the flow plus a per-dimension census of its critical cells.
 
-    Components are numbered by their smallest cell id. Only recurrent
-    components (more than one cell, or a critical self-loop) get an SccInfo
-    entry; `scc_id` on the flow graph is filled for every cell. Checks the
-    structural fact the construction guarantees: no multi-cell component
-    contains a critical cell.
+    Components are numbered by their smallest cell id, and `scc_id` gives
+    every cell's. Only recurrent components (more than one cell, or a
+    critical self-loop) get an SccInfo entry. Read off the gradient arrows
+    (`_arrows`): a critical cell has no out-arc there, so it is a singleton
+    and no cell's self-intersections change. The matching is taken as given;
+    `verify_matching` is the check.
     """
-    labels, order, bounds = _sccs(flow.succ_ptr, flow.succ_idx)
-    flow.scc_id = labels
+    ptr, idx = _arrows(complex, matching)
+    labels, order, bounds = _sccs(ptr, idx)
     sizes = np.diff(bounds)
-    held = labels[flow.critical]
-    multi = held[sizes[held] > 1]
-    if len(multi):
-        raise AssertionError(f"critical cell inside multi-cell component {multi.min()}")
     recurrent = sizes > 1
-    recurrent[held] = True
+    recurrent[labels[matching.critical]] = True
     # successors that stay inside their cell's component, per cell
-    source = np.repeat(np.arange(len(flow)), np.diff(flow.succ_ptr))
-    inner = source[labels[source] == labels[flow.succ_idx]]
-    crossing = np.bincount(inner, minlength=len(flow)) > 1
+    source = np.repeat(np.arange(len(complex)), np.diff(ptr))
+    inner = source[labels[source] == labels[idx]]
+    crossing = np.bincount(inner, minlength=len(complex)) > 1
 
     infos: list[SccInfo] = []
     for cid in np.flatnonzero(recurrent).tolist():
         cells = order[bounds[cid] : bounds[cid + 1]]
         if len(cells) == 1:
-            dims_present = (int(flow.dims[cells[0]]),)
+            dims_present = (int(complex.dims[cells[0]]),)
         else:
-            dims_present = tuple(np.unique(flow.dims[cells]).tolist())
+            dims_present = tuple(np.unique(complex.dims[cells]).tolist())
         infos.append(
             SccInfo(
                 id=cid,
@@ -176,5 +198,5 @@ def classify_recurrence(flow: FlowGraph) -> CycleReport:
                 is_critical_singleton=len(cells) == 1,
             )
         )
-    dims, counts = np.unique(flow.dims[flow.critical], return_counts=True)
-    return CycleReport(infos, len(sizes), dict(zip(dims.tolist(), counts.tolist())))
+    dims, counts = np.unique(complex.dims[matching.critical], return_counts=True)
+    return CycleReport(infos, len(sizes), dict(zip(dims.tolist(), counts.tolist())), labels)

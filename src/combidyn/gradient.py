@@ -1,13 +1,14 @@
 """Gradient structure of a matching.
 
 A matching is a discrete gradient field exactly when the flow it induces has
-no nontrivial recurrence, i.e. the arrows admit a compatible Lyapunov order.
-This module decides that property, finds the first alpha on the fixed grid
-`DEFAULT_ALPHA_GRID` where the optimum becomes gradient, and solves the
-matching program under explicit no-cycle side constraints via lazy cut
-generation: each round forbids every cyclic component of the flow at once,
-one row per component, and resumes one best-first branch-and-bound whose open
-nodes are kept across the rounds. Neither mode takes a tuning parameter; the
+no nontrivial recurrence, i.e. the arrows admit a compatible Lyapunov order;
+`dynamics.is_gradient` decides that property. This module finds the first
+alpha on the fixed grid `DEFAULT_ALPHA_GRID` where the optimum becomes
+gradient, and solves the matching program under explicit no-cycle side
+constraints via lazy cut generation: each round forbids every cyclic
+component of the flow (`dynamics.cyclic_components`) at once, one row per
+component, and resumes one best-first branch-and-bound whose open nodes are
+kept across the rounds. Neither mode takes a tuning parameter; the
 search's one budget is `solver.MAX_SEARCH_NODES`.
 """
 
@@ -23,7 +24,7 @@ from .complexes import CellComplex, pair_rows
 # build_cost_model is unused here but stays a module attribute: perfbench/spans.py
 # traces the layers through this module's globals
 from .costs import CostModel, build_cost_model  # noqa: F401
-from .dynamics import _gradient_arrows, _sccs, _successor_csr
+from .dynamics import cyclic_components, is_gradient
 from .solver import (
     Matching,
     MatchingProblem,
@@ -37,7 +38,6 @@ from .solver import (
 )
 
 __all__ = [
-    "is_gradient",
     "all_critical_threshold",
     "alpha_sweep",
     "solve_gradient_constrained",
@@ -46,29 +46,6 @@ __all__ = [
 
 # 2.00, 1.99, ..., 0.00; descending so the sweep stops at the loosest gradient alpha
 DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(round(0.01 * k, 2) for k in range(200, -1, -1))
-
-
-def is_gradient(complex: CellComplex, matching: Matching) -> bool:
-    """Decide acyclicity of the induced flow: True when no strongly connected
-    component has more than one cell. Self-loops of single-cell components
-    do not count: in the flow those are the critical cells."""
-    return not _cyclic_components(complex, matching)
-
-
-def _cyclic_components(complex: CellComplex, matching: Matching) -> list[np.ndarray]:
-    """Cells of every multi-cell strongly connected component of the flow,
-    ascending, components in the order of their smallest cell.
-
-    Read off the gradient arrows alone, without the arcs from a critical
-    cell into its closure. A path climbs only along a lower-to-partner
-    arrow, one dimension, onto a matched upper cell, and every arc out of
-    that cell leads down. So a path out of a critical cell c never climbs
-    above c's dimension, and at that dimension reaches only matched upper
-    cells, never c. Every critical cell is a singleton component, and
-    dropping its out-arcs leaves every multi-cell component as it was."""
-    arrows = _gradient_arrows(complex, matching)
-    _, order, bounds = _sccs(*_successor_csr(len(complex), *arrows))
-    return [order[bounds[k] : bounds[k + 1]] for k in np.flatnonzero(np.diff(bounds) > 1)]
 
 
 def all_critical_threshold(cost_model: CostModel) -> float:
@@ -146,8 +123,6 @@ def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Mat
             break
 
     t = all_critical_threshold(cost_model)
-    if not math.isfinite(t):
-        raise RuntimeError("sweep failed on a complex with no admissible pairs")
     every = Matching(pairs=(), critical=np.arange(len(complex)), objective=0.0)
     return t, replace(every, objective=evaluate_matching(replace(cost_model, alpha=t), every))
 
@@ -202,7 +177,7 @@ def solve_gradient_constrained(problem: MatchingProblem, complex: CellComplex) -
     frontier.seed(problem, matching)
     cuts: dict[frozenset[int], None] = {}  # the rows so far, in the order they were cut
     rounds = 0
-    while components := _cyclic_components(complex, matching):
+    while components := cyclic_components(complex, matching):
         for cells in components:
             inside = matching.pairs[np.isin(matching.pairs[:, 0], cells)]
             cut = frozenset(pair_rows(problem.pairs, problem.n_cells, inside).tolist())

@@ -431,6 +431,12 @@ class VerificationReport:
     def kinds(self) -> set[str]:
         return {v.kind for v in self.violations}
 
+    def raise_if_invalid(self) -> None:
+        """Raise a ValueError naming the first violation, if there is one."""
+        if self.violations:
+            first = self.violations[0]
+            raise ValueError(f"matching is not valid: {first.kind}: {first.detail}")
+
 
 def _cell_ids(values) -> np.ndarray:
     """Cell ids as int64; integral floats pass, any other value raises."""

@@ -24,7 +24,6 @@ from combidyn import (
     evaluate_matching,
     export_report,
     is_gradient,
-    multiflow,
     preset_field,
     repair,
     run_pipeline,
@@ -129,7 +128,7 @@ def test_criterion_05_gradient_recovery(grad_toy):
     m15 = solve_exact(problem_for(K, vectors, 0.15))
     assert is_gradient(K, m15) is False
     cycle_dims = {
-        s.dims_present for s in classify_recurrence(multiflow(K, m15)).multi_cell()
+        s.dims_present for s in classify_recurrence(K, m15).multi_cell()
     }
     assert (0, 1) in cycle_dims  # recurrent vertex-edge cycle
 

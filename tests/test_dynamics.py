@@ -13,7 +13,7 @@ from combidyn import (
 from combidyn.dynamics import _flow_successors
 
 from conftest import KINDS, complexes, problem_for, random_instance, successor_lists
-from oracles import closure_by_walk, flow_successors_by_closure
+from oracles import closure_by_walk, flow_successors_by_closure, sccs_by_reachability
 
 
 class TestMultiflow:
@@ -100,13 +100,37 @@ class TestFlowSuccessors:
 
 
 class TestRecurrence:
+    @pytest.mark.parametrize("kind, d", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_reachability_on_full_flow(self, kind, d, data):
+        # read off the gradient arrows, the report must be that of the full
+        # flow, closure arcs of the critical cells included
+        K = data.draw(complexes(kind, d))
+        m = data.draw(matchings(K))
+        succ = successor_lists(*_flow_successors(K, m))
+        comps = sccs_by_reachability(succ)  # ranked by smallest cell
+        report = classify_recurrence(K, m)
+        assert report.n_components == len(comps)
+        assert report.scc_id.tolist() == [
+            cid for _, cid in sorted((c, cid) for cid, comp in enumerate(comps) for c in comp)
+        ]
+        want = [
+            (cid, comp, tuple(c for c in comp if sum(s in comp for s in succ[c]) > 1), len(comp) == 1)
+            for cid, comp in enumerate(comps)
+            if len(comp) > 1 or comp[0] in succ[comp[0]]
+        ]
+        got = [(s.id, s.cells, s.self_intersections, s.is_critical_singleton) for s in report.sccs]
+        assert got == want
+        dims = K.dims[m.critical].tolist()
+        assert report.critical_census == {k: dims.count(k) for k in sorted(set(dims))}
+
     def test_toy_components(self, toy):
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.75))
-        flow = multiflow(K, m)
-        report = classify_recurrence(flow)
+        report = classify_recurrence(K, m)
         assert report.n_components == 2
-        assert flow.scc_id.tolist() == [0, 0, 0, 0, 0, 0, 1]
+        assert report.scc_id.tolist() == [0, 0, 0, 0, 0, 0, 1]
 
         orbit, crit = report.sccs
         assert orbit.cells == (0, 1, 2, 3, 4, 5)
@@ -126,8 +150,7 @@ class TestRecurrence:
     def test_all_critical(self, toy):
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.05))
-        flow = multiflow(K, m)
-        report = classify_recurrence(flow)
+        report = classify_recurrence(K, m)
         assert report.n_components == 7
         assert len(report.critical_singletons()) == 7
         assert report.multi_cell() == []
@@ -136,7 +159,7 @@ class TestRecurrence:
     def test_grad_toy_cycle_dims(self, grad_toy):
         _, K, vectors = grad_toy
         m = solve_exact(problem_for(K, vectors, 0.15))
-        report = classify_recurrence(multiflow(K, m))
+        report = classify_recurrence(K, m)
         cyclic = report.multi_cell()
         assert cyclic
         assert all(s.d == 0 and s.dims_present == (0, 1) for s in cyclic)
@@ -146,11 +169,10 @@ class TestRecurrence:
         for _ in range(10):
             K, vectors, alpha = random_instance(rng)
             m = solve_exact(problem_for(K, vectors, alpha))
-            flow = multiflow(K, m)
-            report = classify_recurrence(flow)
-            assert flow.scc_id is not None
+            report = classify_recurrence(K, m)
+            assert report.scc_id is not None
             mins = {}
-            for c, cid in enumerate(flow.scc_id.tolist()):
+            for c, cid in enumerate(report.scc_id.tolist()):
                 mins.setdefault(cid, c)
             assert list(mins) == sorted(mins, key=lambda cid: mins[cid])
             assert [mins[cid] for cid in sorted(mins)] == sorted(mins.values())
@@ -161,7 +183,7 @@ class TestRecurrence:
             K, vectors, alpha = random_instance(rng)
             m = solve_exact(problem_for(K, vectors, alpha))
             flow = multiflow(K, m)
-            report = classify_recurrence(flow)
+            report = classify_recurrence(K, m)
             succ = successor_lists(flow.succ_ptr, flow.succ_idx)
             singles = {s.cells[0] for s in report.critical_singletons()}
             assert singles == set(m.critical)

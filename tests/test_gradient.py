@@ -20,7 +20,6 @@ from combidyn import (
     cubical_grid,
     evaluate_matching,
     is_gradient,
-    multiflow,
     preset_field,
     simplicial_complex,
     solve_exact,
@@ -28,8 +27,7 @@ from combidyn import (
     verify_matching,
 )
 from combidyn.datagen import GridSpec
-from combidyn.dynamics import _flow_successors, _sccs
-from combidyn.gradient import _cyclic_components
+from combidyn.dynamics import _flow_successors, _sccs, cyclic_components
 
 from conftest import (
     KINDS,
@@ -45,7 +43,7 @@ from oracles import alpha_sweep_by_grid, gradient_optimum, sccs_by_reachability
 
 
 def cyclic_cells(K, m):
-    return [s.cells for s in classify_recurrence(multiflow(K, m)).multi_cell()]
+    return [s.cells for s in classify_recurrence(K, m).multi_cell()]
 
 
 class TestIsGradient:
@@ -119,6 +117,17 @@ class TestSweep:
         assert m.pairs.tolist() == []
         assert len(m.critical) == 7
         assert m.objective == pytest.approx(7 * alpha, abs=1e-9)
+
+    def test_no_pairs(self):
+        # three vertices, no edge: the empty matching is gradient at the first
+        # grid value, so the infinite threshold is never reached
+        K = simplicial_complex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0,), (1,), (2,)])
+        alpha, m = alpha_sweep(K, build_cost_model(K, np.ones((3, 2)), alpha=0.5))
+        assert alpha == 2.0
+        assert m.pairs.tolist() == []
+        assert m.critical.tolist() == [0, 1, 2]
+        assert m.objective == 6.0
+        assert alpha_sweep_by_grid(K, build_cost_model(K, np.ones((3, 2)), alpha=0.5))[0] == 2.0
 
     def test_gradient_tested_once_per_new_matching(self, toy, monkeypatch):
         _, K, vectors = toy
@@ -514,7 +523,7 @@ class TestGradientArrows:
         full = sccs_by_reachability(successor_lists(*_flow_successors(K, m)))
         multi = [c for c in full if len(c) > 1]
         assert is_gradient(K, m) is (not multi)
-        assert [tuple(c.tolist()) for c in _cyclic_components(K, m)] == multi
+        assert [tuple(c.tolist()) for c in cyclic_components(K, m)] == multi
 
 
 class TestTarjan:

@@ -17,6 +17,7 @@ from combidyn import (
     export_arrows,
     export_dot,
     export_report,
+    multiflow,
     preset_field,
     read_field_csv,
     read_landmarks_csv,
@@ -411,7 +412,7 @@ class TestExports:
         text = out.read_text()
         assert text.startswith("digraph flow {")
         assert text.count("doublecircle") == 1
-        assert text.count("->") == len(analysis.flow.succ_idx)
+        assert text.count("->") == len(multiflow(analysis.complex, analysis.matching).succ_idx)
         assert '6 [label="6:d2" shape=doublecircle];' in text
 
     def test_arrows(self, toy_csv, tmp_path):
@@ -626,13 +627,20 @@ class TestVerifyReport:
             ("constraints", "recurrence round-trip", lambda d: d["scc"][0].__setitem__("cells", [1])),
             ("off", "recurrence round-trip", lambda d: d["scc"][0].__setitem__("d", 1)),
             ("off", "recurrence round-trip", lambda d: d["scc"][0].__setitem__("self_intersections", 1)),
+            # equal under Python's ==, but of another JSON type
+            ("constraints", "gradient section", lambda d: d["gradient"].__setitem__("is_gradient", 1)),
+            ("constraints", "recurrence round-trip", lambda d: d["scc"][0].__setitem__("size", 1.0)),
+            ("constraints", "critical census", lambda d: d["critical"][0].__setitem__("dim", 0.0)),
+            ("constraints", "objective decomposition",
+             lambda d: d["objective"].__setitem__("matched", float(d["objective"]["matched"]))),
         ],
         ids=["m", "N", "matched", "critical", "cosine_sum", "section_added",
              "is_gradient", "mode", "section_dropped", "section_not_object",
              "sweep_rounds", "sweep_rounds_bool", "rounds_negative", "rounds_string",
              "rounds_fraction", "rounds_null", "rounds_bool", "rounds_float",
              "critical_dim", "critical_dim_constraints", "critical_vertices", "critical_barycenter",
-             "scc_cells", "scc_cells_constraints", "scc_d", "scc_self_intersections"],
+             "scc_cells", "scc_cells_constraints", "scc_d", "scc_self_intersections",
+             "is_gradient_int", "scc_size_float", "critical_dim_float", "matched_float"],
     )
     def test_tampered_derived_sections(self, toy_csv, tmp_path, mode, line, mutate):
         report = self.run_and_export(toy_csv, tmp_path, gradient_mode=mode)
@@ -643,6 +651,22 @@ class TestVerifyReport:
         assert [l for l in lines if l.endswith("FAIL")] == [
             l for l in lines if l.startswith(line)
         ]
+
+    @pytest.mark.parametrize("mode", ["off", "constraints"])
+    def test_key_order_is_free(self, toy_csv, tmp_path, mode):
+        # sections compare as JSON text with sorted keys, so a report whose
+        # entries list their keys in another order still passes
+        report = self.run_and_export(toy_csv, tmp_path, gradient_mode=mode)
+
+        def reorder(d):
+            for k in ("scc", "critical"):
+                d[k] = [dict(reversed(e.items())) for e in d[k]]
+            for k in ("objective", "problem"):
+                d[k] = dict(reversed(d[k].items()))
+
+        self.tamper(report, reorder)
+        ok, lines = verify_report(report, toy_csv)
+        assert ok, lines
 
     @pytest.mark.parametrize("mode, alpha", [("off", 1.5), ("constraints", 1.5), ("sweep", 0.145)])
     def test_repriced_alpha(self, toy_csv, tmp_path, mode, alpha):
