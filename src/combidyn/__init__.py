@@ -13,12 +13,11 @@ from .builders import (
     DowkerRelation,
     cubical_grid,
     delaunay_2d,
-    dowker_complex,
     dowker_complex_from_matrix,
     snap_to_lattice,
 )
 from .complexes import CellComplex, barycentric_subdivision, simplicial_complex
-from .costs import CostModel, build_cost_model, cosine_distance, critical_angle, displacement
+from .costs import CostModel, build_cost_model
 from .datagen import (
     FieldSample,
     GridSpec,
@@ -29,7 +28,7 @@ from .datagen import (
     preset_field,
     write_field_csv,
 )
-from .dynamics import CycleReport, FlowGraph, SccInfo, classify_recurrence, is_gradient, multiflow
+from .dynamics import CycleReport, SccInfo, classify_recurrence, is_gradient, multiflow
 from .gradient import DEFAULT_ALPHA_GRID, all_critical_threshold, alpha_sweep, solve_gradient_constrained
 from .pipeline import (
     Analysis,
@@ -50,11 +49,9 @@ from .solver import (
     SearchFrontier,
     VerificationReport,
     Violation,
-    assignment_objective,
     build_problem,
     evaluate_matching,
     objective_decomposition,
-    repair,
     solve_branch_and_bound,
     solve_exact,
     verify_matching,
@@ -71,7 +68,6 @@ __all__ = [
     "DEFAULT_ALPHA_GRID",
     "DowkerRelation",
     "FieldSample",
-    "FlowGraph",
     "GridSpec",
     "Matching",
     "MatchingProblem",
@@ -87,17 +83,12 @@ __all__ = [
     "alpha_sweep",
     "assign_dowker_average",
     "assign_vertex_average",
-    "assignment_objective",
     "barycentric_subdivision",
     "build_cost_model",
     "build_problem",
     "classify_recurrence",
-    "cosine_distance",
-    "critical_angle",
     "cubical_grid",
     "delaunay_2d",
-    "displacement",
-    "dowker_complex",
     "dowker_complex_from_matrix",
     "evaluate_matching",
     "export_arrows",
@@ -112,7 +103,6 @@ __all__ = [
     "read_field_csv",
     "read_landmarks_csv",
     "read_relation_csv",
-    "repair",
     "run_pipeline",
     "simplicial_complex",
     "snap_to_lattice",

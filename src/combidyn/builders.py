@@ -49,7 +49,6 @@ __all__ = [
     "cubical_grid",
     "snap_to_lattice",
     "DowkerRelation",
-    "dowker_complex",
     "dowker_complex_from_matrix",
 ]
 
@@ -379,7 +378,3 @@ def dowker_complex_from_matrix(
         mask = rel[list(complex.vertex_ids(c))].all(axis=0)
         witness_map[c] = tuple(np.nonzero(mask)[0].tolist())
     return complex, witness_map
-
-
-def dowker_complex(rel: DowkerRelation) -> tuple[CellComplex, dict[int, tuple[int, ...]]]:
-    return dowker_complex_from_matrix(rel.landmarks, rel.matrix())

@@ -93,7 +93,7 @@ def _cmd_run(args) -> int:
     multi = analysis.recurrence.multi_cell()
     print(
         f"recurrence: {len(multi)} multi-cell component(s), "
-        f"{len(analysis.recurrence.critical_singletons())} critical cell(s)"
+        f"{len(analysis.matching.critical)} critical cell(s)"
     )
     for info in multi:
         print(

@@ -10,7 +10,6 @@ pair of cells as long as alpha < 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,31 +17,7 @@ import numpy as np
 from .complexes import CellComplex, pair_rows
 from .vectors import ZERO_TOL
 
-__all__ = [
-    "cosine_distance",
-    "displacement",
-    "CostModel",
-    "build_cost_model",
-    "critical_angle",
-]
-
-
-def cosine_distance(u, v) -> float:
-    """1 - cos(angle between u and v), clamped into [0, 2]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine distance undefined for zero vectors")
-    d = 1.0 - float(np.dot(u, v)) / (nu * nv)
-    return min(2.0, max(0.0, d))
-
-
-def displacement(complex: CellComplex, pair: tuple[int, int]) -> np.ndarray:
-    """Barycenter of the upper cell minus barycenter of the lower cell."""
-    lo, up = pair
-    return complex.barycenters[up] - complex.barycenters[lo]
+__all__ = ["CostModel", "build_cost_model"]
 
 
 @dataclass
@@ -55,12 +30,6 @@ class CostModel:
     pair_costs: np.ndarray  # (m,)
     n_cells: int
 
-    @property
-    def penalty(self) -> float:
-        # Cost of a structurally forbidden pair in the full square formulation;
-        # always exceeds two diagonals, so dropping such a pair pays.
-        return max(2.0 * self.alpha + 1.0, 3.0)
-
     def costs_of(self, pairs) -> np.ndarray:
         """Cost of each (lower, upper) in a sequence of pairs, in its order."""
         rows = pair_rows(self.pairs, self.n_cells, pairs)
@@ -68,9 +37,6 @@ class CostModel:
             bad = np.asarray(pairs).reshape(-1, 2)[np.flatnonzero(rows < 0)[0]]
             raise KeyError(f"not an admissible pair: {tuple(bad.tolist())}")
         return self.pair_costs[rows]
-
-    def pair_cost(self, lower: int, upper: int) -> float:
-        return float(self.costs_of([(lower, upper)])[0])
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,9 +48,10 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def build_cost_model(complex: CellComplex, vectors: np.ndarray, alpha: float) -> CostModel:
     """Cost of every admissible pair, plus the shared diagonal cost alpha.
 
-    `vectors` is (N, d), one row per cell. Each pair costs exactly
-    `cosine_distance(vectors[lo], displacement(...))`, or 2.0 when the lower
-    cell's vector is shorter than ZERO_TOL.
+    `vectors` is (N, d), one row per cell. With u = vectors[lo] and w the
+    displacement barycenters[up] - barycenters[lo], a pair costs
+    min(2, max(0, 1 - u.w / (|u| |w|))), or 2.0 when |u| < ZERO_TOL; a zero
+    displacement under a live vector raises a ValueError.
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
@@ -102,11 +69,3 @@ def build_cost_model(complex: CellComplex, vectors: np.ndarray, alpha: float) ->
     costs = np.full(len(lo), 2.0)
     costs[live] = np.minimum(2.0, np.maximum(0.0, 1.0 - _dots(u, w)[live] / (nu[live] * nw[live])))
     return CostModel(alpha=float(alpha), pairs=complex.pairs, pair_costs=costs, n_cells=len(complex))
-
-
-def critical_angle(alpha: float) -> float:
-    """Angle in radians above which matching a pair is dearer than keeping
-    both cells critical."""
-    if not 0.0 <= alpha <= 2.0:
-        raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
-    return math.acos(1.0 - alpha)

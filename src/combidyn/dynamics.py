@@ -21,7 +21,6 @@ from .complexes import CellComplex
 from .solver import Matching, verify_matching
 
 __all__ = [
-    "FlowGraph",
     "SccInfo",
     "CycleReport",
     "multiflow",
@@ -29,20 +28,6 @@ __all__ = [
     "cyclic_components",
     "classify_recurrence",
 ]
-
-
-@dataclass
-class FlowGraph:
-    """CSR flow: cell c flows to `succ_idx[succ_ptr[c]:succ_ptr[c + 1]]`.
-    `critical` is the matching's critical cells, ascending."""
-
-    succ_ptr: np.ndarray
-    succ_idx: np.ndarray
-    dims: np.ndarray
-    critical: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.dims)
 
 
 def _successor_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,10 +68,11 @@ def _flow_successors(complex: CellComplex, matching: Matching) -> tuple[np.ndarr
     return _successor_csr(len(complex), rows, np.concatenate([idx, closed_face]))
 
 
-def multiflow(complex: CellComplex, matching: Matching) -> FlowGraph:
+def multiflow(complex: CellComplex, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """The flow of a checked matching as CSR successors (ptr, idx): cell c
+    flows to idx[ptr[c]:ptr[c + 1]]. An invalid matching raises a ValueError."""
     verify_matching(complex, matching).raise_if_invalid()
-    ptr, idx = _flow_successors(complex, matching)
-    return FlowGraph(succ_ptr=ptr, succ_idx=idx, dims=complex.dims, critical=matching.critical)
+    return _flow_successors(complex, matching)
 
 
 def _strong_components(ptr: np.ndarray, idx: np.ndarray) -> tuple[int, np.ndarray]:
@@ -141,25 +127,20 @@ class SccInfo:
     d: int | None  # alternation degree: cells live in dims d and d+1
     dims_present: tuple[int, ...]
     self_intersections: tuple[int, ...]  # cells with >1 successor inside the component
-    is_critical_singleton: bool
 
 
 @dataclass
 class CycleReport:
-    sccs: list[SccInfo]
+    sccs: list[SccInfo]  # a single-cell entry is a critical cell
     n_components: int
-    critical_census: dict[int, int]  # dimension -> number of critical cells
     scc_id: np.ndarray  # (N,) each cell's component
 
     def multi_cell(self) -> list[SccInfo]:
         return [s for s in self.sccs if s.size > 1]
 
-    def critical_singletons(self) -> list[SccInfo]:
-        return [s for s in self.sccs if s.is_critical_singleton]
-
 
 def classify_recurrence(complex: CellComplex, matching: Matching) -> CycleReport:
-    """SCCs of the flow plus a per-dimension census of its critical cells.
+    """Recurrent strongly connected components of the flow.
 
     Components are numbered by their smallest cell id, and `scc_id` gives
     every cell's. Only recurrent components (more than one cell, or a
@@ -194,9 +175,6 @@ def classify_recurrence(complex: CellComplex, matching: Matching) -> CycleReport
                 d=dims_present[0] if dims_present[-1] - dims_present[0] <= 1 else None,
                 dims_present=dims_present,
                 self_intersections=tuple(cells[crossing[cells]].tolist()),
-                # a recurrent singleton holds a critical cell
-                is_critical_singleton=len(cells) == 1,
             )
         )
-    dims, counts = np.unique(complex.dims[matching.critical], return_counts=True)
-    return CycleReport(infos, len(sizes), dict(zip(dims.tolist(), counts.tolist())), labels)
+    return CycleReport(infos, len(sizes), labels)

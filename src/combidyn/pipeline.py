@@ -277,10 +277,6 @@ class Analysis:
         self.recurrence = classify_recurrence(self.complex, self.matching)
         self.document = build_report_document(self)
 
-    @property
-    def alpha_effective(self) -> float:
-        return self.cost_model.alpha
-
 
 def _build_complex(config: PipelineConfig, sample: FieldSample):
     if config.complex_kind == "delaunay2d":
@@ -457,15 +453,16 @@ def _number_items(value) -> str | None:
 def export_dot(analysis: Analysis, path) -> None:
     """Flow graph in DOT form: one node per cell, one edge per flow arrow.
     Critical cells are drawn doubled."""
-    flow = multiflow(analysis.complex, analysis.matching)
-    critical = np.zeros(len(flow), dtype=bool)
-    critical[flow.critical] = True
+    complex = analysis.complex
+    ptr, idx = multiflow(complex, analysis.matching)
+    critical = np.zeros(len(complex), dtype=bool)
+    critical[analysis.matching.critical] = True
     lines = ["digraph flow {"]
-    for c, (dim, crit) in enumerate(zip(flow.dims.tolist(), critical.tolist())):
+    for c, (dim, crit) in enumerate(zip(complex.dims.tolist(), critical.tolist())):
         shape = "doublecircle" if crit else "circle"
         lines.append(f'  {c} [label="{c}:d{dim}" shape={shape}];')
-    source = np.repeat(np.arange(len(flow)), np.diff(flow.succ_ptr))
-    lines.extend(f"  {c} -> {t};" for c, t in zip(source.tolist(), flow.succ_idx.tolist()))
+    source = np.repeat(np.arange(len(complex)), np.diff(ptr))
+    lines.extend(f"  {c} -> {t};" for c, t in zip(source.tolist(), idx.tolist()))
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -502,7 +499,8 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     in constraint mode any JSON int >= 0 is taken as given; in sweep mode it
     must be 0. Any other value fails the gradient line. Otherwise a report
     that is not JSON, lacks a key, or holds a value of the wrong JSON type
-    where one is read raises ValueError naming the report and the key."""
+    where one is read (an int outside int64 among them) raises ValueError
+    naming the report and the key."""
     try:
         doc = json.loads(Path(report_path).read_bytes())
     except ValueError as exc:  # not JSON, or not UTF-8
@@ -521,6 +519,9 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
         fits = type(value) is kind or (kind is float and type(value) is int)
         if kind is not None and not fits and not (nullable and value is None):
             raise ValueError(f"{report_path}: report has no {kind.__name__} {path(at)}{key}")
+        # cell ids and counts go into int64 arrays
+        if kind is int and fits and not -(2**63) <= value < 2**63:
+            raise ValueError(f"{report_path}: report has no int64 {path(at)}{key}")
         return value
 
     echo = need(doc, "config_echo", kind=dict)

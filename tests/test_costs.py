@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from combidyn import (
-    CostModel,
     assign_vertex_average,
     barycentric_subdivision,
     build_cost_model,
-    cosine_distance,
-    critical_angle,
     cubical_grid,
     delaunay_2d,
-    displacement,
     simplicial_complex,
 )
 from combidyn.vectors import ZERO_TOL
+from oracles import cosine_distance, displacement, penalty
 
 nonzero_vec = st.tuples(
     st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False)
@@ -71,9 +68,9 @@ class TestCostModel:
     def test_toy_spot_values(self, toy):
         _, K, vectors = toy
         model = build_cost_model(K, vectors, alpha=0.75)
-        assert model.pair_cost(0, 3) == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-12)
-        assert model.pair_cost(1, 3) == pytest.approx(1 + 1 / math.sqrt(2), abs=1e-12)
-        assert model.pair_cost(0, 4) == pytest.approx(1.0, abs=1e-12)
+        assert model.costs_of([(0, 3)])[0] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-12)
+        assert model.costs_of([(1, 3)])[0] == pytest.approx(1 + 1 / math.sqrt(2), abs=1e-12)
+        assert model.costs_of([(0, 4)])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector_cell_costs_two(self, toy):
         _, K, _ = toy
@@ -84,13 +81,12 @@ class TestCostModel:
         ups = K.pairs[K.pairs[:, 0] == v0, 1].tolist()
         assert len(ups) == 2
         for up in ups:
-            assert model.pair_cost(v0, up) == 2.0
+            assert model.costs_of([(v0, up)])[0] == 2.0
 
     def test_penalty(self):
-        none = dict(pairs=np.empty((0, 2), dtype=np.intp), pair_costs=np.empty(0), n_cells=0)
-        assert CostModel(alpha=0.5, **none).penalty == 3.0
-        assert CostModel(alpha=1.0, **none).penalty == 3.0
-        assert CostModel(alpha=1.5, **none).penalty == 4.0
+        assert penalty(0.5) == 3.0
+        assert penalty(1.0) == 3.0
+        assert penalty(1.5) == 4.0
 
     def test_alpha_validation(self, toy):
         _, K, vectors = toy
@@ -130,20 +126,9 @@ class TestCostModel:
                 expected = 2.0
             else:
                 expected = cosine_distance(v, displacement(K, (lo, up)))
-            assert model.pair_cost(lo, up) == expected
+            assert model.costs_of([(lo, up)])[0] == expected
 
     def test_zero_displacement_rejected(self):
         K = simplicial_complex(np.zeros((2, 2)), [(0, 1)])
         with pytest.raises(ValueError, match="zero vectors"):
             build_cost_model(K, np.ones((len(K), 2)), alpha=0.5)
-
-
-class TestCriticalAngle:
-    def test_reference_points(self):
-        assert critical_angle(0.0) == pytest.approx(0.0)
-        assert critical_angle(1.0) == pytest.approx(math.pi / 2)
-        assert critical_angle(2.0) == pytest.approx(math.pi)
-
-    @given(st.floats(0, 2, allow_nan=False))
-    def test_monotone(self, alpha):
-        assert 0.0 <= critical_angle(alpha) <= math.pi

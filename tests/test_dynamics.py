@@ -7,7 +7,9 @@ from combidyn import (
     build_cost_model,
     build_problem,
     classify_recurrence,
+    cubical_grid,
     multiflow,
+    simplicial_complex,
     solve_exact,
 )
 from combidyn.dynamics import _flow_successors
@@ -20,8 +22,7 @@ class TestMultiflow:
     def test_toy_successors(self, toy):
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.75))
-        flow = multiflow(K, m)
-        assert successor_lists(flow.succ_ptr, flow.succ_idx) == [
+        assert successor_lists(*multiflow(K, m)) == [
             (3,),
             (5,),
             (4,),
@@ -30,14 +31,13 @@ class TestMultiflow:
             (2,),
             (0, 1, 2, 3, 4, 5, 6),
         ]
-        assert flow.dims.tolist() == [0, 0, 0, 1, 1, 1, 2]
-        assert flow.critical.tolist() == [6]
+        assert K.dims.tolist() == [0, 0, 0, 1, 1, 1, 2]
+        assert m.critical.tolist() == [6]
 
     def test_critical_maps_to_closure_with_self_loop(self, toy):
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.05))
-        flow = multiflow(K, m)
-        succ = successor_lists(flow.succ_ptr, flow.succ_idx)
+        succ = successor_lists(*multiflow(K, m))
         for c in range(len(K)):
             assert c in succ[c]
             assert succ[c] == tuple(sorted(K.closure(c)))
@@ -99,31 +99,76 @@ class TestFlowSuccessors:
         assert list(zip(cell.tolist(), face.tolist())) == want
 
 
+def assert_matches_reachability(K, m):
+    """Read off the gradient arrows, the report must be that of the full
+    flow, closure arcs of the critical cells included."""
+    succ = successor_lists(*_flow_successors(K, m))
+    comps = sccs_by_reachability(succ)  # ranked by smallest cell
+    report = classify_recurrence(K, m)
+    assert report.n_components == len(comps)
+    assert report.scc_id.tolist() == [
+        cid for _, cid in sorted((c, cid) for cid, comp in enumerate(comps) for c in comp)
+    ]
+    want = [
+        (cid, comp, tuple(c for c in comp if sum(s in comp for s in succ[c]) > 1), len(comp) == 1)
+        for cid, comp in enumerate(comps)
+        if len(comp) > 1 or comp[0] in succ[comp[0]]
+    ]
+    got = [(s.id, s.cells, s.self_intersections, s.size == 1) for s in report.sccs]
+    assert got == want
+
+
+# A 2-d complex whose edges each lie in at most two 2-cells (a Delaunay
+# triangulation, a cubical lattice in the plane) has no self-intersection: in
+# a component of vertices and edges every cell has one successor, in one of
+# edges and 2-cells every cell has one predecessor, so either is a simple
+# cycle. These two complexes have an edge in three 2-cells, and a matching,
+# as (lower, upper) vertex ids with every other cell critical, whose
+# component holds a cell with exactly two successors inside it.
+CROSSINGS = {
+    "simplex": (
+        simplicial_complex(
+            np.random.default_rng(5).normal(size=(5, 2)),
+            [(1, 2, 4), (0, 2, 4), (1, 3, 4), (2, 3, 4), (0, 2, 3)],
+        ),
+        [((0, 2), (0, 2, 4)), ((1, 4), (1, 2, 4)), ((2, 3), (0, 2, 3)), ((2, 4), (2, 3, 4)), ((3, 4), (1, 3, 4))],
+        (2, 3, 4),
+    ),
+    # squares in R^3 with no cube: a 2-d cubical complex
+    "cube": (
+        cubical_grid(
+            np.array(
+                [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 0, 1],
+                 [1, 1, 0], [1, 1, 1], [2, 0, 0], [2, 0, 1], [2, 1, 1]],
+                dtype=float,
+            ),
+            1.0,
+        ),
+        [((0, 3), (0, 1, 3, 4)), ((3, 4), (3, 4, 5, 6)), ((3, 5), (0, 2, 3, 5)), ((4, 6), (4, 6, 8, 9)), ((4, 8), (3, 4, 7, 8))],
+        (3, 4, 5, 6),
+    ),
+}
+
+
 class TestRecurrence:
     @pytest.mark.parametrize("kind, d", KINDS)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_reachability_on_full_flow(self, kind, d, data):
-        # read off the gradient arrows, the report must be that of the full
-        # flow, closure arcs of the critical cells included
         K = data.draw(complexes(kind, d))
-        m = data.draw(matchings(K))
+        assert_matches_reachability(K, data.draw(matchings(K)))
+
+    @pytest.mark.parametrize("kind", sorted(CROSSINGS))
+    def test_matches_reachability_on_2d_crossing(self, kind):
+        K, vertex_pairs, crossing = CROSSINGS[kind]
+        assert K.dims.max() == 2
+        pairs = [(K.cell_id(lo), K.cell_id(up)) for lo, up in vertex_pairs]
+        m = Matching(pairs, sorted(set(range(len(K))) - {c for p in pairs for c in p}), 0.0)
+        (cyclic,) = classify_recurrence(K, m).multi_cell()
+        assert cyclic.self_intersections == (K.cell_id(crossing),)
         succ = successor_lists(*_flow_successors(K, m))
-        comps = sccs_by_reachability(succ)  # ranked by smallest cell
-        report = classify_recurrence(K, m)
-        assert report.n_components == len(comps)
-        assert report.scc_id.tolist() == [
-            cid for _, cid in sorted((c, cid) for cid, comp in enumerate(comps) for c in comp)
-        ]
-        want = [
-            (cid, comp, tuple(c for c in comp if sum(s in comp for s in succ[c]) > 1), len(comp) == 1)
-            for cid, comp in enumerate(comps)
-            if len(comp) > 1 or comp[0] in succ[comp[0]]
-        ]
-        got = [(s.id, s.cells, s.self_intersections, s.is_critical_singleton) for s in report.sccs]
-        assert got == want
-        dims = K.dims[m.critical].tolist()
-        assert report.critical_census == {k: dims.count(k) for k in sorted(set(dims))}
+        assert sum(c in cyclic.cells for c in succ[K.cell_id(crossing)]) == 2
+        assert_matches_reachability(K, m)
 
     def test_toy_components(self, toy):
         _, K, vectors = toy
@@ -138,23 +183,21 @@ class TestRecurrence:
         assert orbit.d == 0
         assert orbit.dims_present == (0, 1)
         assert orbit.self_intersections == ()
-        assert not orbit.is_critical_singleton
+        assert orbit.size != 1
 
         assert crit.cells == (6,)
-        assert crit.is_critical_singleton
+        assert crit.size == 1
         assert crit.d == 2
-        assert report.critical_census == {2: 1}
         assert report.multi_cell() == [orbit]
-        assert report.critical_singletons() == [crit]
+        assert [s for s in report.sccs if s.size == 1] == [crit]
 
     def test_all_critical(self, toy):
         _, K, vectors = toy
         m = solve_exact(problem_for(K, vectors, 0.05))
         report = classify_recurrence(K, m)
         assert report.n_components == 7
-        assert len(report.critical_singletons()) == 7
+        assert len([s for s in report.sccs if s.size == 1]) == 7
         assert report.multi_cell() == []
-        assert report.critical_census == {0: 3, 1: 3, 2: 1}
 
     def test_grad_toy_cycle_dims(self, grad_toy):
         _, K, vectors = grad_toy
@@ -182,10 +225,9 @@ class TestRecurrence:
         for _ in range(15):
             K, vectors, alpha = random_instance(rng)
             m = solve_exact(problem_for(K, vectors, alpha))
-            flow = multiflow(K, m)
             report = classify_recurrence(K, m)
-            succ = successor_lists(flow.succ_ptr, flow.succ_idx)
-            singles = {s.cells[0] for s in report.critical_singletons()}
+            succ = successor_lists(*multiflow(K, m))
+            singles = {s.cells[0] for s in report.sccs if s.size == 1}
             assert singles == set(m.critical)
             for info in report.multi_cell():
                 assert not set(info.cells) & set(m.critical)

@@ -1,16 +1,53 @@
-"""No mode of the pipeline loads `scipy.optimize`, constraint mode included:
+"""The package's public surface, and what importing it loads.
+
+No mode of the pipeline loads `scipy.optimize`, constraint mode included:
 constraint mode searches on the same sparse assignment solver as the other
 modes, and `scipy.optimize` would add about a third of the package's import
 time. A top-level import of it anywhere in the package would fail here. The
 check starts a fresh interpreter, since the test process itself has the
 module loaded (the tests' HiGHS oracle imports it)."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import combidyn
+
+# every name `from combidyn import *` gives; a new public name shows up here
+PUBLIC = [
+    "Analysis", "CellComplex", "CostModel", "CycleReport", "DEFAULT_ALPHA_GRID",
+    "DowkerRelation", "FieldSample", "GridSpec", "MODELS", "Matching", "MatchingProblem",
+    "PRESETS", "ParseError", "PipelineConfig", "SccInfo", "SearchFrontier",
+    "VerificationReport", "Violation", "all_critical_threshold", "alpha_sweep",
+    "assign_dowker_average", "assign_vertex_average", "barycentric_subdivision",
+    "build_cost_model", "build_problem", "classify_recurrence", "cubical_grid",
+    "delaunay_2d", "dowker_complex_from_matrix", "evaluate_matching", "export_arrows",
+    "export_dot", "export_report", "gen_grid_field", "gen_lorenz_trajectory",
+    "is_gradient", "multiflow", "objective_decomposition", "preset_field",
+    "read_field_csv", "read_landmarks_csv", "read_relation_csv", "run_pipeline",
+    "simplicial_complex", "snap_to_lattice", "solve_branch_and_bound", "solve_exact",
+    "solve_gradient_constrained", "verify_matching", "verify_report", "write_field_csv",
+]
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC) == 51
+    assert sorted(combidyn.__all__) == PUBLIC
+    for name in PUBLIC:
+        getattr(combidyn, name)
+
+
+def test_submodule_names_resolve():
+    modules = [importlib.import_module(f"combidyn.{m.name}") for m in pkgutil.iter_modules(combidyn.__path__)]
+    assert len(modules) == 10
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -34,7 +71,7 @@ done = run_pipeline(PipelineConfig(alpha=0.75, gradient_mode="constraints"), pat
 seen["constraints"] = loaded()
 print(json.dumps({
     "loaded": seen,
-    "sweep": [sweep.alpha_effective, sweep.matching.pairs.tolist()],
+    "sweep": [sweep.cost_model.alpha, sweep.matching.pairs.tolist()],
     "constraints": [
         done.matching.pairs.tolist(),
         done.matching.critical.tolist(),

@@ -311,7 +311,7 @@ class TestRunPipeline:
         assert analysis.complex.counts_by_dim() == {0: 3, 1: 3, 2: 1}
         assert analysis.matching.pairs.tolist() == [[0, 3], [1, 5], [2, 4]]
         assert analysis.matching.critical.tolist() == [6]
-        assert analysis.alpha_effective == 0.75
+        assert analysis.cost_model.alpha == 0.75
         assert analysis.constraint_rounds == 0
 
         doc = analysis.document
@@ -338,7 +338,7 @@ class TestRunPipeline:
 
     def test_sweep_mode(self, grad_toy_csv):
         analysis = run_pipeline(PipelineConfig(gradient_mode="sweep"), grad_toy_csv)
-        assert analysis.alpha_effective == 0.14
+        assert analysis.cost_model.alpha == 0.14
         assert analysis.matching.pairs.tolist() == [[0, 3]]
         g = analysis.document["gradient"]
         assert g == {"mode": "sweep", "is_gradient": True, "constraint_rounds": 0}
@@ -412,7 +412,8 @@ class TestExports:
         text = out.read_text()
         assert text.startswith("digraph flow {")
         assert text.count("doublecircle") == 1
-        assert text.count("->") == len(multiflow(analysis.complex, analysis.matching).succ_idx)
+        _, idx = multiflow(analysis.complex, analysis.matching)
+        assert text.count("->") == len(idx)
         assert '6 [label="6:d2" shape=doublecircle];' in text
 
     def test_arrows(self, toy_csv, tmp_path):
@@ -509,6 +510,8 @@ MALFORMED_VALUES = [
     ("int matching[0].lower", lambda d: d["matching"][0].__setitem__("lower", "a")),
     ("int matching[2].upper", lambda d: d["matching"][2].__setitem__("upper", True)),
     ("int critical[0].id", lambda d: d["critical"][0].__setitem__("id", "a")),
+    ("int64 matching[0].lower", lambda d: d["matching"][0].__setitem__("lower", 10**30)),
+    ("int64 critical[0].id", lambda d: d["critical"][0].__setitem__("id", -(10**30))),
 ]
 
 
@@ -558,6 +561,24 @@ class TestVerifyReport:
         ok, lines = verify_report(report, toy_csv)
         assert not ok
         assert lines[-1] == "matching axioms (4 pairs, 1 critical): FAIL (two_in, two_out)"
+
+    @pytest.mark.parametrize(
+        "key, value, kinds",
+        [
+            ("lower", -5, "non_admissible, uncovered, unknown_cell"),
+            ("upper", 10**6, "non_admissible, uncovered, unknown_cell"),
+            ("id", 10**6, "uncovered, unknown_cell"),
+        ],
+        ids=["lower-minus-5", "upper-1e6", "id-1e6"],
+    )
+    def test_unknown_cell_id_fails_axioms(self, toy_csv, tmp_path, key, value, kinds):
+        # an id that fits int64 but names no cell is a failed check, not a malformed report
+        report = self.run_and_export(toy_csv, tmp_path)
+        section = "critical" if key == "id" else "matching"
+        self.tamper(report, lambda d: d[section][0].__setitem__(key, value))
+        ok, lines = verify_report(report, toy_csv)
+        assert not ok
+        assert lines[-1] == f"matching axioms (3 pairs, 1 critical): FAIL ({kinds})"
 
     @pytest.mark.parametrize("key, mutate", MISSING_KEYS, ids=[k for k, _ in MISSING_KEYS])
     def test_missing_key_names_report_and_key(self, toy_csv, tmp_path, key, mutate):
@@ -689,8 +710,8 @@ class TestVerifyReport:
         monkeypatch.setattr(combidyn.gradient, "DEFAULT_ALPHA_GRID", (2.0,))
         analysis = run_pipeline(PipelineConfig(gradient_mode="sweep"), toy_csv)
         monkeypatch.undo()
-        assert analysis.alpha_effective == all_critical_threshold(analysis.cost_model)
-        assert analysis.alpha_effective not in combidyn.gradient.DEFAULT_ALPHA_GRID
+        assert analysis.cost_model.alpha == all_critical_threshold(analysis.cost_model)
+        assert analysis.cost_model.alpha not in combidyn.gradient.DEFAULT_ALPHA_GRID
         report = tmp_path / "report.json"
         export_report(analysis, report)
         ok, lines = verify_report(report, toy_csv)

@@ -22,13 +22,13 @@ from combidyn import (
     cubical_grid,
     evaluate_matching,
     objective_decomposition,
-    repair,
     simplicial_complex,
     solve_branch_and_bound,
     solve_exact,
     verify_matching,
 )
 
+from combidyn.complexes import pair_rows
 from combidyn.datagen import MODELS, GridSpec
 from conftest import (
     problem_for,
@@ -39,10 +39,13 @@ from conftest import (
 )
 from oracles import (
     assignment_matrix_by_coo,
+    assignment_objective,
     brute_force_optimum,
     dense_assignment_selection,
     matching_violations_by_loop,
     milp_optimum,
+    penalty,
+    repair,
     sparse_selection_by_coo,
 )
 
@@ -102,12 +105,9 @@ class TestProblem:
         assert all(lo < up for lo, up in pairs)
         assert p.costs.shape == (16,)
         for k in range(7):
-            assert p.diagonal_var(k) == 9 + k
-            assert p.costs[p.diagonal_var(k)] == TOY_ALPHA
-        for i, (lo, up) in enumerate(pairs):
-            assert p.pair_var(lo, up) == i
-        with pytest.raises(KeyError):
-            p.pair_var(3, 0)
+            assert p.n_pairs + k == 9 + k
+            assert p.costs[p.n_pairs + k] == TOY_ALPHA
+        assert pair_rows(p.pairs, p.n_cells, pairs).tolist() == list(range(len(pairs)))
 
     def test_cell_incidence(self, toy):
         _, K, vectors = toy
@@ -204,8 +204,8 @@ def same_matching(a, b):
 
 def selection(problem, matching):
     """The matching's selected variable indices, sorted."""
-    pairs = [problem.pair_var(lo, up) for lo, up in matching.pairs.tolist()]
-    return sorted(pairs + [problem.diagonal_var(c) for c in matching.critical.tolist()])
+    pairs = pair_rows(problem.pairs, problem.n_cells, matching.pairs).tolist()
+    return sorted(pairs + [problem.n_pairs + c for c in matching.critical.tolist()])
 
 
 class TestSparseAssignment:
@@ -294,10 +294,10 @@ def assert_same_solve(p):
     COO construction picks, with the same objective."""
     m = solve_exact(p)
     expected = sparse_selection_by_coo(p)
-    # pairs may come in any row order here, so no pair_var lookup
+    # pairs may come in any row order here, so no pair_rows lookup
     var = {pq: k for k, pq in enumerate(map(tuple, p.pairs.tolist()))}
     chosen = [var[pq] for pq in map(tuple, m.pairs.tolist())]
-    assert sorted(chosen + [p.diagonal_var(c) for c in m.critical.tolist()]) == expected
+    assert sorted(chosen + [p.n_pairs + c for c in m.critical.tolist()]) == expected
     assert m.objective == math.fsum(p.costs[v] for v in expected)
 
 
@@ -435,11 +435,9 @@ class TestConstraints:
         _, K, vectors = toy
         p = problem_for(K, vectors, TOY_ALPHA)
         base = solve_branch_and_bound(p)
-        banned = frozenset(
-            p.pair_var(lo, up) for lo, up in base.pairs.tolist()
-        )
+        banned = frozenset(pair_rows(p.pairs, p.n_cells, base.pairs).tolist())
         m = solve_branch_and_bound(p, constraints=(banned,))
-        chosen = {p.pair_var(lo, up) for lo, up in m.pairs.tolist()}
+        chosen = set(pair_rows(p.pairs, p.n_cells, m.pairs).tolist())
         assert len(chosen & banned) < len(banned)
         assert m.pairs.tolist() == [[1, 5], [2, 4], [3, 6]]
         assert m.critical.tolist() == [0]
@@ -460,7 +458,7 @@ class TestConstraints:
             m = solve_branch_and_bound(p, constraints=cuts)
             assert m.objective == brute_force_optimum(p, cuts)
             assert verify_matching(K, m).ok
-            chosen = {p.pair_var(lo, up) for lo, up in m.pairs.tolist()}
+            chosen = set(pair_rows(p.pairs, p.n_cells, m.pairs).tolist())
             assert all(not cut <= chosen for cut in cuts)
 
     @pytest.mark.parametrize("extent", [3, 4])
@@ -566,64 +564,64 @@ class TestBlockUnion:
 class TestVerify:
     def test_valid(self, toy):
         _, K, _ = toy
-        report = verify_matching(K, [(0, 3), (1, 5), (2, 4)], critical={6})
+        report = verify_matching(K, Matching([(0, 3), (1, 5), (2, 4)], [6], 0.0))
         assert report.ok
         assert report.kinds() == set()
 
     def test_non_admissible(self, toy):
         _, K, _ = toy
-        report = verify_matching(K, [(0, 6), (1, 5), (2, 4)], critical={3})
+        report = verify_matching(K, Matching([(0, 6), (1, 5), (2, 4)], [3], 0.0))
         assert "non_admissible" in report.kinds()
 
     def test_two_out(self, toy):
         _, K, _ = toy
-        report = verify_matching(K, [(0, 3), (0, 4), (1, 5)], critical={2, 6})
+        report = verify_matching(K, Matching([(0, 3), (0, 4), (1, 5)], [2, 6], 0.0))
         assert "two_out" in report.kinds()
 
     def test_two_in(self, toy):
         _, K, _ = toy
-        report = verify_matching(K, [(0, 3), (1, 3), (2, 4)], critical={5, 6})
+        report = verify_matching(K, Matching([(0, 3), (1, 3), (2, 4)], [5, 6], 0.0))
         assert "two_in" in report.kinds()
 
     def test_in_and_out(self, toy):
         _, K, _ = toy
-        report = verify_matching(K, [(0, 3), (3, 6), (2, 4)], critical={1, 5})
+        report = verify_matching(K, Matching([(0, 3), (3, 6), (2, 4)], [1, 5], 0.0))
         assert "in_and_out" in report.kinds()
 
     def test_critical_in_pair(self, toy):
         _, K, _ = toy
-        report = verify_matching(K, [(0, 3), (1, 5), (2, 4)], critical={3, 6})
+        report = verify_matching(K, Matching([(0, 3), (1, 5), (2, 4)], [3, 6], 0.0))
         assert "critical_in_pair" in report.kinds()
 
     def test_uncovered(self, toy):
         _, K, _ = toy
-        report = verify_matching(K, [(0, 3), (1, 5), (2, 4)], critical=set())
+        report = verify_matching(K, Matching([(0, 3), (1, 5), (2, 4)], [], 0.0))
         assert report.kinds() == {"uncovered"}
         assert report.violations[0].cells == (6,)
 
     def test_unknown_cell(self, toy):
         _, K, _ = toy
-        report = verify_matching(K, [(0, 3), (1, 5), (2, 4)], critical={6, 99})
+        report = verify_matching(K, Matching([(0, 3), (1, 5), (2, 4)], [6, 99], 0.0))
         assert "unknown_cell" in report.kinds()
 
     def test_out_of_range_pair_ids(self, toy):
         _, K, _ = toy
         # -1 must not wrap around to the last cell, the triangle whose face 5 is
-        report = verify_matching(K, [(0, 3), (2, 4), (5, -1), (1, 7)], critical={6})
+        report = verify_matching(K, Matching([(0, 3), (1, 7), (2, 4), (5, -1)], [6], 0.0))
         assert [(v.kind, v.cells) for v in report.violations] == [
-            ("non_admissible", (5, -1)),
             ("non_admissible", (1, 7)),
+            ("non_admissible", (5, -1)),
             ("unknown_cell", (-1,)),
             ("unknown_cell", (7,)),
         ]
 
     def test_non_integer_ids_rejected(self, toy):
         _, K, _ = toy
-        assert verify_matching(K, [(0, 3.0), (1, 5), (2, 4)], critical={6}).ok
+        assert verify_matching(K, Matching([(0, 3.0), (1, 5), (2, 4)], [6], 0.0)).ok
         with pytest.raises(ValueError, match="cell id 3.5 is not an integer"):
-            verify_matching(K, [(0, 3.5), (1, 5), (2, 4)], critical={6})
+            verify_matching(K, Matching([(0, 3.5), (1, 5), (2, 4)], [6], 0.0))
         with pytest.raises(ValueError, match="cell id nan is not an integer"):
-            verify_matching(K, [(0, 3), (1, 5), (2, 4)], critical={6, math.nan})
+            verify_matching(K, Matching([(0, 3), (1, 5), (2, 4)], [6, math.nan], 0.0))
 
     def test_matches_loop_oracle(self):
         """Same violations, in the same order with the same messages, as the
@@ -646,8 +644,9 @@ class TestVerify:
                     pairs.append(tuple(rng.integers(-3, n + 3, 2).tolist()))
                 else:
                     critical ^= {int(rng.integers(-2, n + 2))}
-            rng.shuffle(pairs)
-            got = verify_matching(K, pairs, critical).violations
+            # a Matching sorts its pairs, so the oracle gets them sorted too
+            pairs = sorted(pairs)
+            got = verify_matching(K, Matching(pairs, sorted(critical), 0.0)).violations
             assert [(v.kind, v.cells, v.detail) for v in got] == matching_violations_by_loop(
                 K, pairs, critical
             )
@@ -674,14 +673,12 @@ class TestRepair:
             ]
             if len(perm) % 2:
                 assignment.append((perm[-1], perm[-1]))
-            from combidyn import assignment_objective
-
             before = assignment_objective(model, assignment)
             fixed = repair(K, model, assignment)
             n_bad = sum(
                 1 for i, j in assignment if i != j and K.pair_index([(i, j)])[0] < 0
             )
-            saved = n_bad * (model.penalty - 2 * model.alpha)
+            saved = n_bad * (penalty(model.alpha) - 2 * model.alpha)
             assert fixed.objective == pytest.approx(before - saved, abs=1e-9)
             assert verify_matching(K, fixed).ok
 

@@ -7,7 +7,7 @@ from combidyn import (
     assign_vertex_average,
     cubical_grid,
     delaunay_2d,
-    dowker_complex,
+    dowker_complex_from_matrix,
     simplicial_complex,
 )
 
@@ -42,7 +42,8 @@ class TestDowkerAverage:
     def test_witness_mean(self):
         landmarks = np.array([[0.0, 0.0], [1.0, 0.0]])
         points = np.array([[0.1, 0.0], [0.9, 0.0], [0.5, 0.0]])
-        K, witness = dowker_complex(DowkerRelation(points, landmarks, radius=0.75))
+        rel = DowkerRelation(points, landmarks, radius=0.75)
+        K, witness = dowker_complex_from_matrix(rel.landmarks, rel.matrix())
         data = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         vectors = assign_dowker_average(K, witness, data)
         # only point 2 sits within 0.75 of both landmarks
