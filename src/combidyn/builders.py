@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import CellComplex, _find, _row_codes, simplicial_complex
+from .complexes import CellComplex, _find, _row_codes, _row_keys, simplicial_complex
 from .datagen import FieldSample
 
 __all__ = [
@@ -261,7 +261,9 @@ def _lattice_indices(points: np.ndarray, side: float, tol_factor: float = 1e-9):
         raise ValueError(f"axis {axis} spans {extent[axis] + 1:.3g} lattice sites, over 2**62")
     idx = scaled.astype(np.int64)
     snapped = origin + idx * side
-    err = np.abs(points - snapped).max(axis=1)
+    err = np.zeros(len(points))  # each point's largest deviation on any axis
+    for dev in np.abs(points - snapped).T:
+        np.maximum(err, dev, out=err)
     bad = np.nonzero(err > tol_factor * side)[0]
     if len(bad):
         i = int(bad[0])
@@ -290,9 +292,9 @@ def cubical_grid(points, side: float) -> CellComplex:
     # corners[m, i]: first point at site idx[i] + (bit a of m on axis a), or -1;
     # the cube spanning the axes of mask at site i has the corners m within mask
     offsets = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
-    codes = _row_codes(np.concatenate([idx, (idx + offsets[:, None]).reshape(-1, d)]))
-    order = np.argsort(codes[:n], kind="stable")
-    at = _find(codes[:n][order], codes[n:])
+    keys = _row_keys(np.concatenate([idx, (idx + offsets[:, None]).reshape(-1, d)]))
+    order = np.argsort(keys[:n], kind="stable")
+    at = _find(keys[:n][order], keys[n:])
     corners = np.where(at >= 0, order[at], -1).reshape(2**d, n)
     repeated = np.flatnonzero(corners[0] != np.arange(n))
     if len(repeated):
@@ -303,8 +305,11 @@ def cubical_grid(points, side: float) -> CellComplex:
 
     cells = []
     for mask in range(2**d):
-        rows = corners[[m for m in range(2**d) if m & mask == m]].T
-        cells.append(rows[(rows >= 0).all(axis=1)])
+        rows = corners[[m for m in range(2**d) if m & mask == m]]
+        whole = rows[0] >= 0
+        for row in rows[1:]:
+            whole &= row >= 0
+        cells.append(rows[:, whole].T)
     return CellComplex(snapped, "cube", cells)
 
 
@@ -319,8 +324,9 @@ def snap_to_lattice(sample: FieldSample, side: float) -> FieldSample:
     vecs = np.asarray(sample.vectors, dtype=float)
     # every point is rounded, so no tolerance applies
     origin, idx, _ = _lattice_indices(pts, side, tol_factor=math.inf)
-    sites, site_of = np.unique(idx, axis=0, return_inverse=True)
-    site_of = site_of.reshape(-1)
+    site_of = _row_codes(idx)
+    sites = np.empty((int(site_of.max()) + 1, idx.shape[1]), dtype=idx.dtype)
+    sites[site_of] = idx
     # summed from 0.0 in input order, as numpy's mean sums each group
     sums = np.zeros((len(sites), vecs.shape[1]))
     np.add.at(sums, site_of, vecs)

@@ -28,21 +28,76 @@ def _cube_dim(n_corners: int) -> int:
     return d
 
 
+# Numpy reduces the 2-8 columns of a cell along axis 1 several times slower
+# than a loop of whole-column operations, so the kernels below loop over
+# columns.
+
+_KEY_SPAN = 2**63  # packed keys lie in [0, 2**63)
+
+
+def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each int64 key among the distinct keys, and their count."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.zeros(len(keys), dtype=np.int64)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    np.cumsum(new, out=new)
+    code = np.empty_like(new)
+    code[order] = new
+    return code, int(new[-1]) + 1 if len(new) else 0
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of an int matrix, equal iff the rows are equal
+    and ordered like the rows' lexicographic order: the ids less the matrix
+    minimum, so negative ids sort too, packed as digits of one base. Where
+    the next digit would overflow int64, the packed prefix is densely ranked
+    and packing goes on from the ranks. Ids so far apart that a digit would
+    overflow even after a rank are first replaced by their ranks among the
+    matrix's values."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n, k = rows.shape
+    if not n:
+        return np.zeros(0, dtype=np.int64)
+    lo = int(rows.min())
+    base = int(rows.max()) - lo + 1
+    if base * n > _KEY_SPAN:  # a ranked prefix holds up to n values
+        values, inverse = np.unique(rows.ravel(), return_inverse=True)
+        rows, lo, base = inverse.reshape(n, k).astype(np.int64), 0, len(values)
+    elif lo:
+        rows = rows - lo  # exact: every difference lies in [0, 2**63)
+    key = rows[:, 0].copy()
+    span = base
+    for j in range(1, k):
+        if span * base > _KEY_SPAN:
+            key, span = _dense_rank(key)
+        key *= base
+        key += rows[:, j]
+        span *= base
+    return key
+
+
 def _row_codes(rows: np.ndarray) -> np.ndarray:
     """Dense integer code per row of an int matrix, equal iff the rows are
     equal and ordered like the rows' lexicographic order."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=np.int64)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    code = np.empty(len(rows), dtype=np.int64)
-    code[order] = np.cumsum(new) - 1
-    return code
+    return _dense_rank(_row_keys(rows))[0]
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of an int matrix, in lexicographic order."""
-    return rows[np.unique(_row_codes(rows), return_index=True)[1]]
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
+    return rows[order[first]]
+
+
+def _column_count(mask: np.ndarray) -> np.ndarray:
+    """True entries in each row of an (n, k) bool matrix."""
+    count = mask[:, 0].astype(np.intp)
+    for j in range(1, mask.shape[1]):
+        count += mask[:, j]
+    return count
 
 
 def _cube_faces(V: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
@@ -51,20 +106,37 @@ def _cube_faces(V: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
     one shared vertex table, so exact float comparison is safe here. Returns
     one (n, k/2) array per face slot, in spanned-axis order, low side first."""
     n, k = V.shape
-    pts = coords[V]
-    lo, hi = pts.min(axis=1), pts.max(axis=1)
-    spanned = lo != hi
-    bad = spanned.sum(axis=1) != _cube_dim(k)
-    rows = np.arange(n)
-    masks = []
-    # each cube's spanned axes, ascending
-    for a in np.argsort(~spanned, axis=1, kind="stable")[:, : _cube_dim(k)].T:
-        for side in (lo[rows, a], hi[rows, a]):
-            masks.append(pts[rows, :, a] == side[:, None])
-            bad |= masks[-1].sum(axis=1) != k // 2
+    dim, half = _cube_dim(k), k // 2
+    spans = np.zeros(n, dtype=np.intp)
+    bad = np.zeros(n, dtype=bool)
+    sides = []  # per axis: (spanned, corners at its minimum, at its maximum)
+    for x in coords.T:
+        P = x[V]
+        lo, hi = P[:, 0].copy(), P[:, 0].copy()
+        for j in range(1, k):
+            np.minimum(lo, P[:, j], out=lo)
+            np.maximum(hi, P[:, j], out=hi)
+        spanned = lo != hi
+        low, high = P == lo[:, None], P == hi[:, None]
+        bad |= spanned & ((_column_count(low) != half) | (_column_count(high) != half))
+        spans += spanned
+        sides.append((spanned, low, high))
+    bad |= spans != dim
     if bad.any():
         raise ValueError(f"corners {tuple(V[bad][0].tolist())} do not span an axis-aligned cube")
-    return [V[mask].reshape(n, k // 2) for mask in masks]
+    masks = []
+    for i in range(dim):
+        # the side masks of each cube's i-th spanned axis
+        seen = np.zeros(n, dtype=np.intp)
+        for a, (spanned, low, high) in enumerate(sides):
+            pick = spanned & (seen == i)
+            if a == 0 or pick.all():
+                split = [low, high]
+            elif pick.any():
+                split = [np.where(pick[:, None], m, s) for m, s in zip((low, high), split)]
+            seen += spanned
+        masks += split
+    return [V[mask].reshape(n, half) for mask in masks]
 
 
 def _find(keys: np.ndarray, wanted) -> np.ndarray:
@@ -121,19 +193,19 @@ class CellComplex:
             by_width.setdefault(rows.shape[1], []).append(np.sort(rows, axis=1))
         ordered = [_unique_rows(np.concatenate(by_width[k])) for k in sorted(by_width)]
         for V in ordered:
-            bad = (V[:, 0] < 0) | (V[:, -1] >= len(self.vertices)) | (V[:, 1:] == V[:, :-1]).any(axis=1)
+            bad = (V[:, 0] < 0) | (V[:, -1] >= len(self.vertices))
+            for j in range(1, V.shape[1]):
+                bad |= V[:, j] == V[:, j - 1]
             if bad.any():
                 raise ValueError(f"cell {tuple(V[bad][0].tolist())} has a repeated or unknown vertex")
 
-        sizes = np.repeat(np.array(sorted(by_width), dtype=np.intp), [len(V) for V in ordered])
+        widths, counts = sorted(by_width), [len(V) for V in ordered]
+        sizes = np.repeat(np.array(widths, dtype=np.intp), counts)
         self.vert_ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
         np.cumsum(sizes, out=self.vert_ptr[1:])
         self.vert_idx = np.concatenate([V.ravel() for V in ordered] + [np.empty(0, np.intp)])
-        if self.kind == "simplex":
-            self.dims = sizes - 1
-        else:
-            corners, inverse = np.unique(sizes, return_inverse=True)
-            self.dims = np.array([_cube_dim(k) for k in corners.tolist()], dtype=np.intp)[inverse]
+        block_dims = [k - 1 if self.kind == "simplex" else _cube_dim(k) for k in widths]
+        self.dims = np.repeat(np.array(block_dims, dtype=np.intp), counts)
 
         # look every codim-1 face up among the cells with its vertex count
         blocks = {V.shape[1]: (start, V) for start, V in self._blocks()}
@@ -147,8 +219,9 @@ class CellComplex:
                 slots = _cube_faces(V, self.vertices)
             queries = np.concatenate(slots)
             face_start, table = blocks.get(queries.shape[1], (0, queries[:0]))
-            codes = _row_codes(np.concatenate([table, queries]))
-            at = _find(codes[: len(table)], codes[len(table) :])
+            # the table's rows are sorted and distinct, so its keys ascend
+            keys = _row_keys(np.concatenate([table, queries]))
+            at = _find(keys[: len(table)], keys[len(table) :])
             if (at < 0).any():
                 miss = int(np.flatnonzero(at < 0)[0])
                 raise ValueError(
@@ -158,12 +231,16 @@ class CellComplex:
             upper.append(np.tile(np.arange(start, start + len(V)), len(slots)))
             lower.append(face_start + at)
 
+        # each (upper, lower) appears once, so one sort of packed keys orders it
         upper, lower = np.concatenate(upper), np.concatenate(lower)
-        self.face_idx = lower[np.lexsort((lower, upper))]
-        self.face_ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(upper, minlength=len(sizes)), out=self.face_ptr[1:])
-        by_face = np.lexsort((upper, lower))
-        self.pairs = np.stack([lower[by_face], upper[by_face]], axis=1)
+        n = len(sizes)
+        self.face_idx = lower[np.argsort(upper * n + lower, kind="stable")]
+        self.face_ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(upper, minlength=n), out=self.face_ptr[1:])
+        by_face = np.argsort(lower * n + upper, kind="stable")
+        self.pairs = np.empty((len(by_face), 2), dtype=np.intp)
+        np.take(lower, by_face, out=self.pairs[:, 0])
+        np.take(upper, by_face, out=self.pairs[:, 1])
         self.barycenters = self.cell_means(self.vertices)
 
     # -- basic accessors ----------------------------------------------------
@@ -194,7 +271,10 @@ class CellComplex:
         sizes = np.diff(self.vert_ptr)
         ids = np.flatnonzero(sizes == len(key))
         rows = self.vert_idx[self.vert_ptr[ids][:, None] + np.arange(len(key))]
-        hit = ids[(rows == key).all(axis=1)]
+        same = np.ones(len(ids), dtype=bool)
+        for j, v in enumerate(key.tolist()):
+            same &= rows[:, j] == v
+        hit = ids[same]
         if not hit.size:
             raise KeyError(f"no cell with vertices {tuple(key.tolist())}")
         return int(hit[0])
@@ -248,11 +328,13 @@ class CellComplex:
     def _blocks(self):
         """(first id, (n, k) vertex rows) for each block of cells with k
         vertices; a block is a contiguous id range with sorted rows."""
-        sizes = np.diff(self.vert_ptr)
-        starts = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()
-        for start, stop in zip(starts, starts[1:] + [len(sizes)]):
+        sizes = np.diff(self.vert_ptr)  # ascending, as ids follow vertex counts
+        start = 0
+        while start < len(sizes):
+            stop = int(np.searchsorted(sizes, sizes[start], side="right"))
             rows = self.vert_idx[self.vert_ptr[start] : self.vert_ptr[stop]]
             yield start, rows.reshape(stop - start, -1)
+            start = stop
 
     def cell_means(self, table: np.ndarray) -> np.ndarray:
         """(N, d) mean of a per-vertex table over each cell's vertices, one
@@ -260,7 +342,15 @@ class CellComplex:
         table = np.asarray(table, dtype=float)
         out = np.empty((len(self), table.shape[1]))
         for start, V in self._blocks():
-            out[start : start + len(V)] = table[V].mean(axis=1)
+            if V.shape[1] >= 8 and table.shape[1] == 1:
+                # numpy sums 8 or more adjacent terms pairwise: keep its mean
+                out[start : start + len(V)] = table[V].mean(axis=1)
+                continue
+            # summed in vertex order, then divided, as numpy's mean does here
+            acc = table[V[:, 0]]
+            for j in range(1, V.shape[1]):
+                acc += table[V[:, j]]
+            np.divide(acc, V.shape[1], out=out[start : start + len(V)])
         return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import marshal
 import math
@@ -150,7 +151,20 @@ def _fmt9(x: float) -> str:
 def _float_table(path, rows: list[list[str]], width: int) -> np.ndarray:
     """The data rows after the header as an (n, width) float array; blank rows
     are skipped. The first bad line, in file order, raises a ParseError: a
-    row of the wrong width, an entry `float()` rejects, or a non-finite value."""
+    row of the wrong width, an entry `float()` rejects, or a non-finite value.
+
+    When every row has the width, all are parsed at once; the row walk runs
+    only to skip blank rows or to name the first bad line."""
+    if set(map(len, rows[1:])) == {width}:
+        try:
+            # numpy parses each string with float(), so it accepts the same text
+            table = np.array(list(itertools.chain.from_iterable(rows[1:])), dtype=float)
+        except ValueError:
+            pass  # a blank row or an entry float() rejects
+        else:
+            table = table.reshape(-1, width)
+            if np.isfinite(table).all():
+                return table
     lines, data = [], []
     short = None  # (line, length) of the first row of the wrong width
     for ln, row in enumerate(rows[1:], start=2):
@@ -162,7 +176,6 @@ def _float_table(path, rows: list[list[str]], width: int) -> np.ndarray:
         lines.append(ln)
         data.append(row)
     try:
-        # numpy parses each string with float(), so it accepts the same text
         table = np.array(data, dtype=float).reshape(-1, width)
     except ValueError:
         # numpy does not say which entry failed: find the first bad line in order
@@ -524,6 +537,23 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
             raise ValueError(f"{report_path}: report has no int64 {path(at)}{key}")
         return value
 
+    def int_fields(section, keys):
+        # the int64 values under `keys` in the entries of list `section`, one
+        # list per key: one pass when all are good, else `need` walks the
+        # entries in order and names the first bad one
+        entries = need(doc, section, kind=list)
+        try:
+            cols = [[e[key] for e in entries] for key in keys]
+        except (TypeError, KeyError):  # an entry is no dict, or lacks a key
+            cols = None
+        if cols is None or not all(
+            set(map(type, col)) <= {int} and (not col or (-(2**63) <= min(col) and max(col) < 2**63))
+            for col in cols
+        ):
+            rows = [[need(e, key, (section, i), int) for key in keys] for i, e in enumerate(entries)]
+            cols = [list(col) for col in zip(*rows)]
+        return entries, cols
+
     echo = need(doc, "config_echo", kind=dict)
     for key, (name, kind) in _CONFIG_KEYS.items():
         need(echo, key, "config_echo.", kind, nullable=getattr(PipelineConfig, name) is None)
@@ -532,12 +562,9 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     objective = need(doc, "objective")
     total = need(objective, "total", "objective.", float)
     alpha = float(need(objective, "alpha", "objective.", float))
-    pairs = [
-        (need(e, "lower", ("matching", i), int), need(e, "upper", ("matching", i), int))
-        for i, e in enumerate(need(doc, "matching", kind=list))
-    ]
-    critical_entries = need(doc, "critical", kind=list)
-    critical = [need(e, "id", ("critical", i), int) for i, e in enumerate(critical_entries)]
+    _, (lower, upper) = int_fields("matching", ("lower", "upper"))
+    pairs = list(zip(lower, upper))
+    critical_entries, (critical,) = int_fields("critical", ("id",))
     problem, scc = need(doc, "problem"), need(doc, "scc")
     section = doc.get("gradient")
 

@@ -100,7 +100,7 @@ class AssignmentGraph:
         c = pos[np.where(lo_even, up, lo)]
         rows = np.concatenate([r, np.where(even, pos, ne + pos), ne + c])
         cols = np.concatenate([c, np.where(even, no + pos, pos), no + r])
-        order = np.lexsort((cols, rows))  # no edge is listed twice
+        order = np.argsort(rows * n + cols, kind="stable")  # no edge is listed twice
         slot = np.empty_like(order)
         slot[order] = np.arange(len(order))
         indptr = np.zeros(n + 1, dtype=np.intp)
@@ -428,16 +428,33 @@ class VerificationReport:
 
 
 def _cell_ids(values) -> np.ndarray:
-    """Cell ids as int64; integral floats pass, any other value raises."""
-    ids = np.asarray(values)
-    if ids.dtype.kind in "iu":
+    """Cell ids as int64. Integral floats pass; any other value, or an id
+    outside int64, raises a ValueError naming it as given."""
+    try:
+        ids = np.asarray(values)
+    except OverflowError:  # a Python int beyond uint64
+        ids = np.asarray(values, dtype=object)
+    if ids.dtype.kind in "bi":
         return ids.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):
-        out = ids.astype(np.int64)
-    bad = out != ids
-    if bad.any():
-        raise ValueError(f"cell id {ids[bad][0]} is not an integer")
-    return out
+    if ids.dtype.kind == "u" and not (ids >= 2**63).any():
+        return ids.astype(np.int64)
+    if ids.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            out = ids.astype(np.int64)
+        if (out == ids).all():
+            return out
+    # numpy may hold a Python int past int64 as a float, so walk the values
+    # as given to name the first bad one
+    ids = np.asarray(values, dtype=object)
+    out = []
+    for v in ids.ravel().tolist():
+        i = int(v) if isinstance(v, float) and v.is_integer() else v
+        if not isinstance(i, int):
+            raise ValueError(f"cell id {v} is not an integer")
+        if not -(2**63) <= i < 2**63:
+            raise ValueError(f"cell id {v} is outside int64")
+        out.append(i)
+    return np.array(out, dtype=np.int64).reshape(ids.shape)
 
 
 def verify_matching(complex: CellComplex, matching: Matching) -> VerificationReport:

@@ -344,6 +344,20 @@ def cubical_cells_by_sites(points, side):
     return origin + idx * side, cells
 
 
+def row_codes_by_lexsort(rows):
+    """Dense code per row of an int matrix, equal iff the rows are equal and
+    ordered like the rows' lexicographic order, by one lexsort over the
+    columns and a scan for changes between neighbouring sorted rows."""
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=np.int64)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    code = np.empty(len(rows), dtype=np.int64)
+    code[order] = np.cumsum(new) - 1
+    return code
+
+
 def simplicial_closure_by_stack(simplices):
     """Every nonempty subset of every generator, by popping a generator and
     pushing its one-smaller subsets. Returns a set of sorted vertex tuples."""

@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import combidyn.complexes
 from combidyn import (
     CellComplex,
     barycentric_subdivision,
@@ -11,6 +13,7 @@ from combidyn import (
     delaunay_2d,
     simplicial_complex,
 )
+from combidyn.complexes import _row_codes, _unique_rows
 
 from combidyn.datagen import GridSpec
 
@@ -19,6 +22,7 @@ from oracles import (
     complex_arrays,
     cubical_cells_by_sites,
     euler_characteristic,
+    row_codes_by_lexsort,
     simplicial_closure_by_stack,
 )
 
@@ -178,6 +182,53 @@ class TestAgainstReference:
             tracemalloc.stop()
         assert len(K) == 101761
         assert peak < 45e6
+
+
+@st.composite
+def int_matrices(draw):
+    """Int matrices of width 1-8 with repeated rows and negative entries. At
+    the wider bounds the packed keys overflow int64, so the rank step runs;
+    at the widest the ids alone lie over 2**63 apart."""
+    k = draw(st.integers(1, 8))
+    bound = draw(st.sampled_from([2, 1000, 2**31, 2**62]))
+    row = st.lists(st.integers(-bound, bound), min_size=k, max_size=k)
+    pool = draw(st.lists(row, min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(-1, k)
+
+
+class TestRowCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_equal_to_lexsort_reference(self, rows):
+        codes = row_codes_by_lexsort(rows)
+        assert np.array_equal(_row_codes(rows), codes)
+        assert np.array_equal(_unique_rows(rows), rows[np.unique(codes, return_index=True)[1]])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cell_means_bitwise_equal_to_numpy_mean(self, d):
+        rng = np.random.default_rng(d)
+        table = rng.normal(size=(12, d)) * 10.0 ** rng.integers(-3, 4, size=(12, d))
+        K = simplicial_complex(rng.normal(size=(12, 2)), [rng.choice(12, 8, replace=False) for _ in range(4)])
+        means = K.cell_means(table)
+        widths = []
+        for start, V in K._blocks():
+            widths.append(V.shape[1])
+            assert means[start : start + len(V)].tobytes() == table[V].mean(axis=1).tobytes()
+        assert widths == list(range(1, 9))
+
+    def test_cubical_8x8x8_matches_site_enumeration(self, monkeypatch):
+        # 512 vertices and 8 corners a cube: 512**8 > 2**63, so the keys of
+        # the cubes' rows are ranked part way
+        ranked = []
+        rank = combidyn.complexes._dense_rank
+        monkeypatch.setattr(combidyn.complexes, "_dense_rank", lambda keys: ranked.append(len(keys)) or rank(keys))
+        points = GridSpec((0.0, 0.0, 0.0), 0.5, (8, 8, 8)).points()
+        points = points[np.random.default_rng(9).permutation(len(points))]
+        K = cubical_grid(points, 0.5)
+        snapped, cells = cubical_cells_by_sites(points, 0.5)
+        assert_arrays_equal(K, complex_arrays(snapped, "cube", cells))
+        assert ranked
 
 
 class TestSimplicialClosure:

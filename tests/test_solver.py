@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -622,6 +623,29 @@ class TestVerify:
             verify_matching(K, Matching([(0, 3.5), (1, 5), (2, 4)], [6], 0.0))
         with pytest.raises(ValueError, match="cell id nan is not an integer"):
             verify_matching(K, Matching([(0, 3), (1, 5), (2, 4)], [6, math.nan], 0.0))
+
+    @pytest.mark.parametrize(
+        "pairs, named",
+        [
+            ([(10**30, 1)], "1000000000000000000000000000000"),
+            ([(2**63, 1)], "9223372036854775808"),
+            ([(1, -(2**63) - 1)], "-9223372036854775809"),
+            (np.array([(2**63, 1)], dtype=np.uint64), "9223372036854775808"),
+            (np.array([(1, 2**64 - 1)], dtype=np.uint64), "18446744073709551615"),
+            ([(2.0**63, 1)], "9.223372036854776e+18"),
+        ],
+        ids=["int-1e30", "int-2**63", "int-below-int64", "uint64-2**63", "uint64-max", "float-2**63"],
+    )
+    def test_ids_outside_int64_rejected(self, pairs, named):
+        # named as given: no OverflowError, no float for an int, no wrap to a negative id
+        with pytest.raises(ValueError, match=f"^cell id {re.escape(named)} is outside int64$"):
+            Matching(pairs, [], 0.0)
+
+    def test_int64_extremes_kept(self):
+        m = Matching([(-(2**63), 2**63 - 1)], np.array([2**63 - 1], dtype=np.uint64), 0.0)
+        assert m.pairs.tolist() == [[-(2**63), 2**63 - 1]]
+        assert m.critical.tolist() == [2**63 - 1]
+        assert m.pairs.dtype == m.critical.dtype == np.int64
 
     def test_matches_loop_oracle(self):
         """Same violations, in the same order with the same messages, as the
