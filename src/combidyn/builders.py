@@ -326,7 +326,7 @@ def snap_to_lattice(sample: FieldSample, side: float) -> FieldSample:
     origin, idx, _ = _lattice_indices(pts, side, tol_factor=math.inf)
     site_of = _row_codes(idx)
     sites = np.empty((int(site_of.max()) + 1, idx.shape[1]), dtype=idx.dtype)
-    sites[site_of] = idx
+    sites[site_of] = idx  # every point of a site writes the same row
     # summed from 0.0 in input order, as numpy's mean sums each group
     sums = np.zeros((len(sites), vecs.shape[1]))
     np.add.at(sums, site_of, vecs)

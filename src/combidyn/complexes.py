@@ -28,10 +28,6 @@ def _cube_dim(n_corners: int) -> int:
     return d
 
 
-# Numpy reduces the 2-8 columns of a cell along axis 1 several times slower
-# than a loop of whole-column operations, so the kernels below loop over
-# columns.
-
 _KEY_SPAN = 2**63  # packed keys lie in [0, 2**63)
 
 
@@ -85,11 +81,15 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of an int matrix, in lexicographic order."""
-    keys = _row_keys(rows)
-    order = np.argsort(keys, kind="stable")
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
-    return rows[order[first]]
+    codes = _row_codes(rows)
+    unique = np.empty((int(codes.max(initial=-1)) + 1, rows.shape[1]), dtype=rows.dtype)
+    unique[codes] = rows
+    return unique
+
+
+# Numpy reduces the 2-8 columns of a cell along axis 1 several times slower
+# than a loop of whole-column operations, so the kernels below loop over
+# columns.
 
 
 def _column_count(mask: np.ndarray) -> np.ndarray:
