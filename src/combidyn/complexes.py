@@ -59,7 +59,7 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     base = int(rows.max()) - lo + 1
     if base * n > _KEY_SPAN:  # a ranked prefix holds up to n values
         values, inverse = np.unique(rows.ravel(), return_inverse=True)
-        rows, lo, base = inverse.reshape(n, k).astype(np.int64), 0, len(values)
+        rows, base = inverse.reshape(n, k).astype(np.int64), len(values)
     elif lo:
         rows = rows - lo  # exact: every difference lies in [0, 2**63)
     key = rows[:, 0].copy()
