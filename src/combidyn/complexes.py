@@ -126,7 +126,8 @@ def _cube_faces(V: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
         raise ValueError(f"corners {tuple(V[bad][0].tolist())} do not span an axis-aligned cube")
     masks = []
     for i in range(dim):
-        # the side masks of each cube's i-th spanned axis
+        # the side masks of each cube's i-th spanned axis; an axis that every
+        # cube picks, as cubes of full dimension do, needs no np.where
         seen = np.zeros(n, dtype=np.intp)
         for a, (spanned, low, high) in enumerate(sides):
             pick = spanned & (seen == i)
