@@ -9,7 +9,6 @@ disagreeing with the plain optimum.
 import math
 
 from combidyn import (
-    all_critical_threshold,
     alpha_sweep,
     assign_vertex_average,
     build_cost_model,
@@ -50,7 +49,7 @@ def main():
     for (lo, up), c in zip(model.pairs.tolist(), model.pair_costs.tolist()):
         print(f"  c({lo},{up}) = {c:.4f}")
     show_solution(K, vectors, 0.75)
-    t = all_critical_threshold(model)
+    t = float(model.pair_costs.min()) / 2
     print(f"  all-critical below alpha = {t:.6f} = (1 - 1/sqrt(2))/2 "
           f"[check: {abs(t - (1 - 1/math.sqrt(2)) / 2):.1e}]")
 

@@ -29,7 +29,7 @@ from .datagen import (
     write_field_csv,
 )
 from .dynamics import CycleReport, SccInfo, classify_recurrence, is_gradient, multiflow
-from .gradient import DEFAULT_ALPHA_GRID, all_critical_threshold, alpha_sweep, solve_gradient_constrained
+from .gradient import DEFAULT_ALPHA_GRID, alpha_sweep, solve_gradient_constrained
 from .pipeline import (
     Analysis,
     ParseError,
@@ -79,7 +79,6 @@ __all__ = [
     "SearchFrontier",
     "VerificationReport",
     "Violation",
-    "all_critical_threshold",
     "alpha_sweep",
     "assign_dowker_average",
     "assign_vertex_average",

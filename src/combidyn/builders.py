@@ -173,7 +173,9 @@ def delaunay_2d(points) -> CellComplex:
 
     Fully collinear input degenerates gracefully to the path of consecutive
     edges along the line. Anything with three or more finite points and no
-    duplicates is accepted.
+    duplicates is accepted, except where the finite super-triangle swallows
+    every triangle of some point (input within rounding of one line): that
+    raises a ValueError naming the points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -245,7 +247,7 @@ def delaunay_2d(points) -> CellComplex:
     covered[real] = True
     missing = np.flatnonzero(~covered)
     if len(missing):
-        raise AssertionError(f"points {missing.tolist()} ended up in no triangle")
+        raise ValueError(f"points {missing.tolist()} ended up in no triangle")
     return simplicial_complex(pts, real)
 
 

@@ -124,7 +124,7 @@ class SccInfo:
     id: int
     cells: tuple[int, ...]
     size: int
-    d: int | None  # alternation degree: cells live in dims d and d+1
+    d: int  # alternation degree: cells live in dims d and d+1
     dims_present: tuple[int, ...]
     self_intersections: tuple[int, ...]  # cells with >1 successor inside the component
 
@@ -148,6 +148,14 @@ def classify_recurrence(complex: CellComplex, matching: Matching) -> CycleReport
     (`_arrows`): a critical cell has no out-arc there, so it is a singleton
     and no cell's self-intersections change. The matching is taken as given;
     `verify_matching` is the check.
+
+    A multi-cell component lies on one level pair (d, d + 1) and holds cells
+    of both dimensions, since a V-path stays on its level pair (Forman 1998):
+    an arrow climbs only from a matched lower cell to its partner and every
+    other arrow leads down, so a path from a lower cell of dimension d rises
+    to d + 1 at most and, once below d or on a dimension d cell matched
+    downward, never climbs back to d + 1. Cell ids ascend with dimension, so
+    the component's smallest cell has dimension d.
     """
     ptr, idx = _arrows(complex, matching)
     labels, order, bounds = _sccs(ptr, idx)
@@ -162,18 +170,14 @@ def classify_recurrence(complex: CellComplex, matching: Matching) -> CycleReport
     infos: list[SccInfo] = []
     for cid in np.flatnonzero(recurrent).tolist():
         cells = order[bounds[cid] : bounds[cid + 1]]
-        if len(cells) == 1:
-            dims_present = (int(complex.dims[cells[0]]),)
-        else:
-            dims_present = tuple(np.unique(complex.dims[cells]).tolist())
+        d = int(complex.dims[cells[0]])
         infos.append(
             SccInfo(
                 id=cid,
                 cells=tuple(cells.tolist()),
                 size=len(cells),
-                # one dimension, or two adjacent ones
-                d=dims_present[0] if dims_present[-1] - dims_present[0] <= 1 else None,
-                dims_present=dims_present,
+                d=d,
+                dims_present=(d,) if len(cells) == 1 else (d, d + 1),
                 self_intersections=tuple(cells[crossing[cells]].tolist()),
             )
         )

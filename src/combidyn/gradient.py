@@ -4,8 +4,9 @@ A matching is a discrete gradient field exactly when the flow it induces has
 no nontrivial recurrence, i.e. the arrows admit a compatible Lyapunov order;
 `dynamics.is_gradient` decides that property. This module finds the first
 alpha on the fixed grid `DEFAULT_ALPHA_GRID` where the optimum becomes
-gradient, and solves the matching program under explicit no-cycle side
-constraints via lazy cut generation: each round forbids every cyclic
+gradient, so every sweep answer is a grid value, and solves the matching
+program under explicit no-cycle side constraints via lazy cut generation:
+each round forbids every cyclic
 component of the flow (`dynamics.cyclic_components`) at once, one row per
 component, and resumes one best-first branch-and-bound whose open nodes are
 kept across the rounds. Neither mode takes a tuning parameter; the
@@ -13,10 +14,6 @@ search's one budget is `solver.MAX_SEARCH_NODES`.
 """
 
 from __future__ import annotations
-
-import math
-import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,13 +29,11 @@ from .solver import (
     _check_finite,
     _selection_matching,
     build_problem,
-    evaluate_matching,
     solve_branch_and_bound,
     solve_exact,
 )
 
 __all__ = [
-    "all_critical_threshold",
     "alpha_sweep",
     "solve_gradient_constrained",
     "DEFAULT_ALPHA_GRID",
@@ -48,32 +43,16 @@ __all__ = [
 DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(round(0.01 * k, 2) for k in range(200, -1, -1))
 
 
-def all_critical_threshold(cost_model: CostModel) -> float:
-    """Largest alpha at which the everything-critical matching is optimal:
-    half the cheapest pair cost. Infinite when no pair exists at all."""
-    if not len(cost_model.pair_costs):
-        return math.inf
-    t = float(cost_model.pair_costs.min()) / 2.0
-    if t <= 0.0:
-        warnings.warn(
-            "a pair cost is exactly zero; the all-critical regime is degenerate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return t
-
-
 def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Matching]:
     """Walk alpha down `DEFAULT_ALPHA_GRID` and return the first grid value
     whose optimal matching is gradient, together with that matching.
 
     Pair costs do not depend on alpha, so the sweep builds the program and
-    its assignment graph once from `cost_model`, checks every cost it can
-    price (the pair costs and the grid) once, and at each grid value prices
-    the graph with new diagonals and reads LAPJVsp's pair selection back
-    (`AssignmentGraph.select`). Steps are compared by their selections; a
-    `Matching` is built only where acyclicity is tested. The model's own
-    alpha is not used.
+    its assignment graph once from `cost_model`, checks the pair costs once,
+    and at each grid value prices the graph with new diagonals and reads
+    LAPJVsp's pair selection back (`AssignmentGraph.select`). Steps are
+    compared by their selections; a `Matching` is built only where
+    acyclicity is tested. The model's own alpha is not used.
 
     A matching M costs c(M) + alpha * k(M), linear in alpha, and the optimum
     is the lower envelope of these lines, so a matching the solver returns at
@@ -90,10 +69,11 @@ def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Mat
     inside such a run ties the matching there with equal c and k, and is not
     seen. Without ties this is the answer of testing every grid value.
 
-    If the pairs still have not changed at alpha 0, the last grid value
-    (only when alpha 0 ties the all-critical matching with a cycle of
-    zero-cost pairs), fall back to the all-critical matching at its
-    threshold alpha.
+    If the pairs still have not changed at alpha 0, the last grid value, the
+    answer is alpha 0 with the all-critical matching, which is gradient and
+    optimal there: it costs 0 at alpha 0, so the solver's optimum does too,
+    and since pair costs lie in [0, 2] every pair the solver selected costs
+    exactly 0. This happens only when zero-cost pairs close a cycle.
     """
     grid = DEFAULT_ALPHA_GRID
     problem = build_problem(cost_model, complex)
@@ -108,10 +88,9 @@ def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Mat
             selected[k] = graph.select(costs(k))
         return selected[k]
 
-    # LAPJVsp never returns on NaN, so every cost the sweep can price is
-    # checked before the first solve: the pair costs, then the grid
-    bad = [j for j, a in enumerate(grid) if not math.isfinite(a)]
-    _check_finite(pairs, costs(bad[0] if bad else 0))
+    # LAPJVsp never returns on NaN, so the pair costs are checked before the
+    # first solve; the grid is a finite constant
+    _check_finite(pairs, costs(0))
     k = 0
     while True:
         hit = select(k)
@@ -120,11 +99,7 @@ def alpha_sweep(complex: CellComplex, cost_model: CostModel) -> tuple[float, Mat
             return grid[k], matching
         k = _first_change(lambda j: not np.array_equal(select(j), hit), k, len(grid) - 1)
         if k is None:
-            break
-
-    t = all_critical_threshold(cost_model)
-    every = Matching(pairs=(), critical=np.arange(len(complex)), objective=0.0)
-    return t, replace(every, objective=evaluate_matching(replace(cost_model, alpha=t), every))
+            return grid[-1], Matching(pairs=(), critical=np.arange(len(complex)), objective=0.0)
 
 
 def _first_change(differs, k: int, last: int) -> int | None:

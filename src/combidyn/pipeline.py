@@ -34,7 +34,7 @@ from .datagen import FieldSample
 # is_gradient is unused here but stays a module attribute: perfbench/spans.py
 # traces the layers through this module's globals
 from .dynamics import CycleReport, classify_recurrence, is_gradient, multiflow  # noqa: F401
-from .gradient import DEFAULT_ALPHA_GRID, all_critical_threshold, alpha_sweep, solve_gradient_constrained
+from .gradient import DEFAULT_ALPHA_GRID, alpha_sweep, solve_gradient_constrained
 from .solver import (
     Matching,
     build_problem,
@@ -301,6 +301,10 @@ def _build_complex(config: PipelineConfig, sample: FieldSample):
         vectors = assign_vertex_average(complex, source.vectors)
     else:
         landmarks = read_landmarks_csv(config.landmarks)
+        if landmarks.shape[1] != sample.dim:
+            raise ParseError(
+                config.landmarks, 1, f"landmarks have dimension {landmarks.shape[1]}, the field has {sample.dim}"
+            )
         if config.relation is not None:
             # CSV rows follow the field file's convention (one per data point);
             # the builder wants landmarks as rows
@@ -501,12 +505,12 @@ def export_arrows(analysis: Analysis, path) -> None:
 def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
     """Re-check a serialized report against its input: rebuild the complex
     from the echoed config, re-verify the matching axioms and check the
-    reported alpha (the echoed one, or in sweep mode a default grid value or
-    the all-critical threshold). The reported matching, priced at that alpha,
-    then goes through the same `Analysis` that `run` builds, and the objective,
-    problem, recurrence, critical and gradient sections must equal the ones
-    its document holds as JSON text. Nothing is solved, so the solver is
-    trusted no further than the axioms.
+    reported alpha (the echoed one, or in sweep mode a default grid value,
+    since every sweep answer is one). The reported matching, priced at that
+    alpha, then goes through the same `Analysis` that `run` builds, and the
+    objective, problem, recurrence, critical and gradient sections must equal
+    the ones its document holds as JSON text. Nothing is solved, so the
+    solver is trusted no further than the axioms.
 
     `gradient.constraint_rounds` could only be re-derived by solving again, so
     in constraint mode any JSON int >= 0 is taken as given; in sweep mode it
@@ -586,10 +590,7 @@ def verify_report(report_path, input_path) -> tuple[bool, list[str]]:
         return False, lines
 
     model = build_cost_model(complex, vectors, alpha)
-    if config.gradient_mode == "sweep":
-        good = alpha in DEFAULT_ALPHA_GRID or alpha == all_critical_threshold(model)
-    else:
-        good = alpha == config.alpha
+    good = alpha in DEFAULT_ALPHA_GRID if config.gradient_mode == "sweep" else alpha == config.alpha
     ok &= check(f"objective alpha ({_fmt9(alpha)}, mode {config.gradient_mode})", good)
 
     matching = replace(matching, objective=evaluate_matching(model, matching))

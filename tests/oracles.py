@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from combidyn.builders import _incircle, _orient2d
 from combidyn.complexes import pair_rows
 from combidyn.dynamics import _flow_successors
-from combidyn.gradient import DEFAULT_ALPHA_GRID, all_critical_threshold, is_gradient
+from combidyn.gradient import DEFAULT_ALPHA_GRID, is_gradient
 from combidyn.pipeline import ParseError
 from combidyn.solver import Matching, build_problem, evaluate_matching, solve_exact
 
@@ -263,7 +263,8 @@ def alpha_sweep_by_grid(complex, cost_model):
     """`gradient.alpha_sweep` by solving every grid value in turn: the first
     grid alpha whose `solve_exact` optimum is gradient, with that matching,
     testing acyclicity only when the pairs differ from the step before, and
-    the all-critical matching at its threshold when no grid value works."""
+    like the sweep the last grid value with the all-critical matching when
+    the pairs at alpha 0 are still the last cyclic ones."""
     problem = build_problem(cost_model, complex)
     pair_costs = problem.costs[: problem.n_pairs]
     cyclic = None  # pairs of the last matching found not gradient
@@ -275,11 +276,7 @@ def alpha_sweep_by_grid(complex, cost_model):
         if is_gradient(complex, matching):
             return alpha, matching
         cyclic = matching.pairs
-    t = all_critical_threshold(cost_model)
-    if not math.isfinite(t):
-        raise RuntimeError("sweep failed on a complex with no admissible pairs")
-    every = Matching(pairs=(), critical=np.arange(len(complex)), objective=0.0)
-    return t, replace(every, objective=evaluate_matching(replace(cost_model, alpha=t), every))
+    return DEFAULT_ALPHA_GRID[-1], Matching(pairs=(), critical=np.arange(len(complex)), objective=0.0)
 
 
 def closure_by_walk(complex, cell):

@@ -13,7 +13,6 @@ import pytest
 
 from combidyn import (
     PipelineConfig,
-    all_critical_threshold,
     assign_vertex_average,
     barycentric_subdivision,
     build_cost_model,
@@ -144,7 +143,7 @@ def test_criterion_05_gradient_recovery(grad_toy):
     for _ in range(50):
         Kr, vr = random_simplicial_instance(rng)
         model = build_cost_model(Kr, vr, alpha=0.5)
-        t = all_critical_threshold(model)
+        t = float(model.pair_costs.min()) / 2
         assert t > 0
         alpha = min(2.0, t) * 0.99
         m = solve_exact(problem_for(Kr, vr, alpha))

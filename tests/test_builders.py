@@ -234,7 +234,7 @@ class TestDelaunayAgainstQhull:
         assert len(qhull) - len(ours) < 0.01 * len(qhull) + 3
 
     @pytest.mark.xfail(
-        raises=AssertionError,
+        raises=ValueError,
         strict=True,
         reason="the finite super-triangle swallows this thin triangle (ROADMAP item 6)",
     )

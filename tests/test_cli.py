@@ -84,6 +84,25 @@ class TestRun:
         assert rc == 1
         assert "error: no data point relates to any landmark" in capsys.readouterr().err
 
+    def test_delaunay_lost_points(self, tmp_path, capsys):
+        # four near-collinear points the finite super-triangle loses
+        field = tmp_path / "line.csv"
+        field.write_text("x1,x2,v1,v2\n0,0,1,0\n1,1,0,1\n3,3.0000000000000004,1,1\n2,2,1,0\n")
+        rc = main(["run", str(field)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: points [0, 1, 2, 3] ended up in no triangle\n"
+
+    @pytest.mark.parametrize("mode", ["radius", "relation"])
+    def test_dowker_landmark_dimension(self, toy_csv, tmp_path, capsys, mode):
+        landmarks = tmp_path / "lm.csv"
+        landmarks.write_text("y1,y2,y3\n0,0,0\n1,1,1\n")
+        relation = tmp_path / "rel.csv"
+        relation.write_text("1,0\n1,1\n0,1\n")
+        extra = ["--radius", "1"] if mode == "radius" else ["--relation", str(relation)]
+        rc = main(["run", str(toy_csv), "--complex", "dowker", "--landmarks", str(landmarks), *extra])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {landmarks}:1: landmarks have dimension 3, the field has 2\n"
+
     @pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])
     def test_gen_non_finite_dt(self, tmp_path, capsys, dt):
         out = tmp_path / "lorenz.csv"

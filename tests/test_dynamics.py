@@ -156,7 +156,12 @@ class TestRecurrence:
     @given(data=st.data())
     def test_matches_reachability_on_full_flow(self, kind, d, data):
         K = data.draw(complexes(kind, d))
-        assert_matches_reachability(K, data.draw(matchings(K)))
+        m = data.draw(matchings(K))
+        assert_matches_reachability(K, m)
+        # every component lies on one level pair, read off its smallest cell
+        for s in classify_recurrence(K, m).sccs:
+            assert s.dims_present == tuple(np.unique(K.dims[list(s.cells)]).tolist())
+            assert type(s.d) is int and s.d == s.dims_present[0]
 
     @pytest.mark.parametrize("kind", sorted(CROSSINGS))
     def test_matches_reachability_on_2d_crossing(self, kind):

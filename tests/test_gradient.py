@@ -10,7 +10,6 @@ import combidyn.gradient
 import combidyn.solver
 from combidyn import (
     DEFAULT_ALPHA_GRID,
-    all_critical_threshold,
     alpha_sweep,
     assign_vertex_average,
     build_cost_model,
@@ -71,11 +70,13 @@ class TestIsGradient:
 
 
 class TestThreshold:
+    """Below half the cheapest pair cost the optimum leaves every cell
+    critical: a pair costs more than the two diagonals it replaces."""
+
     def test_toy_value(self, toy):
         _, K, vectors = toy
         model = build_cost_model(K, vectors, alpha=0.5)
-        t = all_critical_threshold(model)
-        assert t == min(model.pair_costs.tolist()) / 2
+        t = float(model.pair_costs.min()) / 2
         assert t == pytest.approx((1 - 1 / math.sqrt(2)) / 2, abs=1e-12)
         below = solve_exact(problem_for(K, vectors, round(t - 0.01, 6)))
         assert below.pairs.tolist() == []
@@ -83,20 +84,10 @@ class TestThreshold:
     def test_grad_toy_value(self, grad_toy):
         _, K, vectors = grad_toy
         model = build_cost_model(K, vectors, alpha=0.5)
-        assert all_critical_threshold(model) == pytest.approx(0.129232, abs=1e-5)
-
-    def test_no_pairs(self):
-        K = simplicial_complex(np.array([[0.0, 0.0]]), [(0,)])
-        model = build_cost_model(K, np.ones((1, 2)), alpha=0.5)
-        assert all_critical_threshold(model) == math.inf
-
-    def test_zero_cost_warns(self):
-        K = simplicial_complex(np.array([[0.0, 0.0], [1.0, 0.0]]), [(0, 1)])
-        vectors = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-        model = build_cost_model(K, vectors, alpha=0.5)
-        with pytest.warns(RuntimeWarning, match="zero"):
-            t = all_critical_threshold(model)
-        assert t == 0.0
+        t = float(model.pair_costs.min()) / 2
+        assert t == pytest.approx(0.129232, abs=1e-5)
+        below = solve_exact(problem_for(K, vectors, round(t - 0.01, 6)))
+        assert below.pairs.tolist() == []
 
 
 class TestSweep:
@@ -107,20 +98,44 @@ class TestSweep:
         assert alpha == 0.14
         assert m.pairs.tolist() == [[0, 3]]
 
-    def test_fallback_to_threshold(self, grad_toy, monkeypatch):
-        # on a grid that ends at 0.15 the pairs never change, and the sweep
-        # falls back to the all-critical matching
-        _, K, vectors = grad_toy
-        monkeypatch.setattr(combidyn.gradient, "DEFAULT_ALPHA_GRID", (0.15,))
-        alpha, m = alpha_sweep(K, build_cost_model(K, vectors, 0.5))
-        assert alpha == pytest.approx(0.129232, abs=1e-5)
-        assert m.pairs.tolist() == []
-        assert len(m.critical) == 7
-        assert m.objective == pytest.approx(7 * alpha, abs=1e-9)
+    def test_zero_cost_cycle_to_the_end_of_the_grid(self, monkeypatch):
+        # pairs (0, 3), (1, 5) and (2, 4) cost 0 and close a cycle, every
+        # other pair costs 2: that cycle is the optimum at every alpha above
+        # 0, and at alpha 0 it ties the all-critical matching at cost 0
+        K = simplicial_complex(np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]), [(0, 1, 2)])
+        cycle = np.isin(np.arange(len(K.pairs)), [0, 3, 4])
+        assert K.pairs[cycle].tolist() == [[0, 3], [1, 5], [2, 4]]
+        model = replace(
+            build_cost_model(K, np.ones((len(K), 2)), 0.5), pair_costs=np.where(cycle, 0.0, 2.0)
+        )
+        everything = list(range(len(K)))
+
+        # LAPJVsp breaks the tie at alpha 0 towards the all-critical matching,
+        # so the sweep finds it there as a change of pairs and tests it
+        alpha, m, solved, tested = traced_sweep(K, model)
+        assert (alpha, m.pairs.tolist(), m.critical.tolist(), tested) == (0.0, [], everything, [False, True])
+        assert_valid_sweep(K, model, alpha, m, solved, tested)
+
+        # an optimum that keeps the cycle at alpha 0 leaves the pairs unchanged
+        # to the end of the grid; the sweep then answers alpha 0 with the
+        # all-critical matching without testing it
+        cyclic = Matching(K.pairs[cycle], [6], 0.0)
+        assert evaluate_matching(replace(model, alpha=0.0), cyclic) == 0.0
+        select = combidyn.solver.AssignmentGraph.select
+
+        def cyclic_at_zero(graph, costs, forbid=None):
+            return cycle.copy() if costs[len(graph.pair_row)] == 0.0 else select(graph, costs, forbid)
+
+        monkeypatch.setattr(combidyn.solver.AssignmentGraph, "select", cyclic_at_zero)
+        alpha, m, solved, tested = traced_sweep(K, model)
+        assert (alpha, m.pairs.tolist(), m.critical.tolist(), m.objective) == (0.0, [], everything, 0.0)
+        assert tested == [False] and solved[-1] == 0.0
+        monkeypatch.undo()
+        assert_valid_sweep(K, model, alpha, m, solved, tested)
 
     def test_no_pairs(self):
         # three vertices, no edge: the empty matching is gradient at the first
-        # grid value, so the infinite threshold is never reached
+        # grid value
         K = simplicial_complex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0,), (1,), (2,)])
         alpha, m = alpha_sweep(K, build_cost_model(K, np.ones((3, 2)), alpha=0.5))
         assert alpha == 2.0
@@ -149,23 +164,17 @@ class TestSweep:
         changed = [s for i, s in enumerate(steps) if i == 0 or s != steps[i - 1]]
         assert calls == changed == [[[0, 3], [1, 5], [2, 4]], []]
 
-    @pytest.mark.parametrize("where", ["grid", "pair"])
-    def test_non_finite_cost_raises_before_any_solve(self, toy, monkeypatch, where):
-        # LAPJVsp never returns on NaN, so the sweep checks every cost it can
-        # price before its first selection; a selection here fails the test
+    def test_non_finite_cost_raises_before_any_solve(self, toy, monkeypatch):
+        # LAPJVsp never returns on NaN, so the sweep checks the pair costs
+        # before its first selection; a selection here fails the test
         _, K, vectors = toy
         model = build_cost_model(K, vectors, 0.5)
-        if where == "grid":
-            monkeypatch.setattr(combidyn.gradient, "DEFAULT_ALPHA_GRID", (2.0, 1.0, math.nan))
-            message = r"variable 9 \(diagonal of cell 0\) is nan, not finite"
-        else:
-            costs = model.pair_costs.copy()
-            costs[2] = math.nan
-            model = replace(model, pair_costs=costs)
-            message = r"variable 2 \(pair \(1, 3\)\) is nan, not finite"
+        costs = model.pair_costs.copy()
+        costs[2] = math.nan
+        model = replace(model, pair_costs=costs)
         selections = []
         monkeypatch.setattr(combidyn.solver.AssignmentGraph, "select", lambda g, c, forbid=None: selections.append(c))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=r"variable 2 \(pair \(1, 3\)\) is nan, not finite"):
             alpha_sweep(K, model)
         assert selections == []
 
@@ -199,24 +208,26 @@ def traced_sweep(K, model):
 
 
 def assert_valid_sweep(K, model, alpha, m, solved, tested):
-    """The sweep's answer holds up on its own: no grid value solved twice,
-    every matching tested before the answer cyclic, and the answer either a
-    grid alpha with the gradient optimum `solve_exact` returns there, or the
-    all-critical fallback after the last grid value."""
+    """The sweep's answer holds up on its own: a grid alpha and a gradient
+    matching, no grid value solved twice, every matching tested before the
+    answer cyclic, and the answer either the gradient optimum `solve_exact`
+    returns at that alpha, or, when the matching at the last grid value was
+    still cyclic, alpha 0 with the all-critical matching, which costs the
+    optimum 0 there."""
     grid = DEFAULT_ALPHA_GRID
+    assert alpha in grid
+    assert is_gradient(K, m) is True
     assert len(set(solved)) == len(solved)
     assert set(solved) <= set(grid)
     assert not any(tested[:-1])
-    if alpha in grid:
-        assert tested[-1] is True
-        want = solve_exact(build_problem(replace(model, alpha=alpha), K))
+    want = solve_exact(build_problem(replace(model, alpha=alpha), K))
+    if tested[-1]:
         assert np.array_equal(m.pairs, want.pairs)
         assert m.objective == want.objective
-        assert is_gradient(K, m) is True
     else:
-        assert grid[-1] in solved and not tested[-1]
-        assert alpha == all_critical_threshold(model)
-        assert m.pairs.tolist() == []
+        assert alpha == grid[-1] and alpha in solved
+        assert m.pairs.tolist() == [] and m.critical.tolist() == list(range(len(K)))
+        assert m.objective == want.objective == 0.0
 
 
 def runs_are_contiguous(K, model):

@@ -23,7 +23,7 @@ PUBLIC = [
     "Analysis", "CellComplex", "CostModel", "CycleReport", "DEFAULT_ALPHA_GRID",
     "DowkerRelation", "FieldSample", "GridSpec", "MODELS", "Matching", "MatchingProblem",
     "PRESETS", "ParseError", "PipelineConfig", "SccInfo", "SearchFrontier",
-    "VerificationReport", "Violation", "all_critical_threshold", "alpha_sweep",
+    "VerificationReport", "Violation", "alpha_sweep",
     "assign_dowker_average", "assign_vertex_average", "barycentric_subdivision",
     "build_cost_model", "build_problem", "classify_recurrence", "cubical_grid",
     "delaunay_2d", "dowker_complex_from_matrix", "evaluate_matching", "export_arrows",
@@ -36,7 +36,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 50
     assert sorted(combidyn.__all__) == PUBLIC
     for name in PUBLIC:
         getattr(combidyn, name)

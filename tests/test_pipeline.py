@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import combidyn.gradient
 from combidyn import (
+    DEFAULT_ALPHA_GRID,
     FieldSample,
     ParseError,
     PipelineConfig,
-    all_critical_threshold,
     evaluate_matching,
     export_arrows,
     export_dot,
@@ -704,18 +703,23 @@ class TestVerifyReport:
             l for l in lines if l.startswith("objective alpha")
         ]
 
-    def test_sweep_threshold_alpha_passes(self, toy_csv, tmp_path, monkeypatch):
-        # a grid on which the toy never turns gradient makes the sweep fall
-        # back to the all-critical threshold, an alpha off the default grid
-        monkeypatch.setattr(combidyn.gradient, "DEFAULT_ALPHA_GRID", (2.0,))
+    def test_sweep_threshold_alpha_fails(self, toy_csv, tmp_path):
+        # the all-critical matching at half the cheapest pair cost is
+        # optimal, but no sweep answers off the grid: re-priced there, the
+        # sweep report fails the alpha check and nothing else
         analysis = run_pipeline(PipelineConfig(gradient_mode="sweep"), toy_csv)
-        monkeypatch.undo()
-        assert analysis.cost_model.alpha == all_critical_threshold(analysis.cost_model)
-        assert analysis.cost_model.alpha not in combidyn.gradient.DEFAULT_ALPHA_GRID
+        assert (analysis.cost_model.alpha, analysis.matching.pairs.tolist()) == (0.14, [])
+        alpha = float(analysis.cost_model.pair_costs.min()) / 2
+        assert alpha not in DEFAULT_ALPHA_GRID
         report = tmp_path / "report.json"
         export_report(analysis, report)
+        total = evaluate_matching(replace(analysis.cost_model, alpha=alpha), analysis.matching)
+        self.tamper(report, lambda d: d["objective"].update(alpha=alpha, total=float(f"{total:.9g}")))
         ok, lines = verify_report(report, toy_csv)
-        assert ok, lines
+        assert not ok
+        assert [l for l in lines if l.endswith("FAIL")] == [
+            l for l in lines if l.startswith("objective alpha")
+        ]
 
     def test_wrong_input_file(self, toy_csv, grad_toy_csv, tmp_path):
         report = self.run_and_export(toy_csv, tmp_path)
