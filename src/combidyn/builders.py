@@ -28,9 +28,11 @@ The enclosing super-triangle is finite, so a thin triangle along the convex
 hull whose circumcircle reaches one of its corners is never created: the
 complex can miss a few Delaunay triangles along the hull (1 to 5 of some 630
 on 324 jittered grid points, 4 to 8 of some 1,980 on 1,000 uniform points),
-and every triangle it keeps is a Delaunay triangle. Points that all lie
-within rounding of one line, but not exactly on it, lose every triangle this
-way, and the build fails.
+and every triangle it keeps is a Delaunay triangle. When some point loses
+every triangle this way (three points of a thin triangle, or points within
+rounding of one line), the build is repeated with the super-triangle 2**20,
+then 2**40, then 2**60 times larger; the first build that covers every point
+is kept, so any input the first size covers gets the same triangles as before.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ __all__ = [
 _EPS = np.finfo(float).eps / 2
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+
+# Sizes of the super-triangle, in multiples of the points' span, tried in turn
+# until every point lies in a triangle. 2**60 keeps points within rounding of
+# one line (circumradius about span / eps = 2**52 spans) and its corners' squares
+# far from overflow.
+_SUPER_SCALES = (1.0, 2.0**20, 2.0**40, 2.0**60)
 
 
 def _orient2d(ax, ay, bx, by, cx, cy) -> int:
@@ -173,9 +181,9 @@ def delaunay_2d(points) -> CellComplex:
 
     Fully collinear input degenerates gracefully to the path of consecutive
     edges along the line. Anything with three or more finite points and no
-    duplicates is accepted, except where the finite super-triangle swallows
-    every triangle of some point (input within rounding of one line): that
-    raises a ValueError naming the points.
+    duplicates is accepted, except where even the largest super-triangle
+    swallows every triangle of some point (points much closer to one line
+    than rounding): that raises a ValueError naming the points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -189,22 +197,31 @@ def delaunay_2d(points) -> CellComplex:
         return simplicial_complex(pts, np.stack([order[:-1], order[1:]], axis=1))
 
     # Super-triangle comfortably containing everything; its vertices get the
-    # indices n, n+1, n+2 and are dropped at the end.
+    # indices n, n+1, n+2 and are dropped at the end. Only when it swallows
+    # every triangle of some point is the build repeated with a larger one.
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     cx, cy = (lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
-    work = np.vstack(
-        [
-            pts,
-            [cx - 16 * span, cy - 9 * span],
-            [cx + 16 * span, cy - 9 * span],
-            [cx, cy + 16 * span],
-        ]
-    )
-    # Python floats: the predicates run several times faster on them than on
-    # numpy scalars. tri[t] lists a triangle counterclockwise; nbr[t][k] is the
-    # triangle across the edge opposite tri[t][k], or -1 on the outer hull.
-    X, Y = work[:, 0].tolist(), work[:, 1].tolist()
+    for scale in _SUPER_SCALES:
+        s = scale * span
+        corners = [[cx - 16 * s, cy - 9 * s], [cx + 16 * s, cy - 9 * s], [cx, cy + 16 * s]]
+        work = np.vstack([pts, corners])
+        # Python floats: the predicates run several times faster on them
+        # than on numpy scalars.
+        tri = _bowyer_watson(work[:, 0].tolist(), work[:, 1].tolist(), n)
+        real = np.array([t for t in tri if max(t) < n], dtype=np.intp).reshape(-1, 3)
+        covered = np.zeros(n, dtype=bool)
+        covered[real] = True
+        missing = np.flatnonzero(~covered)
+        if not len(missing):
+            return simplicial_complex(pts, real)
+    raise ValueError(f"points {missing.tolist()} ended up in no triangle")
+
+
+def _bowyer_watson(X, Y, n) -> list:
+    """Triangles after inserting points 0..n-1 in order into the super-triangle
+    (n, n+1, n+2). tri[t] lists a triangle counterclockwise; nbr[t][k] is the
+    triangle across the edge opposite tri[t][k], or -1 on the outer hull."""
     tri = [[n, n + 1, n + 2]]
     nbr = [[-1, -1, -1]]
 
@@ -242,13 +259,7 @@ def delaunay_2d(points) -> CellComplex:
             nbr[t][0] = from_u[v]
             nbr[t][1] = to_v[u]
 
-    real = np.array([t for t in tri if max(t) < n], dtype=np.intp).reshape(-1, 3)
-    covered = np.zeros(n, dtype=bool)
-    covered[real] = True
-    missing = np.flatnonzero(~covered)
-    if len(missing):
-        raise ValueError(f"points {missing.tolist()} ended up in no triangle")
-    return simplicial_complex(pts, real)
+    return tri
 
 
 def _lattice_indices(points: np.ndarray, side: float, tol_factor: float = 1e-9):

@@ -17,7 +17,7 @@ from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from combidyn.builders import _incircle, _orient2d
+from combidyn.builders import _SUPER_SCALES, _incircle, _orient2d
 from combidyn.complexes import pair_rows
 from combidyn.dynamics import _flow_successors
 from combidyn.gradient import DEFAULT_ALPHA_GRID, is_gradient
@@ -413,25 +413,33 @@ def complex_arrays(vertices, kind, cells):
 def delaunay_triangles_by_scan(points):
     """Triangles of incremental Bowyer-Watson that tests every live triangle's
     circumcircle at every insertion: points in input order, the package's
-    super-triangle and predicates, a point on a circumcircle counts as
-    outside. Quadratic. It checks the walk and the cavity search, so it
-    shares the package's exact predicates, which
-    `circumcircle_has_no_point_inside` checks from the determinant. Returns a
-    set of sorted vertex-id triples."""
+    super-triangle sizes and predicates, a point on a circumcircle counts as
+    outside, and the first size whose triangles hold every point wins.
+    Quadratic. It checks the walk and the cavity search, so it shares the
+    package's exact predicates, which `circumcircle_has_no_point_inside`
+    checks from the determinant. Returns a set of sorted vertex-id triples."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     cx, cy = (lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
-    work = np.vstack(
-        [
-            pts,
-            [cx - 16 * span, cy - 9 * span],
-            [cx + 16 * span, cy - 9 * span],
-            [cx, cy + 16 * span],
-        ]
-    ).tolist()
+    for scale in _SUPER_SCALES:
+        s = scale * span
+        work = np.vstack(
+            [
+                pts,
+                [cx - 16 * s, cy - 9 * s],
+                [cx + 16 * s, cy - 9 * s],
+                [cx, cy + 16 * s],
+            ]
+        ).tolist()
+        real = {t for t in _scan(work, n) if max(t) < n}
+        if {v for t in real for v in t} == set(range(n)):
+            break
+    return real
 
+
+def _scan(work, n):
     def strictly_inside(tri, p):
         a, b, c = (work[k] for k in tri)
         s = _orient2d(*a, *b, *c)
@@ -450,7 +458,7 @@ def delaunay_triangles_by_scan(points):
         for e, cnt in edge_count.items():
             if cnt == 1:
                 triangles.add(tuple(sorted((e[0], e[1], i))))
-    return {t for t in triangles if max(t) < n}
+    return triangles
 
 
 def matching_violations_by_loop(complex, pairs, critical):

@@ -233,17 +233,25 @@ class TestDelaunayAgainstQhull:
         assert ours <= qhull
         assert len(qhull) - len(ours) < 0.01 * len(qhull) + 3
 
-    @pytest.mark.xfail(
-        raises=ValueError,
-        strict=True,
-        reason="the finite super-triangle swallows this thin triangle (ROADMAP item 6)",
-    )
-    def test_three_points_lost_to_the_super_triangle(self):
-        # 4 of 400 uniform 3-point draws on [-1, 1]^2 fail like this one with
-        # "points [0, 1, 2] ended up in no triangle"; a hull-exact build makes
-        # this pass, and strict=True then fails it
+    def test_three_points_kept_by_a_larger_super_triangle(self):
+        # 4 of 400 uniform 3-point draws on [-1, 1]^2 lose every triangle to
+        # the first super-triangle like this one; the rebuild keeps it
         pts = np.array([[-0.6174364, 0.37486964], [-0.54870211, 0.67923401], [-0.82157348, -0.62097055]])
         assert vertex_sets(delaunay_2d(pts), 2) == [(0, 1, 2)]
+
+    def test_points_within_rounding_of_a_line(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0000000000000004], [2.0, 2.0]])
+        triangles = vertex_sets(delaunay_2d(pts), 2)
+        assert sorted(triangles) == sorted(delaunay_triangles_by_scan(pts))
+        assert {v for t in triangles for v in t} == {0, 1, 2, 3}
+        for tri in triangles:
+            others = [i for i in range(len(pts)) if i not in tri]
+            assert circumcircle_has_no_point_inside(pts, tri, others)
+
+    def test_points_closer_to_a_line_than_the_largest_super_triangle_reaches(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 2.0**-1000], [2.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^points \[0, 1, 2, 3\] ended up in no triangle$"):
+            delaunay_2d(pts)
 
 
 class TestCubicalGrid:

@@ -85,9 +85,9 @@ class TestRun:
         assert "error: no data point relates to any landmark" in capsys.readouterr().err
 
     def test_delaunay_lost_points(self, tmp_path, capsys):
-        # four near-collinear points the finite super-triangle loses
+        # four points closer to one line than even the largest super-triangle reaches
         field = tmp_path / "line.csv"
-        field.write_text("x1,x2,v1,v2\n0,0,1,0\n1,1,0,1\n3,3.0000000000000004,1,1\n2,2,1,0\n")
+        field.write_text("x1,x2,v1,v2\n0,0,1,0\n1,0,0,1\n3,9.332636185032189e-302,1,1\n2,0,1,0\n")
         rc = main(["run", str(field)])
         assert rc == 1
         assert capsys.readouterr().err == "error: points [0, 1, 2, 3] ended up in no triangle\n"
