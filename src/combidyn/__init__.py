@@ -10,10 +10,10 @@ left.
 """
 
 from .builders import (
-    DowkerRelation,
     cubical_grid,
     delaunay_2d,
     dowker_complex_from_matrix,
+    dowker_relation,
     snap_to_lattice,
 )
 from .complexes import CellComplex, barycentric_subdivision, simplicial_complex
@@ -66,7 +66,6 @@ __all__ = [
     "CostModel",
     "CycleReport",
     "DEFAULT_ALPHA_GRID",
-    "DowkerRelation",
     "FieldSample",
     "GridSpec",
     "Matching",
@@ -89,6 +88,7 @@ __all__ = [
     "cubical_grid",
     "delaunay_2d",
     "dowker_complex_from_matrix",
+    "dowker_relation",
     "evaluate_matching",
     "export_arrows",
     "export_dot",

@@ -38,7 +38,6 @@ is kept, so any input the first size covers gets the same triangles as before.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +49,7 @@ __all__ = [
     "delaunay_2d",
     "cubical_grid",
     "snap_to_lattice",
-    "DowkerRelation",
+    "dowker_relation",
     "dowker_complex_from_matrix",
 ]
 
@@ -346,22 +345,22 @@ def snap_to_lattice(sample: FieldSample, side: float) -> FieldSample:
     return FieldSample(origin + sites * side, sums / np.bincount(site_of)[:, None])
 
 
-@dataclass(frozen=True)
-class DowkerRelation:
-    """Metric-ball relation between data points and landmarks: a landmark y is
-    related to a data point x iff |y - x| < radius."""
-
-    data: np.ndarray
-    landmarks: np.ndarray
-    radius: float
-
-    def matrix(self) -> np.ndarray:
-        Y = np.asarray(self.landmarks, dtype=float)
-        X = np.asarray(self.data, dtype=float)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        diff = Y[:, None, :] - X[None, :, :]
-        return np.linalg.norm(diff, axis=2) < self.radius
+def dowker_relation(data, landmarks, radius: float) -> np.ndarray:
+    """(L, P) bool matrix of the metric-ball relation: landmark y is related
+    to data point x iff |y - x| < radius. Squared differences are summed one
+    axis at a time through one (L, P) buffer, so below 8 axes the distances
+    are bitwise those of `np.linalg.norm(Y[:, None] - X[None], axis=2)`, which
+    sums in pairwise blocks from 8 on. Points and landmarks of different
+    dimension raise a ValueError."""
+    Y = np.asarray(landmarks, dtype=float)
+    X = np.asarray(data, dtype=float)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    dist = np.zeros((len(Y), len(X)))
+    diff = np.empty_like(dist)
+    for y, x in zip(Y.T, X.T, strict=True):
+        dist += np.square(np.subtract.outer(y, x, out=diff), out=diff)
+    return np.sqrt(dist, out=dist) < radius
 
 
 _MAX_LANDMARKS_PER_POINT = 20

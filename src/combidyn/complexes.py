@@ -57,7 +57,7 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     lo = int(rows.min())
     base = int(rows.max()) - lo + 1
-    if base * n > _KEY_SPAN:  # a ranked prefix holds up to n values
+    if base * n >= _KEY_SPAN:  # a ranked prefix holds up to n values
         values, inverse = np.unique(rows.ravel(), return_inverse=True)
         rows, base = inverse.reshape(n, k).astype(np.int64), len(values)
     elif lo:
@@ -100,11 +100,13 @@ def _column_count(mask: np.ndarray) -> np.ndarray:
     return count
 
 
-def _cube_faces(V: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
+def _cube_faces(V: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Codim-1 faces of axis-aligned cubes with sorted corner rows V: split
     the corners by min/max on each spanned axis. Corner coordinates come from
     one shared vertex table, so exact float comparison is safe here. Returns
-    one (n, k/2) array per face slot, in spanned-axis order, low side first."""
+    (cube, faces): for each axis, the rows of V that span it, then their
+    low-side corner rows, then their high-side rows, so face row i belongs to
+    cube row cube[i]."""
     n, k = V.shape
     dim, half = _cube_dim(k), k // 2
     spans = np.zeros(n, dtype=np.intp)
@@ -124,20 +126,12 @@ def _cube_faces(V: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
     bad |= spans != dim
     if bad.any():
         raise ValueError(f"corners {tuple(V[bad][0].tolist())} do not span an axis-aligned cube")
-    masks = []
-    for i in range(dim):
-        # the side masks of each cube's i-th spanned axis; an axis that every
-        # cube picks, as cubes of full dimension do, needs no np.where
-        seen = np.zeros(n, dtype=np.intp)
-        for a, (spanned, low, high) in enumerate(sides):
-            pick = spanned & (seen == i)
-            if a == 0 or pick.all():
-                split = [low, high]
-            elif pick.any():
-                split = [np.where(pick[:, None], m, s) for m, s in zip((low, high), split)]
-            seen += spanned
-        masks += split
-    return [V[mask].reshape(n, half) for mask in masks]
+    cube, faces = [], []
+    for spanned, low, high in sides:
+        at, keep = np.flatnonzero(spanned), spanned[:, None]
+        cube += [at, at]
+        faces += [V[low & keep], V[high & keep]]
+    return np.concatenate(cube), np.concatenate(faces).reshape(-1, half)
 
 
 def _find(keys: np.ndarray, wanted) -> np.ndarray:
@@ -164,7 +158,9 @@ class CellComplex:
     `kind` is "simplex" or "cube" for the whole complex; `cells` holds (n, k)
     arrays of vertex ids, one per vertex count k. Rows are sorted, duplicates
     dropped, and cells numbered in (dim, vertex_ids) order, so every id order is
-    also a dimension order. Each codim-1 face of each cell must itself be a cell.
+    also a dimension order. Each codim-1 face of each cell must itself be a cell:
+    faces are listed as one (owner, face rows) pair per vertex count, and a
+    missing one raises a ValueError naming it and its owner.
 
     Arrays, all read-only by convention:
 
@@ -215,10 +211,10 @@ class CellComplex:
             if k == 1:
                 continue
             if self.kind == "simplex":
-                slots = [np.delete(V, i, axis=1) for i in range(k)]
+                owner = np.tile(np.arange(len(V)), k)
+                queries = np.concatenate([np.delete(V, i, axis=1) for i in range(k)])
             else:
-                slots = _cube_faces(V, self.vertices)
-            queries = np.concatenate(slots)
+                owner, queries = _cube_faces(V, self.vertices)
             face_start, table = blocks.get(queries.shape[1], (0, queries[:0]))
             # the table's rows are sorted and distinct, so its keys ascend
             keys = _row_keys(np.concatenate([table, queries]))
@@ -227,9 +223,9 @@ class CellComplex:
                 miss = int(np.flatnonzero(at < 0)[0])
                 raise ValueError(
                     f"complex not closed under faces: {tuple(queries[miss].tolist())} "
-                    f"of {tuple(V[miss % len(V)].tolist())} missing"
+                    f"of {tuple(V[owner[miss]].tolist())} missing"
                 )
-            upper.append(np.tile(np.arange(start, start + len(V)), len(slots)))
+            upper.append(start + owner)
             lower.append(face_start + at)
 
         # each (upper, lower) appears once, so one sort of packed keys orders it

@@ -133,9 +133,11 @@ def solve_gradient_constrained(problem: MatchingProblem, complex: CellComplex) -
     `SearchFrontier`, seeded with the first solve, so each round resumes the
     search where the last one stopped. Among tied optima the round returns
     the first node in (bound, creation) order. The node budget
-    `MAX_SEARCH_NODES` also bounds the rounds: each round's node violates the
-    rows cut from its matching, so no node is returned twice and rounds <=
-    nodes created + 1. Running out raises a RuntimeError naming the round.
+    `MAX_SEARCH_NODES` also bounds the rounds: the node a round returns
+    violates no earlier row, and each of its cyclic components, which are
+    disjoint, gives a row that it violates, so no row is cut twice, no node
+    is returned twice and rounds <= nodes created + 1. Running out raises a
+    RuntimeError naming the round.
 
     A component's row says that at most all but one of the pairs with both
     cells inside it may be selected together. Inside a multi-cell component a
@@ -150,18 +152,15 @@ def solve_gradient_constrained(problem: MatchingProblem, complex: CellComplex) -
     matching = solve_exact(problem)
     frontier = SearchFrontier()
     frontier.seed(problem, matching)
-    cuts: dict[frozenset[int], None] = {}  # the rows so far, in the order they were cut
+    cuts = []  # the rows so far, ascending pair-variable indices, in the order they were cut
     rounds = 0
     while components := cyclic_components(complex, matching):
         for cells in components:
             inside = matching.pairs[np.isin(matching.pairs[:, 0], cells)]
-            cut = frozenset(pair_rows(problem.pairs, problem.n_cells, inside).tolist())
-            if cut in cuts:
-                raise RuntimeError("cycle constraint repeated; solver is not separating")
-            cuts[cut] = None
+            cuts.append(pair_rows(problem.pairs, problem.n_cells, inside))
         rounds += 1
         try:
-            matching = solve_branch_and_bound(problem, tuple(cuts), frontier)
+            matching = solve_branch_and_bound(problem, cuts, frontier)
         except RuntimeError as err:
             raise RuntimeError(f"round {rounds}: {err}") from None
     return matching, rounds

@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .builders import (
-    DowkerRelation,
     cubical_grid,
     delaunay_2d,
     dowker_complex_from_matrix,
+    dowker_relation,
     snap_to_lattice,
 )
 from .complexes import CellComplex, barycentric_subdivision
@@ -309,14 +309,14 @@ def _build_complex(config: PipelineConfig, sample: FieldSample):
             # CSV rows follow the field file's convention (one per data point);
             # the builder wants landmarks as rows
             rows = read_relation_csv(config.relation)
-            if rows.shape != (len(sample.points), len(landmarks)):
-                raise ValueError(
-                    f"relation shape {rows.shape} does not match "
-                    f"{len(sample.points)} points x {len(landmarks)} landmarks"
+            expected = (len(sample.points), len(landmarks))
+            if rows.shape != expected:
+                raise ParseError(
+                    config.relation, 1, f"relation shape {rows.shape} does not match {expected} (points x landmarks)"
                 )
             rel = rows.T
         else:
-            rel = DowkerRelation(sample.points, landmarks, config.radius).matrix()
+            rel = dowker_relation(sample.points, landmarks, config.radius)
         complex, witness = dowker_complex_from_matrix(landmarks, rel)
         vectors = assign_dowker_average(complex, witness, sample.vectors)
 

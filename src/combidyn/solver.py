@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -321,13 +322,13 @@ class SearchFrontier:
 
 def solve_branch_and_bound(
     problem: MatchingProblem,
-    constraints: tuple[frozenset[int], ...] = (),
+    constraints: Sequence[Iterable[int]] = (),
     frontier: SearchFrontier | None = None,
 ) -> Matching:
     """Exact optimum of the program plus cycle-exclusion rows, by best-first
     branch-and-bound over the assignment graph of `solve_exact`.
 
-    `constraints` are sets of pair-variable indices of which at most |set| - 1
+    `constraints` are rows of pair-variable indices of which at most |row| - 1
     may be selected together (cycle elimination rows). A node forbids a set
     of variables; its bound is the LAPJVsp optimum on the assignment graph
     with their edges left out, the kept edges in their CSR order. Nodes pop

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 from combidyn import (
-    DowkerRelation,
     FieldSample,
     cubical_grid,
     delaunay_2d,
     dowker_complex_from_matrix,
+    dowker_relation,
     snap_to_lattice,
 )
 
@@ -349,17 +350,46 @@ class TestDowker:
             data = rng.uniform(-1, 1, size=(8, 2))
             landmarks = rng.uniform(-1, 1, size=(5, 2))
             radius = float(rng.uniform(0.4, 1.4))
-            rel = DowkerRelation(data, landmarks, radius)
-            K, witness = dowker_complex_from_matrix(rel.landmarks, rel.matrix())
+            K, witness = dowker_complex_from_matrix(landmarks, dowker_relation(data, landmarks, radius))
             got = set(vertex_sets(K))
             expected = dowker_cells_by_subsets(data, landmarks, radius)
             assert got == expected
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_relation_bitwise_equal_to_norm(self, d):
+        # each distance is tested at its own value and at the next float up,
+        # so the two forms agree only if every distance is bitwise the same
+        rng = np.random.default_rng(d)
+        data = rng.uniform(-1, 1, size=(40, d))
+        landmarks = rng.uniform(-1, 1, size=(7, d))
+        dist = np.linalg.norm(landmarks[:, None] - data[None], axis=2)
+        for radius in np.unique(dist):
+            for r in (radius, np.nextafter(radius, np.inf)):
+                assert np.array_equal(dowker_relation(data, landmarks, r), dist < r)
+
+    def test_relation_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            dowker_relation(np.zeros((3, 3)), np.zeros((2, 2)), 1.0)
+
+    def test_relation_memory(self):
+        # 300 landmarks x 20,000 points in 3-d: an (L, P, d) difference array
+        # and its squares alone would take 6 L P 8 bytes
+        rng = np.random.default_rng(5)
+        data = rng.uniform(-1, 1, size=(20_000, 3))
+        landmarks = rng.uniform(-1, 1, size=(300, 3))
+        tracemalloc.start()
+        try:
+            rel = dowker_relation(data, landmarks, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rel.shape == (300, 20_000)
+        assert peak < 4 * 300 * 20_000 * 8
+
     def test_witness_map(self):
         data = np.array([(0.0, 0.0), (2.0, 0.0)])
         landmarks = np.array([(0.0, 0.5), (0.0, -0.5), (2.0, 0.5)])
-        rel = DowkerRelation(data, landmarks, radius=1.0)
-        K, witness = dowker_complex_from_matrix(rel.landmarks, rel.matrix())
+        K, witness = dowker_complex_from_matrix(landmarks, dowker_relation(data, landmarks, 1.0))
         assert witness[K.cell_id((0, 1))] == (0,)
         assert witness[K.cell_id((2,))] == (1,)
 
@@ -381,13 +411,11 @@ class TestDowker:
         data = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         landmarks = np.array([(100.0, 100.0)])
         with pytest.raises(ValueError, match="no data point relates to any landmark"):
-            rel = DowkerRelation(data, landmarks, radius=1.0)
-            dowker_complex_from_matrix(rel.landmarks, rel.matrix())
+            dowker_complex_from_matrix(landmarks, dowker_relation(data, landmarks, 1.0))
 
     def test_landmark_blowup_guard(self):
         data = np.zeros((1, 2))
         landmarks = np.zeros((25, 2))
         landmarks[:, 0] = np.linspace(0, 0.1, 25)
         with pytest.raises(ValueError, match="landmark"):
-            rel = DowkerRelation(data, landmarks, radius=10.0)
-            dowker_complex_from_matrix(rel.landmarks, rel.matrix())
+            dowker_complex_from_matrix(landmarks, dowker_relation(data, landmarks, 10.0))

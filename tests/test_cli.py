@@ -92,6 +92,19 @@ class TestRun:
         assert rc == 1
         assert capsys.readouterr().err == "error: points [0, 1, 2, 3] ended up in no triangle\n"
 
+    def test_dowker_relation_shape(self, toy_csv, tmp_path, capsys):
+        n = len(read_field_csv(toy_csv).points)
+        landmarks = tmp_path / "lm.csv"
+        landmarks.write_text("y1,y2\n0,0\n1,1\n")
+        relation = tmp_path / "rel.csv"
+        relation.write_text("1,0\n1,1\n")
+        rc = main(["run", str(toy_csv), "--complex", "dowker", "--landmarks", str(landmarks),
+                   "--relation", str(relation)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {relation}:1: relation shape (2, 2) does not match ({n}, 2) (points x landmarks)\n"
+        )
+
     @pytest.mark.parametrize("mode", ["radius", "relation"])
     def test_dowker_landmark_dimension(self, toy_csv, tmp_path, capsys, mode):
         landmarks = tmp_path / "lm.csv"

@@ -1,9 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import combidyn.complexes
 from combidyn import (
@@ -69,6 +70,17 @@ class TestCellComplex:
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(ValueError, match=needle):
             CellComplex(pts, kind, cells)
+
+    @pytest.mark.parametrize("missing, square", [((2, 3), (0, 1, 2, 3)), ((4, 5), (0, 1, 4, 5))])
+    def test_missing_cube_face_named_with_its_square(self, missing, square):
+        # two squares sharing edge (0, 1): one spans x and y, the other x and
+        # z, so the y and z sides are each asked for by one square only
+        pts = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)], float)
+        edges = [e for e in [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (1, 5), (4, 5)] if e != missing]
+        cells = [np.arange(6)[:, None], np.array(edges), np.array([(0, 1, 2, 3), (0, 1, 4, 5)])]
+        message = f"complex not closed under faces: {missing} of {square} missing"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CellComplex(pts, "cube", cells)
 
     def test_closure(self):
         K = triangle()
@@ -200,6 +212,8 @@ def int_matrices(draw):
 class TestRowCodes:
     @settings(max_examples=300, deadline=None)
     @given(int_matrices())
+    # ids spanning exactly 2**63 must be ranked, or the packing overflows
+    @example(np.array([[0, -4611686018427387903, 4611686018427387904]]))
     def test_equal_to_lexsort_reference(self, rows):
         codes = row_codes_by_lexsort(rows)
         assert np.array_equal(_row_codes(rows), codes)

@@ -453,6 +453,9 @@ class TestConstrainedSolve:
         calls = []
 
         def both(problem, constraints, frontier):
+            # every row ascends and none is cut twice
+            rows = {tuple(c.tolist()) for c in constraints}
+            assert len(rows) == len(constraints) and all(list(r) == sorted(r) for r in rows)
             resumed = search(problem, constraints, frontier)
             calls.append(resumed.objective == search(problem, constraints).objective)
             return resumed

@@ -21,13 +21,13 @@ import combidyn
 # every name `from combidyn import *` gives; a new public name shows up here
 PUBLIC = [
     "Analysis", "CellComplex", "CostModel", "CycleReport", "DEFAULT_ALPHA_GRID",
-    "DowkerRelation", "FieldSample", "GridSpec", "MODELS", "Matching", "MatchingProblem",
+    "FieldSample", "GridSpec", "MODELS", "Matching", "MatchingProblem",
     "PRESETS", "ParseError", "PipelineConfig", "SccInfo", "SearchFrontier",
     "VerificationReport", "Violation", "alpha_sweep",
     "assign_dowker_average", "assign_vertex_average", "barycentric_subdivision",
     "build_cost_model", "build_problem", "classify_recurrence", "cubical_grid",
-    "delaunay_2d", "dowker_complex_from_matrix", "evaluate_matching", "export_arrows",
-    "export_dot", "export_report", "gen_grid_field", "gen_lorenz_trajectory",
+    "delaunay_2d", "dowker_complex_from_matrix", "dowker_relation", "evaluate_matching",
+    "export_arrows", "export_dot", "export_report", "gen_grid_field", "gen_lorenz_trajectory",
     "is_gradient", "multiflow", "objective_decomposition", "preset_field",
     "read_field_csv", "read_landmarks_csv", "read_relation_csv", "run_pipeline",
     "simplicial_complex", "snap_to_lattice", "solve_branch_and_bound", "solve_exact",

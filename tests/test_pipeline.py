@@ -380,8 +380,10 @@ class TestRunPipeline:
         rel = tmp_path / "rel.csv"
         rel.write_text("1,0\n1,1\n0,1\n")
         config = PipelineConfig(complex_kind="dowker", landmarks=str(lm), relation=str(rel))
-        with pytest.raises(ValueError, match="does not match"):
+        shapes = r":1: relation shape \(3, 2\) does not match \(2, 2\) \(points x landmarks\)$"
+        with pytest.raises(ParseError, match=shapes) as err:
             run_pipeline(config, field)
+        assert (err.value.path, err.value.line) == (str(rel), 1)
 
     def test_snap_path(self, tmp_path):
         field = tmp_path / "f.csv"

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from combidyn import (
-    DowkerRelation,
     assign_dowker_average,
     assign_vertex_average,
     cubical_grid,
     delaunay_2d,
     dowker_complex_from_matrix,
+    dowker_relation,
     simplicial_complex,
 )
 
@@ -42,8 +42,7 @@ class TestDowkerAverage:
     def test_witness_mean(self):
         landmarks = np.array([[0.0, 0.0], [1.0, 0.0]])
         points = np.array([[0.1, 0.0], [0.9, 0.0], [0.5, 0.0]])
-        rel = DowkerRelation(points, landmarks, radius=0.75)
-        K, witness = dowker_complex_from_matrix(rel.landmarks, rel.matrix())
+        K, witness = dowker_complex_from_matrix(landmarks, dowker_relation(points, landmarks, 0.75))
         data = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         vectors = assign_dowker_average(K, witness, data)
         # only point 2 sits within 0.75 of both landmarks
